@@ -157,7 +157,8 @@ usage(const char *prog)
         "                     no-store-bypass, no-msr, no-taa)\n"
         "  --cache-geom g,... sweep cache geometries "
         "(SETSxWAYS[@MISS],\n"
-        "                     e.g. 256x4,64x2@100)\n"
+        "                     SETS a power of two, e.g. "
+        "256x4,64x2@100)\n"
         "  --shard I/N        execute only shard I of N of the "
         "grid\n"
         "  --shard-report F   write a mergeable shard report "
@@ -799,6 +800,12 @@ main(int argc, char **argv)
                 if (at != std::string::npos)
                     g.cache.missLatency =
                         static_cast<std::uint32_t>(miss);
+                if (const char *why =
+                        uarch::cacheGeometryError(g.cache)) {
+                    std::fprintf(stderr, "--cache-geom: '%s': %s\n",
+                                 n.c_str(), why);
+                    return 2;
+                }
                 spec.cacheGeometries.push_back(std::move(g));
             }
         } else if (arg == "--shard") {

@@ -2,12 +2,13 @@
  * @file
  * Snapshot/fork scenario execution.
  *
- * Profiling showed the per-grid-cell cost of a sweep is dominated
- * not by the cycle-driven pipeline but by Scenario *construction*:
- * zero-filling an 8MB Memory and rebuilding the ~290-PTE page table
- * cost ~0.4ms per cell, against attack bodies of 0.03-0.5ms.  Most
- * cells in a sweep differ by one knob, so rebuilding that identical
- * baseline per cell is pure waste.
+ * Building a Scenario from scratch — zero-filling an 8MB Memory and
+ * rebuilding the ~290-PTE page table — cost ~0.4ms per cell, more
+ * than most attack bodies.  Most cells in a sweep differ by one
+ * knob, so rebuilding that identical baseline per cell is pure
+ * waste.  With the fork path below, construction is a few µs of a
+ * cell (perfbench's traced `attacks.build_us_per_cell`); the attack
+ * body — pipeline plus receiver harness — is nearly all the rest.
  *
  * The fix is a snapshot/fork path:
  *

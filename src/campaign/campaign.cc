@@ -380,7 +380,7 @@ parseScenarioKey(const std::string &key,
     o.addressMasking = in.next() != 0;
     o.trainingRounds = static_cast<unsigned>(in.next());
     o.delayAuthorization = in.next() != 0;
-    if (!in.done())
+    if (!in.done() || uarch::cacheGeometryError(c.cache) != nullptr)
         return false;
     variant = static_cast<core::AttackVariant>(v);
     return true;
@@ -427,6 +427,11 @@ expandGrid(const ScenarioSpec &spec)
         // every knob dimension (e.g. a column may pin a geometry).
         if (defenses[di].apply)
             defenses[di].apply(s.config, s.options);
+        if (const char *why = uarch::cacheGeometryError(s.config.cache)) {
+            throw std::invalid_argument(
+                "campaign: cache geometry '" + geom.label +
+                "' under column '" + defenses[di].label + "': " + why);
+        }
         s.row = vi;
         s.col = di;
         s.gridIndex = grid.size();

@@ -200,7 +200,9 @@ std::string scenarioKey(core::AttackVariant variant,
  * lockstep with scenarioKey(); the static_asserts there and the
  * round-trip test in tests/shard_test.cc tripwire both directions.
  *
- * @return false when @p key is not a well-formed scenario key.
+ * @return false when @p key is not a well-formed scenario key, or
+ *         names a cache geometry uarch::cacheGeometryError() rejects
+ *         (so a hostile key cannot reach the Cache constructor).
  */
 bool parseScenarioKey(const std::string &key,
                       core::AttackVariant &variant,
@@ -210,6 +212,10 @@ bool parseScenarioKey(const std::string &key,
  * Expand @p spec into scenarios in deterministic row-major order:
  * variant (outer), defense, robSize, permCheckLatency, channel
  * (inner).
+ *
+ * @throws std::invalid_argument naming the geometry and column when
+ *         a cell's cache geometry fails uarch::cacheGeometryError(),
+ *         so a bad grid fails before any worker starts.
  */
 std::vector<Scenario> expandGrid(const ScenarioSpec &spec);
 

@@ -1,109 +1,38 @@
 #include "cache.hh"
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 namespace specsec::uarch
 {
 
-Cache::Cache(const CacheConfig &config)
-    : config_(config), lines_(config.sets * config.ways)
+const char *
+cacheGeometryError(const CacheConfig &config)
 {
-}
-
-std::size_t
-Cache::setIndex(Addr paddr) const
-{
-    return (paddr / config_.lineSize) % config_.sets;
-}
-
-Cache::Line *
-Cache::find(Addr paddr, int domain)
-{
-    const Addr tag = paddr / config_.lineSize;
-    const std::size_t base = setIndex(paddr) * config_.ways;
-    for (std::size_t w = 0; w < config_.ways; ++w) {
-        Line &line = lines_[base + w];
-        if (line.valid && line.tag == tag &&
-            (!partitioned_ || line.domain == domain)) {
-            return &line;
-        }
-    }
+    if (config.ways < 1)
+        return "ways must be at least 1";
+    if (!std::has_single_bit(config.sets))
+        return "sets must be a power of two";
+    if (!std::has_single_bit(config.lineSize))
+        return "lineSize must be a power of two";
     return nullptr;
 }
 
-const Cache::Line *
-Cache::find(Addr paddr, int domain) const
+Cache::Cache(const CacheConfig &config) : config_(config)
 {
-    return const_cast<Cache *>(this)->find(paddr, domain);
-}
-
-CacheAccess
-Cache::access(Addr paddr, int domain, bool allocate)
-{
-    CacheAccess result;
-    ++useCounter_;
-    if (Line *line = find(paddr, domain)) {
-        line->lastUse = useCounter_;
-        result.hit = true;
-        result.latency = config_.hitLatency;
-        ++stats_.hits;
-        return result;
-    }
-    result.hit = false;
-    result.latency = config_.missLatency;
-    ++stats_.misses;
-    if (!allocate)
-        return result;
-
-    // Fill: pick an invalid way, else evict LRU.
-    const std::size_t base = setIndex(paddr) * config_.ways;
-    Line *victim = nullptr;
-    for (std::size_t w = 0; w < config_.ways; ++w) {
-        Line &line = lines_[base + w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
-    }
-    if (victim->valid) {
-        result.evicted = true;
-        result.evictedLineAddr = victim->tag * config_.lineSize;
-        ++stats_.evictions;
-    }
-    victim->valid = true;
-    victim->tag = paddr / config_.lineSize;
-    victim->domain = domain;
-    victim->lastUse = useCounter_;
-    return result;
-}
-
-bool
-Cache::contains(Addr paddr, int domain) const
-{
-    return find(paddr, domain) != nullptr;
+    if (const char *why = cacheGeometryError(config))
+        throw std::invalid_argument(std::string("Cache: ") + why);
+    lineShift_ =
+        static_cast<unsigned>(std::countr_zero(config.lineSize));
+    setMask_ = config.sets - 1;
+    lines_.resize(config.sets * config.ways);
 }
 
 void
 Cache::insert(Addr paddr, int domain)
 {
     access(paddr, domain, true);
-}
-
-bool
-Cache::flushLine(Addr paddr)
-{
-    const Addr tag = paddr / config_.lineSize;
-    const std::size_t base = setIndex(paddr) * config_.ways;
-    bool flushed = false;
-    for (std::size_t w = 0; w < config_.ways; ++w) {
-        Line &line = lines_[base + w];
-        if (line.valid && line.tag == tag) {
-            line.valid = false;
-            flushed = true;
-            ++stats_.flushes;
-        }
-    }
-    return flushed;
 }
 
 void

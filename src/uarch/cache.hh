@@ -16,7 +16,6 @@
 #define SPECSEC_UARCH_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "isa.hh"
@@ -43,6 +42,15 @@ struct CacheAccess
     Addr evictedLineAddr = 0;
 };
 
+/**
+ * Why @p config cannot build a Cache, or nullptr when it can: ways
+ * must be at least 1, and sets and lineSize powers of two, because
+ * the cache indexes with a shift and a mask.  Every parser of a
+ * geometry (scenario keys, campaign grids, the CLI) checks this so
+ * a bad geometry is a named error, not a crash mid-run.
+ */
+const char *cacheGeometryError(const CacheConfig &config);
+
 /** Hit/miss statistics. */
 struct CacheStats
 {
@@ -62,6 +70,7 @@ struct CacheStats
 class Cache
 {
   public:
+    /** @throws std::invalid_argument when cacheGeometryError() does. */
     explicit Cache(const CacheConfig &config);
 
     const CacheConfig &config() const { return config_; }
@@ -81,7 +90,11 @@ class Cache
                        bool allocate = true);
 
     /** @return true if the line is present (no LRU/state change). */
-    bool contains(Addr paddr, int domain = 0) const;
+    bool
+    contains(Addr paddr, int domain = 0) const
+    {
+        return find(paddr, domain) != nullptr;
+    }
 
     /** Insert without timing (commit-time fill for InvisiSpec). */
     void insert(Addr paddr, int domain = 0);
@@ -96,7 +109,11 @@ class Cache
     void resetStats() { stats_ = CacheStats{}; }
 
     /** @return set index for an address (for Prime+Probe harness). */
-    std::size_t setIndex(Addr paddr) const;
+    std::size_t
+    setIndex(Addr paddr) const
+    {
+        return static_cast<std::size_t>(lineTag(paddr) & setMask_);
+    }
 
   private:
     struct Line
@@ -107,15 +124,109 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
+    /** Line address (paddr / lineSize) — also the stored tag. */
+    Addr lineTag(Addr paddr) const { return paddr >> lineShift_; }
+
+    /** First way of @p paddr's set in lines_. */
+    Line *
+    setBase(Addr paddr)
+    {
+        return &lines_[setIndex(paddr) * config_.ways];
+    }
+
     Line *find(Addr paddr, int domain);
-    const Line *find(Addr paddr, int domain) const;
+    const Line *
+    find(Addr paddr, int domain) const
+    {
+        return const_cast<Cache *>(this)->find(paddr, domain);
+    }
 
     CacheConfig config_;
     bool partitioned_ = false;
+    unsigned lineShift_ = 0; ///< log2(lineSize)
+    Addr setMask_ = 0;       ///< sets - 1
     std::vector<Line> lines_; ///< sets * ways, row-major by set
     std::uint64_t useCounter_ = 0;
     CacheStats stats_;
 };
+
+// The receiver harness calls these thousands of times per cell, so
+// they are defined here for inlining into its loops.
+
+inline Cache::Line *
+Cache::find(Addr paddr, int domain)
+{
+    const Addr tag = lineTag(paddr);
+    Line *set = setBase(paddr);
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+        Line &line = set[w];
+        if (line.valid && line.tag == tag &&
+            (!partitioned_ || line.domain == domain)) {
+            return &line;
+        }
+    }
+    return nullptr;
+}
+
+inline CacheAccess
+Cache::access(Addr paddr, int domain, bool allocate)
+{
+    CacheAccess result;
+    ++useCounter_;
+    if (Line *line = find(paddr, domain)) {
+        line->lastUse = useCounter_;
+        result.hit = true;
+        result.latency = config_.hitLatency;
+        ++stats_.hits;
+        return result;
+    }
+    result.hit = false;
+    result.latency = config_.missLatency;
+    ++stats_.misses;
+    if (!allocate)
+        return result;
+
+    // Fill: pick an invalid way, else evict LRU (ways >= 1, so a
+    // victim always exists).
+    Line *set = setBase(paddr);
+    Line *victim = &set[0];
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+        Line &line = set[w];
+        if (!line.valid) {
+            victim = &line;
+            break;
+        }
+        if (line.lastUse < victim->lastUse)
+            victim = &line;
+    }
+    if (victim->valid) {
+        result.evicted = true;
+        result.evictedLineAddr = victim->tag << lineShift_;
+        ++stats_.evictions;
+    }
+    victim->valid = true;
+    victim->tag = lineTag(paddr);
+    victim->domain = domain;
+    victim->lastUse = useCounter_;
+    return result;
+}
+
+inline bool
+Cache::flushLine(Addr paddr)
+{
+    const Addr tag = lineTag(paddr);
+    Line *set = setBase(paddr);
+    bool flushed = false;
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+        Line &line = set[w];
+        if (line.valid && line.tag == tag) {
+            line.valid = false;
+            flushed = true;
+            ++stats_.flushes;
+        }
+    }
+    return flushed;
+}
 
 } // namespace specsec::uarch
 

@@ -112,37 +112,6 @@ Cpu::ibpb()
     rsb_.flush();
 }
 
-std::uint32_t
-Cpu::timedAccess(Addr vaddr)
-{
-    const Translation t =
-        pt_.translate(vaddr, AccessType::Read, privilege_,
-                      enclaveMode_);
-    if (t.fault != FaultKind::None || !t.paddrValid)
-        return config_.cache.missLatency * 2;
-    return cache_.access(t.paddr, ctx_, true).latency;
-}
-
-std::uint32_t
-Cpu::timedProbe(Addr vaddr)
-{
-    const Translation t =
-        pt_.translate(vaddr, AccessType::Read, privilege_,
-                      enclaveMode_);
-    if (t.fault != FaultKind::None || !t.paddrValid)
-        return config_.cache.missLatency * 2;
-    return cache_.access(t.paddr, ctx_, false).latency;
-}
-
-void
-Cpu::flushLineVirt(Addr vaddr)
-{
-    if (const Pte *pte = pt_.lookup(vaddr)) {
-        cache_.flushLine(pte->physPage * kPageSize +
-                         (vaddr % kPageSize));
-    }
-}
-
 void
 Cpu::warmLine(Addr vaddr)
 {
@@ -1199,6 +1168,57 @@ Cpu::commitStage()
     }
 }
 
+Cpu::RobMarks
+Cpu::robMarks() const
+{
+    RobMarks m;
+    m.seq = seqCounter_;
+    m.pops = robPops_;
+    m.squashed = stats_.squashed;
+    m.exceptions = stats_.exceptions;
+    m.pendingException = pendingException_.has_value();
+    m.fetchStallSeq = fetchStallSeq_;
+    m.fetchHalted = fetchHalted_;
+    m.fetchPc = fetchPc_;
+    return m;
+}
+
+bool
+Cpu::recordEntryFlags()
+{
+    bool unchanged = true;
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        RobEntry &e = rob_[i];
+        const std::uint16_t flags = e.progressFlags();
+        unchanged = unchanged && flags == e.flagsSeen;
+        e.flagsSeen = flags;
+    }
+    return unchanged;
+}
+
+std::uint64_t
+Cpu::nextTimeGate() const
+{
+    // A gate at or before cycle_ that has not fired belongs to an
+    // entry blocked on state, not time: it cannot end the idle
+    // stretch, so only future gates count.
+    std::uint64_t gate = std::numeric_limits<std::uint64_t>::max();
+    const auto arm = [&](bool armed, std::uint64_t at) {
+        if (armed && at > cycle_)
+            gate = std::min(gate, at);
+    };
+    if (pendingException_)
+        arm(true, pendingException_->deliverCycle);
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        const RobEntry &e = rob_[i];
+        arm(e.authStarted && !e.authDone, e.authDoneCycle);
+        arm(e.dataStarted && !e.dataDone, e.dataDoneCycle);
+        arm(e.executed && !e.hasResult, e.doneCycle);
+        arm(e.resolveScheduled && !e.resolved, e.resolveCycle);
+    }
+    return gate;
+}
+
 void
 Cpu::stepCycle()
 {
@@ -1230,9 +1250,48 @@ Cpu::run(Addr start_pc, std::uint64_t max_cycles)
 
     const std::uint64_t start_cycle = cycle_;
     const std::uint64_t start_committed = stats_.committed;
+    // Idle-cycle fast-forward.  A cycle is idle when it changed no
+    // pipeline state, and that is detected exactly, with no hashing:
+    //  - every change a cycle makes to a ROB entry sets one of its
+    //    progressFlags(), which are never cleared during its life;
+    //  - every other change (dispatch, commit, squash, raising or
+    //    delivering an exception, fetch redirect, stall or halt)
+    //    moves a field of RobMarks.
+    // So a cycle that leaves the RobMarks and every entry's flags as
+    // they were is idle.  Only five conditions read the clock — the
+    // entries' authDoneCycle, dataDoneCycle, doneCycle and
+    // resolveCycle, and the pending exception's deliverCycle — so
+    // every cycle after an idle one is idle too until the earliest
+    // armed gate: jump to just before it (or to the budget), counting
+    // the skipped cycles as run.  RdTsc reads cycle_ only while it
+    // executes, which is an active cycle.  A cycle that fetched or
+    // committed is busy at the cost of two compares; only the others
+    // record the RobMarks and walk the ROB.
+    //
+    // The RobMarks and entry flags at the end of the previous cycle,
+    // if that cycle was recorded:
+    RobMarks seen;
+    bool recorded = false;
     while (!runHalted_ && !runFaulted_ &&
            cycle_ - start_cycle < max_cycles) {
+        const std::uint64_t seq = seqCounter_, pops = robPops_;
         stepCycle();
+        if (seqCounter_ != seq || robPops_ != pops) {
+            recorded = false;
+            continue;
+        }
+        const RobMarks marks = robMarks();
+        const bool flags_unchanged = recordEntryFlags();
+        if (recorded && flags_unchanged && marks == seen) {
+            const std::uint64_t left =
+                max_cycles - (cycle_ - start_cycle);
+            const std::uint64_t skip =
+                std::min(left, nextTimeGate() - 1 - cycle_);
+            cycle_ += skip;
+            stats_.cycles += skip;
+        }
+        seen = marks;
+        recorded = true;
     }
 
     RunResult r;

@@ -2,7 +2,7 @@
  * @file
  * The speculative out-of-order core.
  *
- * A cycle-driven pipeline with a reorder buffer, register renaming,
+ * A cycle-level pipeline with a reorder buffer, register renaming,
  * branch/target/return prediction, store buffer, and -- centrally
  * for the paper's model -- *delayed authorization*: every memory or
  * register access runs two concurrent tracks,
@@ -20,6 +20,13 @@
  * Vulnerability flags (VulnConfig) enable/disable each transient
  * forwarding path; defense flags (HwDefenseConfig) implement the
  * paper's strategies 1-4 as literal scheduler dependencies.
+ *
+ * Every guest cycle is counted, but not every one is stepped: once
+ * a cycle changes no pipeline state, run() jumps to the next cycle
+ * at which a latency expires (a miss, a permission check, exception
+ * delivery).  The skipped cycles are exactly the ones that would
+ * have changed nothing, so cycle counts, cache state and statistics
+ * are those of stepping each cycle.
  *
  * Simplifications (documented in DESIGN.md): unlimited functional
  * units (latencies still apply), metadata-only cache, harness-level
@@ -337,7 +344,11 @@ class Cpu
      *  @{ */
 
     /** Timed load that fills the cache (prime / warm semantics). */
-    std::uint32_t timedAccess(Addr vaddr);
+    std::uint32_t
+    timedAccess(Addr vaddr)
+    {
+        return timedLoad(vaddr, true);
+    }
 
     /**
      * Timed measurement that does not change cache state.  Real
@@ -346,9 +357,20 @@ class Cpu
      * so a state-changing sweep would evict yet-unmeasured slots --
      * an artifact, not a property of the channel.  See DESIGN.md.
      */
-    std::uint32_t timedProbe(Addr vaddr);
+    std::uint32_t
+    timedProbe(Addr vaddr)
+    {
+        return timedLoad(vaddr, false);
+    }
 
-    void flushLineVirt(Addr vaddr);
+    void
+    flushLineVirt(Addr vaddr)
+    {
+        if (const Pte *pte = pt_.lookup(vaddr))
+            cache_.flushLine(pte->physPage * kPageSize +
+                             (vaddr % kPageSize));
+    }
+
     void warmLine(Addr vaddr);
     /** @} */
 
@@ -386,6 +408,17 @@ class Cpu
     void copyStateFrom(const Cpu &other);
 
   private:
+    /** timedAccess (@p allocate) / timedProbe. */
+    std::uint32_t
+    timedLoad(Addr vaddr, bool allocate)
+    {
+        const Translation t = pt_.translate(vaddr, AccessType::Read,
+                                            privilege_, enclaveMode_);
+        if (t.fault != FaultKind::None || !t.paddrValid)
+            return config_.cache.missLatency * 2;
+        return cache_.access(t.paddr, ctx_, allocate).latency;
+    }
+
     struct RobEntry
     {
         Instruction inst;
@@ -439,7 +472,61 @@ class Cpu
         bool txnMember = false;
 
         bool completed = false;
+
+        /// progressFlags() at the last idle check (Cpu::run).
+        std::uint16_t flagsSeen = 0;
+
+        /**
+         * The progress flags, packed.  Every change progress() or
+         * captureOperands() makes to an entry sets one of them, and
+         * none is cleared during the entry's life — which makes
+         * comparing them an exact "did this entry change" test.
+         */
+        std::uint16_t
+        progressFlags() const
+        {
+            return static_cast<std::uint16_t>(
+                aReady | bReady << 1 | executed << 2 |
+                hasResult << 3 | forwardable << 4 | addrDone << 5 |
+                dataStarted << 6 | dataDone << 7 | authStarted << 8 |
+                authDone << 9 | resolveScheduled << 10 |
+                resolved << 11 | completed << 12);
+        }
     };
+
+    /**
+     * Every pipeline field outside the ROB entries that a cycle can
+     * change: dispatch moves seq, commit pops, a squash squashed, an
+     * exception delivery exceptions, and the rest cover raising an
+     * exception and fetch redirects, stalls and halts.
+     */
+    struct RobMarks
+    {
+        std::uint64_t seq = 0;
+        std::uint64_t pops = 0;
+        std::uint64_t squashed = 0;
+        std::uint64_t exceptions = 0;
+        bool pendingException = false;
+        std::optional<std::uint64_t> fetchStallSeq;
+        bool fetchHalted = false;
+        Addr fetchPc = 0;
+
+        bool operator==(const RobMarks &) const = default;
+    };
+
+    RobMarks robMarks() const;
+
+    /**
+     * Record every entry's progressFlags() in its flagsSeen.
+     * @return true if none differed from the previous record.
+     */
+    bool recordEntryFlags();
+
+    /**
+     * The earliest cycle after cycle_ at which an armed latency
+     * expires, or UINT64_MAX when none is armed.
+     */
+    std::uint64_t nextTimeGate() const;
 
     void stepCycle();
     void fetchStage();

@@ -76,22 +76,12 @@ PageTable::unmap(Addr vaddr)
 }
 
 const Pte *
-PageTable::lookup(Addr vaddr) const
+PageTable::lookupOverflow(Addr vpn) const
 {
-    const Addr vpn = vaddr / kPageSize;
-    if (vpn < slots_.size())
-        return slots_[vpn].mapped ? &slots_[vpn].pte : nullptr;
     if (vpn < kDenseVpns || overflow_.empty())
         return nullptr;
     const auto it = overflow_.find(vpn);
     return it == overflow_.end() ? nullptr : &it->second;
-}
-
-Pte *
-PageTable::lookup(Addr vaddr)
-{
-    return const_cast<Pte *>(
-        static_cast<const PageTable *>(this)->lookup(vaddr));
 }
 
 void
@@ -110,70 +100,6 @@ PageTable::setReservedBit(Addr vaddr, bool reserved)
     if (!pte)
         throw std::invalid_argument("setReservedBit: page not mapped");
     pte->reservedBit = reserved;
-}
-
-Translation
-PageTable::translate(Addr vaddr, AccessType type, Privilege privilege,
-                     bool enclave_mode) const
-{
-    Translation t;
-    const Pte *pte = lookup(vaddr);
-    if (!pte) {
-        t.fault = FaultKind::NotMapped;
-        return t;
-    }
-    t.paddr = pte->physPage * kPageSize + (vaddr % kPageSize);
-    t.paddrValid = true;
-
-    // Terminal conditions first: the page walk aborts before the
-    // privilege checks, which is the L1TF trigger.
-    if (!pte->present) {
-        t.fault = FaultKind::NotPresent;
-        return t;
-    }
-    if (pte->reservedBit) {
-        t.fault = FaultKind::ReservedBit;
-        return t;
-    }
-
-    // Domain / privilege checks.
-    switch (pte->owner) {
-      case PageOwner::User:
-        break;
-      case PageOwner::Kernel:
-        if (privilege == Privilege::User) {
-            t.fault = FaultKind::Privilege;
-            return t;
-        }
-        break;
-      case PageOwner::Enclave:
-        if (!enclave_mode) {
-            t.fault = FaultKind::Privilege;
-            return t;
-        }
-        break;
-      case PageOwner::Vmm:
-        if (privilege != Privilege::Vmm) {
-            t.fault = FaultKind::Privilege;
-            return t;
-        }
-        break;
-    }
-    // Enclaves execute at user privilege; the owner check above
-    // already admitted this access, so the user-accessible bit does
-    // not apply to enclave pages in enclave mode.
-    const bool enclave_access =
-        pte->owner == PageOwner::Enclave && enclave_mode;
-    if (!pte->userAccessible && privilege == Privilege::User &&
-        !enclave_access) {
-        t.fault = FaultKind::Privilege;
-        return t;
-    }
-    if (type == AccessType::Write && !pte->writable) {
-        t.fault = FaultKind::WriteProtect;
-        return t;
-    }
-    return t;
 }
 
 Memory::Memory(std::size_t size)

@@ -97,12 +97,12 @@ struct Translation
  * A single-level page table mapping virtual page numbers to PTEs.
  *
  * Storage is a flat dense array indexed by virtual page number:
- * translate() — the hottest call in the whole simulator (every
- * load/store address generation plus the thousands of committed
- * channel probes a covert-channel harness issues per cell) — is one
- * bounds check and one indexed read, with no hashing.  The modeled
- * address spaces are small and contiguous (the scenario layout tops
- * out below 8MB), so the dense array stays a few dozen KB; the rare
+ * translate() runs on every load/store address generation and on
+ * each of the thousands of receiver probes a covert-channel harness
+ * issues per cell, so it is one bounds check and one indexed read
+ * with no hashing, defined inline below.  The modeled address
+ * spaces are small and contiguous (the scenario layout tops out
+ * below 8MB), so the dense array stays a few dozen KB; the rare
  * mapping above kDenseVpns (a wild high vaddr) falls back to a side
  * map so the semantics stay exactly those of the old hash-map table.
  */
@@ -123,8 +123,20 @@ class PageTable
     void unmap(Addr vaddr);
 
     /** @return the PTE for the page of @p vaddr, or nullptr. */
-    const Pte *lookup(Addr vaddr) const;
-    Pte *lookup(Addr vaddr);
+    const Pte *
+    lookup(Addr vaddr) const
+    {
+        const Addr vpn = vaddr / kPageSize;
+        if (vpn < slots_.size())
+            return slots_[vpn].mapped ? &slots_[vpn].pte : nullptr;
+        return lookupOverflow(vpn);
+    }
+    Pte *
+    lookup(Addr vaddr)
+    {
+        return const_cast<Pte *>(
+            static_cast<const PageTable *>(this)->lookup(vaddr));
+    }
 
     /** Clear / set the present bit (Foreshadow setup). */
     void setPresent(Addr vaddr, bool present);
@@ -156,9 +168,76 @@ class PageTable
     /** Grow the dense array to cover @p vpn (assumes it fits). */
     void ensureDense(Addr vpn);
 
+    /** lookup() for a VPN past the dense array. */
+    const Pte *lookupOverflow(Addr vpn) const;
+
     std::vector<Slot> slots_;           ///< dense, indexed by VPN
     std::unordered_map<Addr, Pte> overflow_; ///< VPN >= kDenseVpns
 };
+
+inline Translation
+PageTable::translate(Addr vaddr, AccessType type, Privilege privilege,
+                     bool enclave_mode) const
+{
+    Translation t;
+    const Pte *pte = lookup(vaddr);
+    if (!pte) {
+        t.fault = FaultKind::NotMapped;
+        return t;
+    }
+    t.paddr = pte->physPage * kPageSize + (vaddr % kPageSize);
+    t.paddrValid = true;
+
+    // Terminal conditions first: the page walk aborts before the
+    // privilege checks, which is the L1TF trigger.
+    if (!pte->present) {
+        t.fault = FaultKind::NotPresent;
+        return t;
+    }
+    if (pte->reservedBit) {
+        t.fault = FaultKind::ReservedBit;
+        return t;
+    }
+
+    // Domain / privilege checks.
+    switch (pte->owner) {
+      case PageOwner::User:
+        break;
+      case PageOwner::Kernel:
+        if (privilege == Privilege::User) {
+            t.fault = FaultKind::Privilege;
+            return t;
+        }
+        break;
+      case PageOwner::Enclave:
+        if (!enclave_mode) {
+            t.fault = FaultKind::Privilege;
+            return t;
+        }
+        break;
+      case PageOwner::Vmm:
+        if (privilege != Privilege::Vmm) {
+            t.fault = FaultKind::Privilege;
+            return t;
+        }
+        break;
+    }
+    // Enclaves execute at user privilege; the owner check above
+    // already admitted this access, so the user-accessible bit does
+    // not apply to enclave pages in enclave mode.
+    const bool enclave_access =
+        pte->owner == PageOwner::Enclave && enclave_mode;
+    if (!pte->userAccessible && privilege == Privilege::User &&
+        !enclave_access) {
+        t.fault = FaultKind::Privilege;
+        return t;
+    }
+    if (type == AccessType::Write && !pte->writable) {
+        t.fault = FaultKind::WriteProtect;
+        return t;
+    }
+    return t;
+}
 
 /**
  * One dirty page's contents: the unit of a warm-attack memory image

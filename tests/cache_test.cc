@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <stdexcept>
+#include <vector>
+
 #include "uarch/cache.hh"
 
 namespace
@@ -174,6 +178,207 @@ TEST(Cache, ConfigurableLatencies)
     Cache c(cfg);
     EXPECT_EQ(c.access(0).latency, 99u);
     EXPECT_EQ(c.access(0).latency, 7u);
+}
+
+/**
+ * The cache's documented behaviour, written the plain way: sets
+ * indexed by (paddr / lineSize) % sets, tags by paddr / lineSize,
+ * LRU by a use counter, the first invalid way filled before any
+ * eviction.  The real Cache indexes with a shift and a mask.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(const CacheConfig &config, bool partitioned)
+        : config_(config), partitioned_(partitioned),
+          sets_(config.sets, std::vector<Line>(config.ways))
+    {
+    }
+
+    CacheAccess
+    access(Addr paddr, int domain, bool allocate)
+    {
+        CacheAccess r;
+        ++useCounter_;
+        if (Line *line = find(paddr, domain)) {
+            line->lastUse = useCounter_;
+            r.hit = true;
+            r.latency = config_.hitLatency;
+            ++stats.hits;
+            return r;
+        }
+        r.latency = config_.missLatency;
+        ++stats.misses;
+        if (!allocate)
+            return r;
+        std::vector<Line> &set = setOf(paddr);
+        Line *victim = nullptr;
+        for (Line &line : set) {
+            if (!line.valid) {
+                victim = &line;
+                break;
+            }
+            if (!victim || line.lastUse < victim->lastUse)
+                victim = &line;
+        }
+        if (victim->valid) {
+            r.evicted = true;
+            r.evictedLineAddr = victim->tag * config_.lineSize;
+            ++stats.evictions;
+        }
+        *victim = Line{true, paddr / config_.lineSize, domain,
+                       useCounter_};
+        return r;
+    }
+
+    bool
+    contains(Addr paddr, int domain)
+    {
+        return find(paddr, domain) != nullptr;
+    }
+
+    bool
+    flushLine(Addr paddr)
+    {
+        bool flushed = false;
+        for (Line &line : setOf(paddr)) {
+            if (line.valid && line.tag == paddr / config_.lineSize) {
+                line.valid = false;
+                flushed = true;
+                ++stats.flushes;
+            }
+        }
+        return flushed;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        Addr tag = 0;
+        int domain = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Line> &
+    setOf(Addr paddr)
+    {
+        return sets_[(paddr / config_.lineSize) % config_.sets];
+    }
+
+    Line *
+    find(Addr paddr, int domain)
+    {
+        for (Line &line : setOf(paddr)) {
+            if (line.valid && line.tag == paddr / config_.lineSize &&
+                (!partitioned_ || line.domain == domain)) {
+                return &line;
+            }
+        }
+        return nullptr;
+    }
+
+    CacheConfig config_;
+    bool partitioned_;
+    std::vector<std::vector<Line>> sets_;
+    std::uint64_t useCounter_ = 0;
+};
+
+TEST(Cache, IndexingMatchesDivisionReference)
+{
+    struct Geometry
+    {
+        std::size_t sets, ways;
+    };
+    for (const Geometry g : {Geometry{256, 4}, Geometry{64, 4},
+                             Geometry{256, 1}}) {
+        for (const bool partitioned : {false, true}) {
+            CacheConfig config;
+            config.sets = g.sets;
+            config.ways = g.ways;
+            config.lineSize = 64;
+            Cache cache(config);
+            cache.setPartitioned(partitioned);
+            ReferenceCache ref(config, partitioned);
+            // Twice the cache's capacity in distinct lines, so
+            // hits, evictions and flush hits all occur; one address
+            // in eight sits far above the modeled memory to
+            // exercise high tag bits.
+            const Addr span = 2 * g.sets * g.ways * config.lineSize;
+            std::mt19937_64 rng(g.sets * 31 + g.ways + partitioned);
+            for (int op = 0; op < 20000; ++op) {
+                Addr paddr = rng() % span;
+                if (rng() % 8 == 0)
+                    paddr += Addr{1} << 40;
+                const int domain = static_cast<int>(rng() % 2);
+                const auto what = rng() % 5;
+                SCOPED_TRACE(testing::Message()
+                             << g.sets << "x" << g.ways
+                             << (partitioned ? " partitioned" : "")
+                             << " op " << op << " paddr " << paddr);
+                if (what <= 1) {
+                    const bool allocate = what == 0;
+                    const CacheAccess got =
+                        cache.access(paddr, domain, allocate);
+                    const CacheAccess want =
+                        ref.access(paddr, domain, allocate);
+                    ASSERT_EQ(got.hit, want.hit);
+                    ASSERT_EQ(got.latency, want.latency);
+                    ASSERT_EQ(got.evicted, want.evicted);
+                    ASSERT_EQ(got.evictedLineAddr,
+                              want.evictedLineAddr);
+                } else if (what == 2) {
+                    cache.insert(paddr, domain);
+                    ref.access(paddr, domain, true);
+                } else if (what == 3) {
+                    ASSERT_EQ(cache.flushLine(paddr),
+                              ref.flushLine(paddr));
+                } else {
+                    ASSERT_EQ(cache.contains(paddr, domain),
+                              ref.contains(paddr, domain));
+                }
+            }
+            EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+            EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+            EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+            EXPECT_EQ(cache.stats().flushes, ref.stats.flushes);
+            EXPECT_GT(cache.stats().hits, 0u);
+            EXPECT_GT(cache.stats().evictions, 0u);
+        }
+    }
+}
+
+TEST(Cache, RejectsGeometriesItCannotIndex)
+{
+    const auto geometry = [](std::size_t sets, std::size_t ways,
+                             std::size_t line) {
+        CacheConfig c;
+        c.sets = sets;
+        c.ways = ways;
+        c.lineSize = line;
+        return c;
+    };
+    for (const CacheConfig &bad :
+         {geometry(0, 4, 64), geometry(100, 4, 64),
+          geometry(256, 0, 64), geometry(256, 4, 0),
+          geometry(256, 4, 48)}) {
+        ASSERT_NE(cacheGeometryError(bad), nullptr);
+        EXPECT_THROW(Cache{bad}, std::invalid_argument);
+    }
+    EXPECT_STREQ(cacheGeometryError(geometry(100, 4, 64)),
+                 "sets must be a power of two");
+    EXPECT_STREQ(cacheGeometryError(geometry(256, 0, 64)),
+                 "ways must be at least 1");
+    EXPECT_STREQ(cacheGeometryError(geometry(256, 4, 48)),
+                 "lineSize must be a power of two");
+    // Ways need not be a power of two; one set is a fine geometry.
+    for (const CacheConfig &good :
+         {geometry(256, 3, 64), geometry(1, 1, 64), CacheConfig{}}) {
+        EXPECT_EQ(cacheGeometryError(good), nullptr);
+        EXPECT_NO_THROW(Cache{good});
+    }
 }
 
 } // namespace

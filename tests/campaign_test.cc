@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "attacks/runner.hh"
 #include "campaign/campaign.hh"
 #include "tool/report.hh"
@@ -156,6 +159,38 @@ TEST(Grid, DefenseColumnWinsOverKnobDimensions)
     EXPECT_EQ(g.expanded.size(), 2u);
     EXPECT_EQ(g.uniqueIndices.size(), 1u);
     EXPECT_EQ(g.expanded[0].config.cache.sets, 512u);
+}
+
+TEST(Grid, BadCacheGeometryFailsBeforeAnyCellRuns)
+{
+    ScenarioSpec spec;
+    spec.variants = {AttackVariant::Meltdown};
+    CacheGeometry odd;
+    odd.label = "odd-100x4";
+    odd.cache.sets = 100;
+    spec.cacheGeometries = {CacheGeometry{}, odd};
+    try {
+        (void)expandGrid(spec);
+        FAIL() << "expandGrid accepted 100 sets";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("odd-100x4"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("power of two"),
+                  std::string::npos)
+            << e.what();
+    }
+    CampaignEngine::Options opts;
+    opts.workers = 1;
+    EXPECT_THROW(CampaignEngine(opts).run(spec),
+                 std::invalid_argument);
+
+    // A defense column that pins a bad geometry is caught too.
+    spec.cacheGeometries.clear();
+    spec.defenses = {{"zero-ways", [](CpuConfig &c, AttackOptions &) {
+                          c.cache.ways = 0;
+                      }}};
+    EXPECT_THROW(expandGrid(spec), std::invalid_argument);
 }
 
 TEST(Grid, KeyCoversConfigAndOptions)

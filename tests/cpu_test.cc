@@ -526,7 +526,8 @@ TEST_F(CpuFixture, RunRespectsCycleBudget)
     cpu.loadProgram(p);
     const RunResult r = cpu.run(0, 500);
     EXPECT_FALSE(r.halted);
-    EXPECT_GE(r.cycles, 500u);
+    EXPECT_EQ(r.cycles, 500u);
+    EXPECT_EQ(cpu.stats().cycles, 500u);
 }
 
 TEST_F(CpuFixture, RenameHandlesRegisterReuse)
@@ -602,6 +603,200 @@ TEST_F(CpuFixture, NoBranchPredictionSerializesFetch)
     EXPECT_TRUE(r.halted);
     EXPECT_EQ(cpu.reg(2), 0u);
     EXPECT_EQ(cpu.stats().branchMispredicts, 0u);
+}
+
+// -------------------------------------------------------------------
+// Exact cycle counts across the long waits Cpu::run fast-forwards
+// (miss latency, permission check, branch resolution, exception
+// delivery, TSX abort detection).  Every expected value was recorded
+// from the plain cycle-by-cycle loop; skipping idle cycles must
+// reproduce them.
+// -------------------------------------------------------------------
+
+void
+expectStats(const CpuStats &got, const CpuStats &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.committed, want.committed);
+    EXPECT_EQ(got.squashed, want.squashed);
+    EXPECT_EQ(got.branchMispredicts, want.branchMispredicts);
+    EXPECT_EQ(got.exceptions, want.exceptions);
+    EXPECT_EQ(got.memOrderViolations, want.memOrderViolations);
+    EXPECT_EQ(got.speculativeFills, want.speculativeFills);
+    EXPECT_EQ(got.transientForwards, want.transientForwards);
+}
+
+/** A dependent chain behind a load that misses (cold line). */
+Program
+chainBehindMiss()
+{
+    Program p;
+    p.emit(movImm(1, 0x5000));
+    p.emit(load64(2, 1, 0));  // 200-cycle miss
+    p.emit(addImm(3, 2, 1));
+    p.emit(addImm(4, 3, 1));
+    p.emit(mulImm(5, 4, 3));
+    p.emit(halt());
+    return p;
+}
+
+TEST_F(CpuFixture, CycleCountDependentChainBehindMiss)
+{
+    mem.write64(0x5000, 7);
+    Cpu cpu = makeCpu();
+    cpu.loadProgram(chainBehindMiss());
+    cpu.flushLineVirt(0x5000);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.cycles, 207u);
+    EXPECT_EQ(r.committed, 6u);
+    EXPECT_EQ(cpu.reg(5), 27u);
+    expectStats(cpu.stats(), {.cycles = 207, .committed = 6});
+
+    // A second run hits the now-cached line.
+    const RunResult warm = cpu.run(0);
+    EXPECT_EQ(warm.cycles, 35u);
+    expectStats(cpu.stats(), {.cycles = 242, .committed = 12});
+}
+
+TEST_F(CpuFixture, CycleBudgetEndingInsideMissWait)
+{
+    Cpu cpu = makeCpu();
+    cpu.loadProgram(chainBehindMiss());
+    const RunResult r = cpu.run(0, 100);
+    EXPECT_FALSE(r.halted);
+    EXPECT_EQ(r.cycles, 100u);
+    EXPECT_EQ(r.committed, 1u);
+    expectStats(cpu.stats(), {.cycles = 100, .committed = 1});
+}
+
+TEST_F(CpuFixture, RunThatCannotFinishEndsAtItsBudget)
+{
+    CpuConfig cfg;
+    cfg.fetchWidth = 0; // nothing ever enters the ROB
+    Cpu cpu = makeCpu(cfg);
+    cpu.loadProgram(chainBehindMiss());
+    const RunResult r = cpu.run(0, 12345);
+    EXPECT_FALSE(r.halted);
+    EXPECT_FALSE(r.faulted);
+    EXPECT_EQ(r.cycles, 12345u);
+    EXPECT_EQ(r.committed, 0u);
+    expectStats(cpu.stats(), {.cycles = 12345});
+    // Budgets accumulate across runs on the same core.
+    EXPECT_EQ(cpu.run(0, 7).cycles, 7u);
+    EXPECT_EQ(cpu.stats().cycles, 12352u);
+}
+
+TEST_F(CpuFixture, RdTscAcrossMiss)
+{
+    Program p;
+    p.emit(rdtsc(1));
+    p.emit(movImm(6, 0x6000));
+    p.emit(load64(2, 6, 0)); // miss
+    p.emit(lfence());        // younger work waits for the load
+    p.emit(rdtsc(3));
+    p.emit(halt());
+    Cpu cpu = makeCpu();
+    cpu.loadProgram(p);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(cpu.reg(1), 3u);
+    EXPECT_EQ(cpu.reg(3), 205u);
+    EXPECT_EQ(r.cycles, 206u);
+    expectStats(cpu.stats(), {.cycles = 206, .committed = 6});
+}
+
+TEST_F(CpuFixture, CycleCountExceptionDeliveryWindow)
+{
+    pt.mapRange(0x100000, kPageSize, PageOwner::Kernel, false, true);
+    Program p;
+    p.emit(movImm(1, 0x100000));
+    p.emit(load8(2, 1, 0)); // faults after the permission check
+    p.emit(addImm(3, 2, 1)); // transient dependent
+    p.emit(halt());
+    p.emit(movImm(4, 7));   // 4: handler
+    p.emit(halt());
+    Cpu cpu = makeCpu();
+    cpu.loadProgram(p);
+    cpu.setPrivilege(Privilege::User);
+    cpu.setFaultHandler(4);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.fault, FaultKind::Privilege);
+    EXPECT_EQ(r.cycles, 223u);
+    EXPECT_EQ(r.committed, 3u);
+    expectStats(cpu.stats(), {.cycles = 223,
+                              .committed = 3,
+                              .squashed = 3,
+                              .exceptions = 1,
+                              .speculativeFills = 1,
+                              .transientForwards = 1});
+
+    // Without a handler the run ends on the delivered fault.
+    cpu.setFaultHandler(std::nullopt);
+    cpu.resetStats();
+    const RunResult unhandled = cpu.run(0);
+    EXPECT_TRUE(unhandled.faulted);
+    EXPECT_EQ(unhandled.cycles, 50u);
+    expectStats(cpu.stats(), {.cycles = 50,
+                              .committed = 1,
+                              .squashed = 3,
+                              .exceptions = 1,
+                              .transientForwards = 1});
+}
+
+TEST_F(CpuFixture, CycleCountBranchResolveWindow)
+{
+    CpuConfig cfg;
+    cfg.branchResolveLatency = 40; // a long, otherwise idle window
+    Program p;
+    p.emit(movImm(5, 1));
+    auto out = p.newLabel();
+    p.emitBranch(Cond::Eq, 5, 5, out); // taken; predicted not-taken
+    p.emit(movImm(6, 99));             // wrong path
+    p.bind(out);
+    p.emit(halt());
+    Cpu cpu = makeCpu(cfg);
+    cpu.loadProgram(p);
+    cpu.branchPredictor().update(1, false);
+    cpu.branchPredictor().update(1, false);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(cpu.reg(6), 0u);
+    EXPECT_EQ(r.cycles, 45u);
+    EXPECT_EQ(r.committed, 3u);
+    expectStats(cpu.stats(), {.cycles = 45,
+                              .committed = 3,
+                              .squashed = 2,
+                              .branchMispredicts = 1});
+}
+
+TEST_F(CpuFixture, CycleCountTsxAbortWindow)
+{
+    Program p;
+    auto abort_lbl = p.newLabel();
+    p.emitXBegin(abort_lbl);
+    p.emit(movImm(1, 0x700000)); // beyond the 4MB mapping
+    p.emit(load64(2, 1, 0));     // NotMapped inside the transaction
+    p.emit(addImm(5, 2, 1));
+    p.emit(xend());
+    p.emit(halt());
+    p.bind(abort_lbl);
+    p.emit(movImm(3, 1));
+    p.emit(halt());
+    Cpu cpu = makeCpu();
+    cpu.loadProgram(p);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_FALSE(r.faulted);
+    EXPECT_EQ(cpu.reg(3), 1u);
+    EXPECT_EQ(r.cycles, 67u);
+    EXPECT_EQ(r.committed, 4u);
+    expectStats(cpu.stats(), {.cycles = 67,
+                              .committed = 4,
+                              .squashed = 4,
+                              .exceptions = 1,
+                              .transientForwards = 1});
 }
 
 } // namespace

@@ -489,4 +489,50 @@ TEST(Serve, ExecuteKeyBatchNamesTheMalformedKey)
     EXPECT_EQ(emitted, 1u);
 }
 
+TEST(Serve, ZeroCacheDimensionKeyIsRejectedNotExecuted)
+{
+    // A well-formed key naming a cache the simulator cannot build
+    // (0 sets, 0 ways) must fail its batch up front, in-process and
+    // over the wire, before any worker constructs that cache.
+    CpuConfig zeroSets;
+    zeroSets.cache.sets = 0;
+    CpuConfig zeroWays;
+    zeroWays.cache.ways = 0;
+    const std::string good = scenarioKey(
+        AttackVariant::Meltdown, CpuConfig{}, AttackOptions{});
+    for (const CpuConfig &bad : {zeroSets, zeroWays}) {
+        const std::string key =
+            scenarioKey(AttackVariant::Meltdown, bad, AttackOptions{});
+        std::string error;
+        std::size_t emitted = 0;
+        EXPECT_FALSE(executeKeyBatch(
+            {good, key}, 1, nullptr,
+            [&](std::size_t, const KeyBatchItem &) {
+                ++emitted;
+                return true;
+            },
+            &error));
+        EXPECT_NE(error.find("index 1"), std::string::npos) << error;
+        EXPECT_EQ(emitted, 0u);
+    }
+
+    TestServer daemon;
+    serve::net::Conn conn = rawHandshaked(daemon.endpoint());
+    serve::SubmitMsg bad;
+    bad.name = "zero-sets";
+    bad.keys = {scenarioKey(AttackVariant::Meltdown, zeroSets,
+                            AttackOptions{})};
+    ASSERT_TRUE(conn.writeLine(serve::submitLine(bad)));
+    std::string line;
+    ASSERT_TRUE(conn.readLine(line));
+    const serve::ParsedMsg reply = serve::parseLine(line);
+    EXPECT_EQ(reply.type, serve::MsgType::Error);
+    EXPECT_NE(reply.error.find("index 0"), std::string::npos)
+        << reply.error;
+    // The daemon and this connection keep serving.
+    ASSERT_TRUE(conn.writeLine(serve::statsRequestLine()));
+    ASSERT_TRUE(conn.readLine(line));
+    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
+}
+
 } // namespace

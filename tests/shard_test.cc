@@ -148,6 +148,20 @@ TEST(Shard, ParseScenarioKeyRejectsMalformedKeys)
         options));
     EXPECT_FALSE(
         parseScenarioKey(good + "7;", variant, config, options));
+    // Well-formed keys naming a cache the simulator cannot build
+    // fail too: zero or non-power-of-two sets/lineSize, zero ways.
+    for (const auto mutate :
+         {+[](CpuConfig &c) { c.cache.sets = 0; },
+          +[](CpuConfig &c) { c.cache.sets = 100; },
+          +[](CpuConfig &c) { c.cache.ways = 0; },
+          +[](CpuConfig &c) { c.cache.lineSize = 48; }}) {
+        CpuConfig bad;
+        mutate(bad);
+        EXPECT_FALSE(parseScenarioKey(
+            scenarioKey(AttackVariant::Meltdown, bad,
+                        AttackOptions{}),
+            variant, config, options));
+    }
 }
 
 TEST(Shard, ShardedThenMergedIsByteIdentical)
