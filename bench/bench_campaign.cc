@@ -112,27 +112,22 @@ main(int argc, char **argv)
     attacks::PhaseProfile phases;
     const auto timedBatch = [&keys, &phases](
                                 attacks::ScenarioBuildMode mode,
-                                attacks::WarmSnapshotMode warm,
                                 double &rate) {
         const attacks::ScenarioBuildModeGuard guard(mode);
-        const attacks::WarmSnapshotModeGuard warmGuard(warm);
-        attacks::clearWarmSnapshots();
         const auto noop = [](std::size_t, const KeyBatchItem &) {
             return true;
         };
         std::string err;
-        // Untimed warm pass: fills the arena pool under Fork and,
-        // under Reuse, the warm-attack snapshot cache — the timed
-        // pass below then measures pure steady state.
-        if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
-            std::fprintf(stderr, "key batch: %s\n", err.c_str());
-            return false;
-        }
-        attacks::resetPhaseProfile();
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
-            std::fprintf(stderr, "key batch: %s\n", err.c_str());
-            return false;
+        // Pass 0 is an untimed warm-up that fills the arena pool
+        // under Fork; pass 1 measures pure steady state.
+        std::chrono::steady_clock::time_point t0;
+        for (int pass = 0; pass < 2; ++pass) {
+            attacks::resetPhaseProfile();
+            t0 = std::chrono::steady_clock::now();
+            if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
+                std::fprintf(stderr, "key batch: %s\n", err.c_str());
+                return false;
+            }
         }
         const double ms =
             std::chrono::duration<double, std::milli>(
@@ -144,37 +139,23 @@ main(int argc, char **argv)
                         : 0.0;
         return true;
     };
-    // Warm snapshots are forced OFF for the rebuild/fork pair so
-    // their ratio keeps measuring exactly one thing — scenario
-    // construction strategy — and stays comparable across releases.
-    double rebuild_rate = 0.0, fork_rate = 0.0, warm_rate = 0.0;
-    if (!timedBatch(attacks::ScenarioBuildMode::Rebuild,
-                    attacks::WarmSnapshotMode::Rebuild,
-                    rebuild_rate) ||
-        !timedBatch(attacks::ScenarioBuildMode::Fork,
-                    attacks::WarmSnapshotMode::Rebuild, fork_rate))
-        return 1;
-    // The production path: fork + warm-attack snapshot reuse.  The
-    // phase profile captured here is the steady-state breakdown
+    // The fork pass runs last: it is the production path, and the
+    // phase profile it leaves behind is the steady-state breakdown
     // emitted into the JSON artifact.
-    if (!timedBatch(attacks::ScenarioBuildMode::Fork,
-                    attacks::WarmSnapshotMode::Reuse, warm_rate))
+    double rebuild_rate = 0.0, fork_rate = 0.0;
+    if (!timedBatch(attacks::ScenarioBuildMode::Rebuild,
+                    rebuild_rate) ||
+        !timedBatch(attacks::ScenarioBuildMode::Fork, fork_rate))
         return 1;
     const double fork_speedup =
         rebuild_rate > 0.0 ? fork_rate / rebuild_rate : 0.0;
-    const double warm_attack_speedup =
-        fork_rate > 0.0 ? warm_rate / fork_rate : 0.0;
     std::printf("%-10s %8s %14s\n", "mode", "unique",
                 "scenarios/sec");
     std::printf("%-10s %8zu %14.1f\n", "rebuild", keys.size(),
                 rebuild_rate);
     std::printf("%-10s %8zu %14.1f\n", "fork", keys.size(),
                 fork_rate);
-    std::printf("%-10s %8zu %14.1f\n", "fork+warm", keys.size(),
-                warm_rate);
     std::printf("fork speedup: %.2fx\n", fork_speedup);
-    std::printf("warm-attack speedup: %.2fx\n",
-                warm_attack_speedup);
 
     // Per-phase attribution of the production steady-state pass.
     const double totalNs =
@@ -317,8 +298,6 @@ main(int argc, char **argv)
     out.set("warm_rebuild_scenarios_per_sec", rebuild_rate);
     out.set("warm_fork_scenarios_per_sec", fork_rate);
     out.set("fork_speedup", fork_speedup);
-    out.set("warm_attack_scenarios_per_sec", warm_rate);
-    out.set("warm_attack_speedup", warm_attack_speedup);
     out.set("phase_cells", static_cast<double>(phases.cells));
     out.set("phase_build_pct", pct(phases.buildNanos));
     out.set("phase_prologue_pct", pct(phases.prologueNanos));

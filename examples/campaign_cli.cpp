@@ -45,10 +45,12 @@
  * result fragments cross the wire (see src/serve/protocol.hh).
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -71,15 +73,22 @@ using namespace specsec::campaign;
 namespace
 {
 
-/** Strict decimal parse; rejects empty strings and trailing junk. */
+/** Strict decimal parse into @p out: digits only (strtoull reads
+ *  "-1" as its maximum), and the value must fit @p T. */
+template <typename T>
 bool
-parseUnsigned(const std::string &s, unsigned long &out)
+parseUnsigned(const std::string &s, T &out)
 {
-    if (s.empty())
+    if (s.empty() || s[0] < '0' || s[0] > '9')
         return false;
+    errno = 0;
     char *end = nullptr;
-    out = std::strtoul(s.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0' ||
+        v > std::numeric_limits<T>::max())
+        return false;
+    out = static_cast<T>(v);
+    return true;
 }
 
 std::vector<std::string>
@@ -135,12 +144,6 @@ usage(const char *prog)
         "from scratch\n"
         "                     instead of forking pooled snapshot "
         "arenas\n"
-        "                     (byte-identical; for comparison/"
-        "bisection)\n"
-        "  --cold-attacks     run every cell's attack prologue "
-        "instead of\n"
-        "                     restoring warm post-prologue snapshots"
-        "\n"
         "                     (byte-identical; for comparison/"
         "bisection)\n"
         "  --variants a,b,c   variants by catalog name "
@@ -449,20 +452,16 @@ serveMain(int argc, char **argv)
         if (arg == "--host")
             opts.host = value();
         else if (arg == "--port") {
-            unsigned long port = 0;
-            if (!parseUnsigned(value(), port) || port > 65535) {
+            if (!parseUnsigned(value(), opts.port)) {
                 std::fprintf(stderr,
                              "--port: not a port number\n");
                 return 2;
             }
-            opts.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--workers") {
-            unsigned long n = 0;
-            if (!parseUnsigned(value(), n)) {
+            if (!parseUnsigned(value(), opts.workers)) {
                 std::fprintf(stderr, "--workers: not a number\n");
                 return 2;
             }
-            opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--cache-file")
             opts.cachePath = value();
         else
@@ -534,11 +533,8 @@ statsMain(int argc, char **argv)
                 stats.connections, stats.requests, stats.executed,
                 stats.cacheHits, stats.cacheSize);
     std::printf("forked:      %zu\nrebuilt:     %zu\n"
-                "pooled:      %zu\nwarmHits:    %zu\n"
-                "warmMisses:  %zu\nwarmEntries: %zu\n",
-                stats.forked, stats.rebuilt, stats.pooledArenas,
-                stats.warmHits, stats.warmMisses,
-                stats.warmEntries);
+                "pooled:      %zu\n",
+                stats.forked, stats.rebuilt, stats.pooledArenas);
     std::printf("modelDecided:      %zu\n"
                 "modelUndecided:    %zu\n"
                 "modelDisagreements: %zu\n",
@@ -638,12 +634,10 @@ main(int argc, char **argv)
         if (export_mode && arg == "--format") {
             export_format = value();
         } else if (arg == "--workers") {
-            unsigned long n = 0;
-            if (!parseUnsigned(value(), n)) {
+            if (!parseUnsigned(value(), engine_opts.workers)) {
                 std::fprintf(stderr, "--workers: not a number\n");
                 return 2;
             }
-            engine_opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--serial") {
             engine_opts.workers = 1;
         } else if (arg == "--backend") {
@@ -657,8 +651,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--rebuild-scenarios") {
             engine_opts.forkScenarios = false;
-        } else if (arg == "--cold-attacks") {
-            engine_opts.warmAttacks = false;
         } else if (arg == "--variants") {
             // Rows resolve through the ScenarioCatalog, so names
             // and aliases of registered out-of-tree attacks work
@@ -684,7 +676,7 @@ main(int argc, char **argv)
         } else if (arg == "--rob") {
             spec.robSizes.clear();
             for (const std::string &n : splitCommas(value())) {
-                unsigned long rob = 0;
+                std::size_t rob = 0;
                 if (!parseUnsigned(n, rob) || rob == 0) {
                     std::fprintf(stderr,
                                  "--rob: '%s' is not a positive "
@@ -696,15 +688,14 @@ main(int argc, char **argv)
         } else if (arg == "--perm-lat") {
             spec.permCheckLatencies.clear();
             for (const std::string &n : splitCommas(value())) {
-                unsigned long lat = 0;
+                unsigned lat = 0;
                 if (!parseUnsigned(n, lat)) {
                     std::fprintf(stderr,
                                  "--perm-lat: '%s' is not a "
                                  "number\n", n.c_str());
                     return 2;
                 }
-                spec.permCheckLatencies.push_back(
-                    static_cast<unsigned>(lat));
+                spec.permCheckLatencies.push_back(lat);
             }
         } else if (arg == "--channels") {
             spec.channels.clear();
@@ -774,7 +765,8 @@ main(int argc, char **argv)
                 // SETSxWAYS with an optional @MISS latency suffix.
                 const std::size_t x = n.find('x');
                 const std::size_t at = n.find('@');
-                unsigned long sets = 0, ways = 0, miss = 0;
+                std::size_t sets = 0, ways = 0;
+                std::uint32_t miss = 0;
                 const bool ok =
                     x != std::string::npos &&
                     parseUnsigned(n.substr(0, x), sets) &&
@@ -798,8 +790,7 @@ main(int argc, char **argv)
                 g.cache.sets = sets;
                 g.cache.ways = ways;
                 if (at != std::string::npos)
-                    g.cache.missLatency =
-                        static_cast<std::uint32_t>(miss);
+                    g.cache.missLatency = miss;
                 if (const char *why =
                         uarch::cacheGeometryError(g.cache)) {
                     std::fprintf(stderr, "--cache-geom: '%s': %s\n",

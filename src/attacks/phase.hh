@@ -6,9 +6,10 @@
  * execution moves through:
  *
  *   - Build:    Scenario construction (arena acquire + Cpu build)
- *   - Prologue: attack preparation reusable across cells (secret
- *               planting, program load, predictor training) — the
- *               region warm-attack snapshots capture/restore
+ *   - Prologue: attack preparation before the transient runs
+ *               (secret planting, program load, predictor
+ *               training); only the Spectre v1/v1.1/v1.2 runners
+ *               mark it so far, so other attacks count it as body
  *   - Teardown: Scenario destruction (arena release/reset)
  *   - Total:    the whole attack runner invocation
  *
@@ -16,8 +17,8 @@
  * remainder: total - build - prologue - teardown.  The counters are
  * process-wide atomics so sweep worker threads accumulate into one
  * profile; bench_campaign resets them around a timed batch and
- * emits the breakdown into BENCH_campaign.json, and the serve stats
- * response exposes them on a live daemon.
+ * emits the breakdown into BENCH_campaign.json.  The serve stats
+ * response does not carry them.
  *
  * The timers are a few nanoseconds of steady_clock reads per cell —
  * noise against a 100µs+ cell — so they stay on in production.

@@ -1,14 +1,11 @@
 #include "snapshot.hh"
 
 #include <atomic>
-#include <cstdio>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "attack_kit.hh"
-#include "phase.hh"
 
 namespace specsec::attacks
 {
@@ -37,51 +34,6 @@ constexpr std::size_t kMaxPooledArenas = 32;
 
 std::mutex gPoolMutex;
 std::vector<std::unique_ptr<ScenarioArena>> gPool;
-
-/**
- * One cached post-prologue machine state.  Memory is stored as the
- * compact dirty-page list (an attack prologue touches a handful of
- * pages out of the 8MB image), the page table as a flat copy, and
- * the Cpu as a state-container instance bound to a 1-byte stub
- * Memory and empty PageTable — it is never run, only copied from
- * via Cpu::copyStateFrom, which transfers every mutable member and
- * leaves the target's own memory/page-table references alone.
- */
-struct WarmAttackSnapshot
-{
-    std::vector<uarch::PageImage> pages;
-    uarch::PageTable pt;
-    uarch::Memory stubMem{1};
-    uarch::PageTable stubPt;
-    std::unique_ptr<uarch::Cpu> cpu;
-};
-
-std::atomic<WarmSnapshotMode> gWarmMode{WarmSnapshotMode::Reuse};
-std::atomic<std::uint64_t> gWarmHits{0};
-std::atomic<std::uint64_t> gWarmMisses{0};
-
-/**
- * Bounded, first-write-wins snapshot cache.  A snapshot is a few
- * dirty pages plus one Cpu (~tens of KB); a sweep produces one per
- * (attack, training-relevant config), typically well under a
- * hundred.  The cap keeps a pathological key stream from growing
- * the cache without bound — overflow keys simply run cold.
- */
-constexpr std::size_t kMaxWarmSnapshots = 256;
-
-std::mutex gWarmMutex;
-std::unordered_map<std::string,
-                   std::shared_ptr<const WarmAttackSnapshot>>
-    gWarmCache;
-
-void
-appendKeyField(std::string &out, std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu;",
-                  static_cast<unsigned long long>(value));
-    out += buf;
-}
 
 } // namespace
 
@@ -186,143 +138,6 @@ releaseScenarioArena(std::unique_ptr<ScenarioArena> arena)
     std::lock_guard<std::mutex> lock(gPoolMutex);
     if (gPool.size() < kMaxPooledArenas)
         gPool.push_back(std::move(arena));
-}
-
-WarmSnapshotMode
-warmSnapshotMode()
-{
-    return gWarmMode.load(std::memory_order_relaxed);
-}
-
-void
-setWarmSnapshotMode(WarmSnapshotMode mode)
-{
-    gWarmMode.store(mode, std::memory_order_relaxed);
-}
-
-WarmSnapshotStats
-warmSnapshotStats()
-{
-    WarmSnapshotStats s;
-    s.hits = gWarmHits.load(std::memory_order_relaxed);
-    s.misses = gWarmMisses.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(gWarmMutex);
-        s.entries = gWarmCache.size();
-    }
-    return s;
-}
-
-void
-clearWarmSnapshots()
-{
-    std::lock_guard<std::mutex> lock(gWarmMutex);
-    gWarmCache.clear();
-}
-
-std::string
-warmAttackKey(const char *attack, const uarch::CpuConfig &c,
-              const AttackOptions &o)
-{
-    // Tripwire (mirrors campaign.cc's scenarioKey): if either struct
-    // grows a field, this key must be taught about it or cells that
-    // differ in the new knob would alias to one shared prologue.
-#if defined(__x86_64__) && defined(__linux__)
-    static_assert(sizeof(CpuConfig) == 120,
-                  "CpuConfig changed: extend warmAttackKey()");
-    static_assert(sizeof(AttackOptions) == 32,
-                  "AttackOptions changed: extend warmAttackKey()");
-#endif
-    std::string key(attack);
-    key += ';';
-    // Every CpuConfig field: config bakes into Cpu construction and
-    // shifts every cycle count the training runs accumulate.
-    appendKeyField(key, c.robSize);
-    appendKeyField(key, c.fetchWidth);
-    appendKeyField(key, c.commitWidth);
-    appendKeyField(key, c.permCheckLatency);
-    appendKeyField(key, c.branchResolveLatency);
-    appendKeyField(key, c.retResolveLatency);
-    appendKeyField(key, c.exceptionDeliveryLatency);
-    appendKeyField(key, c.txnAbortDetectLatency);
-    appendKeyField(key, c.partialAliasPenalty);
-    appendKeyField(key, c.physAliasPenalty);
-    appendKeyField(key, c.rsbDepth);
-    appendKeyField(key, c.lfbEntries);
-    appendKeyField(key, c.cache.sets);
-    appendKeyField(key, c.cache.ways);
-    appendKeyField(key, c.cache.lineSize);
-    appendKeyField(key, c.cache.hitLatency);
-    appendKeyField(key, c.cache.missLatency);
-    appendKeyField(key, c.vuln.meltdown);
-    appendKeyField(key, c.vuln.l1tf);
-    appendKeyField(key, c.vuln.mds);
-    appendKeyField(key, c.vuln.lazyFp);
-    appendKeyField(key, c.vuln.storeBypass);
-    appendKeyField(key, c.vuln.msr);
-    appendKeyField(key, c.vuln.taa);
-    appendKeyField(key, c.defense.fenceSpeculativeLoads);
-    appendKeyField(key, c.defense.blockSpeculativeForwarding);
-    appendKeyField(key, c.defense.blockTaintedTransmit);
-    appendKeyField(key, c.defense.invisibleSpeculation);
-    appendKeyField(key, c.defense.cleanupSpec);
-    appendKeyField(key, c.defense.conditionalSpeculation);
-    appendKeyField(key, c.defense.partitionedCache);
-    appendKeyField(key, c.defense.flushPredictorOnContextSwitch);
-    appendKeyField(key, c.defense.noIndirectPrediction);
-    appendKeyField(key, c.defense.noBranchPrediction);
-    appendKeyField(key, c.defense.clearBuffersOnContextSwitch);
-    appendKeyField(key, c.defense.eagerFpuSwitch);
-    appendKeyField(key, c.defense.safeStoreBypass);
-    // Training-relevant AttackOptions: the channel and the defenses
-    // that change the victim program's code, the secret being
-    // planted, and the training-loop trip count.  Body-only knobs
-    // (delayAuthorization, kpti, flushL1OnExit, rsbStuffing) are
-    // deliberately excluded — they act after the prologue.
-    appendKeyField(key, static_cast<std::uint64_t>(o.channel));
-    appendKeyField(key, o.secretLen);
-    appendKeyField(key, o.softwareLfence);
-    appendKeyField(key, o.addressMasking);
-    appendKeyField(key, o.trainingRounds);
-    return key;
-}
-
-bool
-warmPrologue(Scenario &scenario, const std::string &key,
-             const std::function<void()> &prologue)
-{
-    ScopedPhaseTimer timer(Phase::Prologue);
-    if (warmSnapshotMode() == WarmSnapshotMode::Reuse) {
-        std::shared_ptr<const WarmAttackSnapshot> snap;
-        {
-            std::lock_guard<std::mutex> lock(gWarmMutex);
-            auto it = gWarmCache.find(key);
-            if (it != gWarmCache.end())
-                snap = it->second;
-        }
-        if (snap) {
-            scenario.mem().restoreDirtyPages(snap->pages);
-            scenario.pageTable() = snap->pt;
-            scenario.cpu().copyStateFrom(*snap->cpu);
-            gWarmHits.fetch_add(1, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    prologue();
-    gWarmMisses.fetch_add(1, std::memory_order_relaxed);
-    if (warmSnapshotMode() == WarmSnapshotMode::Reuse) {
-        auto snap = std::make_shared<WarmAttackSnapshot>();
-        snap->pages = scenario.mem().captureDirtyPages();
-        snap->pt = scenario.pageTable();
-        snap->cpu = std::make_unique<uarch::Cpu>(
-            scenario.cpu().config(), snap->stubMem, snap->stubPt);
-        snap->cpu->copyStateFrom(scenario.cpu());
-        std::lock_guard<std::mutex> lock(gWarmMutex);
-        // First write wins; racing writers built identical state.
-        if (gWarmCache.size() < kMaxWarmSnapshots)
-            gWarmCache.emplace(key, std::move(snap));
-    }
-    return false;
 }
 
 } // namespace specsec::attacks

@@ -32,24 +32,23 @@
  * The Cpu itself is still constructed per run: its predictor,
  * cache and buffer state are a few KB (cheap to build) and most
  * grid knobs change CpuConfig, which bakes into construction.
+ *
+ * History: a warm-attack tier once restored a cached, trained Cpu
+ * instead of rerunning the Spectre v1/v1.1/v1.2 training prologue;
+ * at 0.98x, hitting 346 of 1,728 such cells per sweep pass, it was
+ * deleted, taking perfbench sweep peak RSS from 51.4 to 30.9 MB.
  */
 
 #ifndef SPECSEC_ATTACKS_SNAPSHOT_HH
 #define SPECSEC_ATTACKS_SNAPSHOT_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 
-#include "uarch/cpu.hh"
 #include "uarch/memory.hh"
 
 namespace specsec::attacks
 {
-
-class Scenario;     // attack_kit.hh
-struct AttackOptions; // attack_kit.hh
 
 /**
  * The baseline state every Scenario forks from: the canonical
@@ -142,100 +141,16 @@ std::unique_ptr<ScenarioArena> acquireScenarioArena();
 void releaseScenarioArena(std::unique_ptr<ScenarioArena> arena);
 
 /**
- * @name Warm-attack snapshots — the second snapshot tier.
- *
- * The arena fork above makes scenario *construction* cheap; the
- * remaining repeated cost is the attack *prologue* — planting the
- * secret, loading the program and, dominantly, the predictor
- * training loop — which is identical for every cell that shares a
- * training-relevant configuration.  A WarmAttackSnapshot captures
- * the complete post-prologue machine state (dirty memory pages,
- * page table, and the full mutable Cpu state: trained predictors,
- * primed cache, registers, pipeline bookkeeping) keyed by
- * (attack, training-relevant config); later cells with the same key
- * restore it instead of re-running the prologue.
- *
- * A restore is a full state copy of what the prologue produced, so
- * a warm cell is cycle-identical to a cold one — the golden suite
- * proves it by running every registered spec with warm snapshots on
- * and off (tests/snapshot_test.cc).  WarmSnapshotMode::Rebuild
- * keeps the always-run-the-prologue path selectable for exactly
- * that comparison and for bisecting a future divergence.
- * @{
+ * Counters of the deleted warm-attack tier (see the file comment):
+ * always zero.  The repository benchmark still reports them as
+ * `attacks.warm_*`; delete both with those in its next change.
  */
-
-/** How attack runners obtain their post-prologue state. */
-enum class WarmSnapshotMode : std::uint8_t
-{
-    Reuse,   ///< restore a cached post-prologue snapshot (default)
-    Rebuild, ///< always execute the prologue
-};
-
-/** Process-wide warm-snapshot mode (atomic; default Reuse). */
-WarmSnapshotMode warmSnapshotMode();
-void setWarmSnapshotMode(WarmSnapshotMode mode);
-
-/** Scoped mode override restoring the previous mode on exit. */
-class WarmSnapshotModeGuard
-{
-  public:
-    explicit WarmSnapshotModeGuard(WarmSnapshotMode mode)
-        : prev_(warmSnapshotMode())
-    {
-        setWarmSnapshotMode(mode);
-    }
-    ~WarmSnapshotModeGuard() { setWarmSnapshotMode(prev_); }
-    WarmSnapshotModeGuard(const WarmSnapshotModeGuard &) = delete;
-    WarmSnapshotModeGuard &
-    operator=(const WarmSnapshotModeGuard &) = delete;
-
-  private:
-    WarmSnapshotMode prev_;
-};
-
-/** Process-lifetime warm-snapshot counters (observability). */
 struct WarmSnapshotStats
 {
-    std::uint64_t hits = 0;    ///< prologues served from a snapshot
-    std::uint64_t misses = 0;  ///< prologues executed (and captured)
-    std::uint64_t entries = 0; ///< snapshots currently cached
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
 };
-
-WarmSnapshotStats warmSnapshotStats();
-
-/** Drop every cached snapshot (benches/tests isolate timings). */
-void clearWarmSnapshots();
-
-/**
- * The cache key for one attack's prologue: the attack name, the
- * complete CpuConfig (it bakes into Cpu construction and shifts
- * every training-run cycle count) and the training-relevant
- * AttackOptions.  Options that only steer the attack *body*
- * (delayAuthorization, kpti, flushL1OnExit, rsbStuffing) are
- * excluded so cells differing only in those share one prologue.
- */
-std::string warmAttackKey(const char *attack,
-                          const uarch::CpuConfig &config,
-                          const AttackOptions &options);
-
-/**
- * Run or restore an attack prologue.
- *
- * Under Reuse, a cached snapshot for @p key is restored into
- * @p scenario (skipping @p prologue entirely); on a miss the
- * prologue runs and its end state is captured for the next cell
- * with this key.  Under Rebuild the prologue always runs and
- * nothing is cached.  The prologue must leave the Cpu halted (it
- * ends between run() calls), and everything the attack body
- * depends on must be inside it or derived from restored state.
- *
- * @return true when a snapshot was restored (the prologue did not
- *         run) — callers normally don't care, it's for tests.
- */
-bool warmPrologue(Scenario &scenario, const std::string &key,
-                  const std::function<void()> &prologue);
-
-/// @}
+inline WarmSnapshotStats warmSnapshotStats() { return {}; }
 
 } // namespace specsec::attacks
 

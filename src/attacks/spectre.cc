@@ -1,6 +1,6 @@
 #include "spectre.hh"
 
-#include "snapshot.hh"
+#include "phase.hh"
 
 using namespace specsec::uarch;
 
@@ -51,12 +51,11 @@ runSpectreV1(const CpuConfig &config, const AttackOptions &opt)
     Cpu &cpu = s.cpu();
     const auto secret = defaultSecret(opt.secretLen);
 
-    // ChannelHarness construction only records bases/refs, so it is
-    // safe outside the warm bracket; everything the prologue lambda
-    // produces is captured by / restored from the snapshot.
     ChannelHarness ch(cpu, opt.channel);
 
-    warmPrologue(s, warmAttackKey("spectre-v1", config, opt), [&] {
+    // Prologue: plant the secret, load the victim and train it.
+    {
+        const ScopedPhaseTimer prologue(Phase::Prologue);
         s.plantBytes(Layout::kUserSecret, secret);
         s.mem().write64(Layout::kVictimBound, 16);
 
@@ -87,7 +86,7 @@ runSpectreV1(const CpuConfig &config, const AttackOptions &opt)
             cpu.setReg(rIdx, t % 16);
             cpu.run(0);
         }
-    });
+    }
 
     const std::uint64_t c0 = cpu.stats().cycles;
     const std::uint64_t f0 = cpu.stats().transientForwards;
@@ -131,9 +130,9 @@ runStoreRedirect(const char *name, Addr idx_addr,
 
     ChannelHarness ch(cpu, opt.channel);
 
-    // The key is per-attack: v1.1 and v1.2 differ in idx_addr (and
-    // thus in planted memory and trained register state).
-    warmPrologue(s, warmAttackKey(name, config, opt), [&] {
+    // Prologue: plant the secret, load the victim and train it.
+    {
+        const ScopedPhaseTimer prologue(Phase::Prologue);
         s.plantBytes(Layout::kUserSecret, secret);
         s.mem().write64(Layout::kVictimBound, 16);
         s.mem().write64(idx_addr, 0); // benign index value
@@ -170,7 +169,7 @@ runStoreRedirect(const char *name, Addr idx_addr,
             cpu.setReg(rVal, 0);
             cpu.run(0);
         }
-    });
+    }
 
     const std::uint64_t c0 = cpu.stats().cycles;
     const std::uint64_t f0 = cpu.stats().transientForwards;

@@ -5,8 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -380,10 +383,13 @@ parseScenarioKey(const std::string &key,
     o.addressMasking = in.next() != 0;
     o.trainingRounds = static_cast<unsigned>(in.next());
     o.delayAuthorization = in.next() != 0;
-    if (!in.done() || uarch::cacheGeometryError(c.cache) != nullptr)
+    if (!in.done() || uarch::cacheGeometryError(c.cache) != nullptr ||
+        v > std::numeric_limits<
+                std::underlying_type_t<core::AttackVariant>>::max())
         return false;
     variant = static_cast<core::AttackVariant>(v);
-    return true;
+    return core::ScenarioCatalog::instance().findAttack(variant) !=
+           nullptr;
 }
 
 std::vector<Scenario>
@@ -807,6 +813,8 @@ executeKeyBatch(
     }
     std::atomic<std::size_t> next{0};
     std::atomic<bool> cancelled{false};
+    std::mutex failureMutex;
+    std::string failure; // the first runner exception, if any
     const auto worker = [&]() {
         for (;;) {
             if (cancelled.load(std::memory_order_relaxed))
@@ -825,9 +833,22 @@ executeKeyBatch(
             }
             if (!item.cached) {
                 const auto t0 = std::chrono::steady_clock::now();
-                item.result = attacks::runVariant(
-                    parsed[i].variant, parsed[i].config,
-                    parsed[i].options, item.stats);
+                try {
+                    item.result = attacks::runVariant(
+                        parsed[i].variant, parsed[i].config,
+                        parsed[i].options, item.stats);
+                } catch (const std::exception &e) {
+                    // A key can parse yet name a machine the runner
+                    // cannot build: fail the batch, not the process.
+                    const std::lock_guard<std::mutex> lock(
+                        failureMutex);
+                    if (failure.empty())
+                        failure = "key at index " +
+                                  std::to_string(i) + ": " +
+                                  e.what();
+                    cancelled.store(true, std::memory_order_relaxed);
+                    return;
+                }
                 item.wallMillis = millisSince(t0);
                 if (cache)
                     cache->store(keys[i],
@@ -849,7 +870,9 @@ executeKeyBatch(
         for (std::thread &t : pool)
             t.join();
     }
-    return true;
+    if (!failure.empty() && error)
+        *error = failure;
+    return failure.empty();
 }
 
 unsigned
@@ -874,12 +897,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
         options_.forkScenarios
             ? attacks::ScenarioBuildMode::Fork
             : attacks::ScenarioBuildMode::Rebuild);
-    // Likewise for the second snapshot tier: reuse post-prologue
-    // warm-attack snapshots by default, force every cell to re-run
-    // its prologue when the caller wants the reference path.
-    const attacks::WarmSnapshotModeGuard warmMode(
-        options_.warmAttacks ? attacks::WarmSnapshotMode::Reuse
-                             : attacks::WarmSnapshotMode::Rebuild);
 
     const ExpandedGrid grid = dedupGrid(spec);
     const ShardSelection sel = grid.shard(shard.index, shard.count);
@@ -1213,16 +1230,20 @@ CampaignEngine::run(const ScenarioSpec &spec,
         }
     };
 
+    const bool triage = backend == verdict::VerdictBackend::Triage;
     const std::function<void()> work =
-        backend == verdict::VerdictBackend::Triage
-            ? std::function<void()>(triageWorker)
-            : std::function<void()>(worker);
-    if (nworkers <= 1) {
+        triage ? std::function<void()>(triageWorker)
+               : std::function<void()>(worker);
+    // At most one thread per work item, however many were asked
+    // for (header.workers still reports the request).
+    const std::size_t nthreads = std::min<std::size_t>(
+        nworkers, triage ? classes.size() : sel.uniquePositions.size());
+    if (nthreads <= 1) {
         work();
     } else {
         std::vector<std::thread> pool;
-        pool.reserve(nworkers);
-        for (unsigned w = 0; w < nworkers; ++w)
+        pool.reserve(nthreads);
+        for (std::size_t w = 0; w < nthreads; ++w)
             pool.emplace_back(work);
         for (std::thread &t : pool)
             t.join();

@@ -200,9 +200,10 @@ std::string scenarioKey(core::AttackVariant variant,
  * lockstep with scenarioKey(); the static_asserts there and the
  * round-trip test in tests/shard_test.cc tripwire both directions.
  *
- * @return false when @p key is not a well-formed scenario key, or
+ * @return false when @p key is not a well-formed scenario key,
  *         names a cache geometry uarch::cacheGeometryError() rejects
- *         (so a hostile key cannot reach the Cache constructor).
+ *         (so a hostile key cannot reach the Cache constructor), or
+ *         names a variant id the ScenarioCatalog does not know.
  */
 bool parseScenarioKey(const std::string &key,
                       core::AttackVariant &variant,
@@ -409,7 +410,10 @@ struct KeyBatchItem
  *
  * Every key is validated with parseScenarioKey() up front: a
  * malformed key fails the whole batch (@return false with a message
- * in @p error naming the key index) before anything executes.
+ * in @p error naming the key index) before anything executes.  A
+ * runner that throws a std::exception stops the batch the same way,
+ * with "key at index N: <what()>" in @p error; keys already emitted
+ * stay emitted.
  *
  * Executed keys build their simulator state through the snapshot/
  * fork path (attacks/snapshot.hh) under the process-wide build
@@ -596,14 +600,6 @@ class CampaignEngine
         /// knob exists for that comparison and for bisecting any
         /// future divergence, not for production use.
         bool forkScenarios = true;
-
-        /// Let attack runners restore cached post-prologue machine
-        /// state (warm-attack snapshots, attacks/snapshot.hh)
-        /// instead of re-running predictor training per cell.  Warm
-        /// and cold cells are cycle-identical (tests/snapshot_test.cc
-        /// proves it per golden spec); like forkScenarios, the off
-        /// position exists for that comparison and for bisection.
-        bool warmAttacks = true;
 
         /// How each unique cell gets its verdict (src/verdict/):
         /// simulate (default), judge analytically, do both and flag

@@ -36,12 +36,14 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -553,10 +555,14 @@ main(int argc, char **argv)
             }
             sharded = true;
         } else if (arg == "--workers") {
+            // Digits only: strtoull would read "-1" as its maximum.
             const char *v = value();
+            errno = 0;
             char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (*v == '\0' || end == nullptr || *end != '\0') {
+            const unsigned long long n = std::strtoull(v, &end, 10);
+            if (*v < '0' || *v > '9' || errno == ERANGE ||
+                *end != '\0' ||
+                n > std::numeric_limits<unsigned>::max()) {
                 std::fprintf(stderr,
                              "--workers: '%s' is not a number\n",
                              v);

@@ -195,9 +195,6 @@ statsLine(const StatsMsg &msg)
        << ", \"forked\": " << msg.forked
        << ", \"rebuilt\": " << msg.rebuilt
        << ", \"pooledArenas\": " << msg.pooledArenas
-       << ", \"warmHits\": " << msg.warmHits
-       << ", \"warmMisses\": " << msg.warmMisses
-       << ", \"warmEntries\": " << msg.warmEntries
        << ", \"modelDecided\": " << msg.modelDecided
        << ", \"modelUndecided\": " << msg.modelUndecided
        << ", \"modelDisagreements\": " << msg.modelDisagreements
@@ -381,18 +378,6 @@ parseLine(const std::string &line)
             !expectKey(cur, "pooledArenas"))
             return invalid("malformed stats");
         msg.stats.pooledArenas = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmHits"))
-            return invalid("malformed stats");
-        msg.stats.warmHits = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmMisses"))
-            return invalid("malformed stats");
-        msg.stats.warmMisses = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "warmEntries"))
-            return invalid("malformed stats");
-        msg.stats.warmEntries = cur.parseU64();
         if (cur.failed() || !cur.expect(',') ||
             !expectKey(cur, "modelDecided"))
             return invalid("malformed stats");

@@ -55,8 +55,9 @@ namespace specsec::serve
 
 /** Protocol revision; bumped on any message-shape change.
  *  v2: stats grew the scenario-fork and warm-snapshot counters.
- *  v3: stats grew the verdict-model agreement counters. */
-inline constexpr unsigned kProtocolVersion = 3;
+ *  v3: stats grew the verdict-model agreement counters.
+ *  v4: stats dropped the warm-snapshot counters with their tier. */
+inline constexpr unsigned kProtocolVersion = 4;
 
 /** The leading "type" value of a parsed message. */
 enum class MsgType
@@ -130,14 +131,11 @@ struct StatsMsg
     std::size_t executed = 0;
     std::size_t cacheHits = 0;
     std::size_t cacheSize = 0;
-    // Execution-path counters (v2): scenario fork pool and
-    // warm-attack snapshot cache health of the daemon process.
+    // Execution-path counters (v2): scenario fork pool health of
+    // the daemon process.
     std::size_t forked = 0;
     std::size_t rebuilt = 0;
     std::size_t pooledArenas = 0;
-    std::size_t warmHits = 0;
-    std::size_t warmMisses = 0;
-    std::size_t warmEntries = 0;
     // Verdict-model counters (v3): the daemon judges every cell it
     // executes with the analytic model (verdict/model.hh) and tracks
     // live agreement against the simulator.

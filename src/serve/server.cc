@@ -113,11 +113,6 @@ Server::stats() const
     msg.forked = fork.forked;
     msg.rebuilt = fork.rebuilt;
     msg.pooledArenas = fork.pooled;
-    const attacks::WarmSnapshotStats warm =
-        attacks::warmSnapshotStats();
-    msg.warmHits = warm.hits;
-    msg.warmMisses = warm.misses;
-    msg.warmEntries = warm.entries;
     msg.modelDecided = modelDecided_;
     msg.modelUndecided = modelUndecided_;
     msg.modelDisagreements = modelDisagreements_;

@@ -42,9 +42,8 @@ Cache::flushAll()
         line.valid = false;
     // With every line invalid the old lastUse values can never be
     // compared again, so the use counter restarts: a fully flushed
-    // cache is indistinguishable from a fresh one, which is what
-    // lets pooled/warm-restored state share LRU decisions with a
-    // rebuilt run (attacks/snapshot.hh).
+    // cache is indistinguishable from a fresh one, and its later
+    // eviction decisions cannot depend on what ran before the flush.
     useCounter_ = 0;
     ++stats_.flushes;
 }

@@ -47,50 +47,6 @@ Cpu::loadProgram(const Program &program)
 }
 
 void
-Cpu::copyStateFrom(const Cpu &other)
-{
-    // Everything except the Memory/PageTable references, which stay
-    // bound to this core's arena.  See the header comment: keep this
-    // list in sync with the member declarations.
-    config_ = other.config_;
-    cache_ = other.cache_;
-    bp_ = other.bp_;
-    btb_ = other.btb_;
-    rsb_ = other.rsb_;
-    sb_ = other.sb_;
-    lfb_ = other.lfb_;
-    loadPort_ = other.loadPort_;
-    fpu_ = other.fpu_;
-    program_ = other.program_;
-    regs_ = other.regs_;
-    msrs_ = other.msrs_;
-    privilege_ = other.privilege_;
-    enclaveMode_ = other.enclaveMode_;
-    ctx_ = other.ctx_;
-    faultHandler_ = other.faultHandler_;
-    retExtraDelay_ = other.retExtraDelay_;
-    rob_ = other.rob_;
-    seqCounter_ = other.seqCounter_;
-    robPops_ = other.robPops_;
-    fencesInRob_ = other.fencesInRob_;
-    rename_ = other.rename_;
-    archCallStack_ = other.archCallStack_;
-    fetchPc_ = other.fetchPc_;
-    fetchHalted_ = other.fetchHalted_;
-    cycle_ = other.cycle_;
-    pendingException_ = other.pendingException_;
-    fetchStallSeq_ = other.fetchStallSeq_;
-    txnActive_ = other.txnActive_;
-    fetchInTxn_ = other.fetchInTxn_;
-    txnAbortTarget_ = other.txnAbortTarget_;
-    runHalted_ = other.runHalted_;
-    runFaulted_ = other.runFaulted_;
-    lastFault_ = other.lastFault_;
-    lastFaultPc_ = other.lastFaultPc_;
-    stats_ = other.stats_;
-}
-
-void
 Cpu::contextSwitch(int ctx)
 {
     ctx_ = ctx;

@@ -391,22 +391,6 @@ class Cpu
     const CpuStats &stats() const { return stats_; }
     void resetStats() { stats_ = CpuStats{}; }
 
-    /**
-     * Copy every mutable piece of @p other's state into this core,
-     * leaving only the Memory/PageTable references in place: the
-     * warm-attack snapshot restore primitive (attacks/snapshot.hh).
-     * Both cores must have been built from the same CpuConfig.
-     * Afterwards this core behaves cycle-for-cycle like @p other
-     * would, provided the backing memory image matches too — all
-     * pipeline scheduling is relative to cycle_, which is copied.
-     *
-     * Maintainers: cpu.cc lists the members explicitly; a new
-     * mutable member MUST be added there or warm-snapshot restores
-     * silently diverge (the golden byte-identity suite in
-     * tests/snapshot_test.cc is the tripwire).
-     */
-    void copyStateFrom(const Cpu &other);
-
   private:
     /** timedAccess (@p allocate) / timedProbe. */
     std::uint32_t

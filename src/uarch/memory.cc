@@ -142,53 +142,6 @@ Memory::dirtyPageCount() const
     return count;
 }
 
-std::vector<PageImage>
-Memory::captureDirtyPages() const
-{
-    std::vector<PageImage> pages;
-    pages.reserve(dirtyPageCount());
-    for (std::size_t w = 0; w < dirty_.size(); ++w) {
-        std::uint64_t bits = dirty_[w];
-        while (bits) {
-            const int bit = __builtin_ctzll(bits);
-            bits &= bits - 1;
-            const std::size_t page = w * 64 +
-                                     static_cast<std::size_t>(bit);
-            const std::size_t start = page * kPageSize;
-            const std::size_t len =
-                std::min<std::size_t>(kPageSize,
-                                      bytes_.size() - start);
-            PageImage image;
-            image.page = static_cast<Addr>(page);
-            std::copy_n(bytes_.begin() +
-                            static_cast<std::ptrdiff_t>(start),
-                        len, image.bytes.begin());
-            pages.push_back(image);
-        }
-    }
-    return pages;
-}
-
-void
-Memory::restoreDirtyPages(const std::vector<PageImage> &pages)
-{
-    rezeroDirtyPages();
-    for (const PageImage &image : pages) {
-        const std::size_t start =
-            static_cast<std::size_t>(image.page) * kPageSize;
-        if (start >= bytes_.size())
-            throw std::out_of_range(
-                "restoreDirtyPages: page out of range");
-        const std::size_t len =
-            std::min<std::size_t>(kPageSize, bytes_.size() - start);
-        std::copy_n(image.bytes.begin(), len,
-                    bytes_.begin() +
-                        static_cast<std::ptrdiff_t>(start));
-        dirty_[image.page >> 6] |= std::uint64_t{1}
-                                   << (image.page & 63);
-    }
-}
-
 void
 Memory::check(Addr paddr, std::size_t len) const
 {

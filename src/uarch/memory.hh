@@ -19,7 +19,6 @@
 #ifndef SPECSEC_UARCH_MEMORY_HH
 #define SPECSEC_UARCH_MEMORY_HH
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -240,19 +239,6 @@ PageTable::translate(Addr vaddr, AccessType type, Privilege privilege,
 }
 
 /**
- * One dirty page's contents: the unit of a warm-attack memory image
- * (attacks/snapshot.hh).  captureDirtyPages()/restoreDirtyPages()
- * move exactly the pages that diverged from the all-zero baseline,
- * so a snapshot of a trained attack costs a handful of pages, not
- * the whole 8MB address space.
- */
-struct PageImage
-{
-    Addr page = 0; ///< page number (paddr / kPageSize)
-    std::array<std::uint8_t, kPageSize> bytes{};
-};
-
-/**
  * Flat physical memory, little-endian.
  *
  * Every mutation goes through write8/write64/write, so the image
@@ -292,18 +278,6 @@ class Memory
 
     /** Pages currently marked dirty (bench/test introspection). */
     std::size_t dirtyPageCount() const;
-
-    /** Copy out every dirty page (warm-attack snapshot capture). */
-    std::vector<PageImage> captureDirtyPages() const;
-
-    /**
-     * Replace the image with baseline + @p pages: re-zero the
-     * current dirty pages, then write @p pages in and mark exactly
-     * them dirty.  Afterwards the memory (including its dirty
-     * bitmap) is byte-identical to the Memory the pages were
-     * captured from.
-     */
-    void restoreDirtyPages(const std::vector<PageImage> &pages);
 
   private:
     void check(Addr paddr, std::size_t len) const;

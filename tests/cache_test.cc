@@ -102,8 +102,7 @@ TEST(Cache, FlushAllRestoresLruParityWithFreshCache)
 {
     // flushAll() also rewinds the LRU use counter, so a flushed
     // cache must make the same eviction decisions as a
-    // freshly-constructed one — the warm-snapshot path relies on
-    // replayed accesses evicting identically.
+    // freshly-constructed one, whatever ran before the flush.
     Cache flushed(smallConfig());
     // Age the counter well past anything the replay will reach.
     for (Addr a = 0; a < 64 * 64; a += 64)
@@ -118,8 +117,9 @@ TEST(Cache, FlushAllRestoresLruParityWithFreshCache)
         const CacheAccess g = fresh.access(a);
         EXPECT_EQ(f.hit, g.hit) << "addr " << a;
         EXPECT_EQ(f.evicted, g.evicted) << "addr " << a;
-        if (f.evicted)
+        if (f.evicted) {
             EXPECT_EQ(f.evictedLineAddr, g.evictedLineAddr);
+        }
     }
 }
 

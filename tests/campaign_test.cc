@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "attacks/runner.hh"
 #include "campaign/campaign.hh"
 #include "tool/report.hh"
+#include "verdict/verdict.hh"
 
 namespace
 {
@@ -488,6 +490,32 @@ TEST(Engine, ParallelMatchesSerialByteIdentical)
                   parallel.outcomes[i].result.recovered);
         EXPECT_EQ(serial.outcomes[i].stats.cycles,
                   parallel.outcomes[i].stats.cycles);
+    }
+}
+
+TEST(Engine, HugeWorkerCountMatchesSerial)
+{
+    // A worker count far above the work items must not spawn a
+    // thread per requested worker: the pool is capped at the unique
+    // cells (or triage classes), and the report keeps the request.
+    ScenarioSpec spec;
+    spec.variants = {AttackVariant::SpectreV1, AttackVariant::Meltdown};
+    ASSERT_EQ(spec.gridSize(), 2u);
+
+    for (const verdict::VerdictBackend backend :
+         {verdict::VerdictBackend::Simulator,
+          verdict::VerdictBackend::Triage}) {
+        CampaignEngine::Options serialOpts;
+        serialOpts.workers = 1;
+        serialOpts.backend = backend;
+        CampaignEngine::Options hugeOpts = serialOpts;
+        hugeOpts.workers = std::numeric_limits<unsigned>::max();
+        const CampaignReport serial =
+            CampaignEngine(serialOpts).run(spec);
+        const CampaignReport huge = CampaignEngine(hugeOpts).run(spec);
+        EXPECT_EQ(huge.workers, hugeOpts.workers);
+        EXPECT_EQ(tool::campaignJson(huge, false),
+                  tool::campaignJson(serial, false));
     }
 }
 

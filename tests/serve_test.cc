@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include <sys/socket.h>
@@ -97,6 +98,22 @@ rawHandshaked(const serve::net::Endpoint &endpoint)
     EXPECT_TRUE(conn.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Hello);
     return conn;
+}
+
+/**
+ * Well-formed keys no runner can execute: @p good with variant id
+ * 999, and a ROB past std::vector::max_size() (its Cpu throws
+ * std::length_error; a merely huge one would throw bad_alloc, but
+ * the sanitizer allocators abort on that instead).
+ */
+std::vector<std::string>
+unrunnableKeys(const std::string &good)
+{
+    CpuConfig hugeRob;
+    hugeRob.robSize = std::numeric_limits<std::size_t>::max();
+    return {"999" + good.substr(good.find(';')),
+            scenarioKey(AttackVariant::Meltdown, hugeRob,
+                        AttackOptions{})};
 }
 
 TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
@@ -187,9 +204,58 @@ TEST(Serve, HandshakeRejectsMismatchedSchemaOrFingerprint)
     EXPECT_EQ(reply.type, serve::MsgType::Error);
     EXPECT_FALSE(eager.readLine(line));
 
+    // A peer one protocol revision behind is refused by version.
+    serve::HelloMsg stale = serve::localHello();
+    stale.protocol = serve::kProtocolVersion - 1;
+    serve::net::Conn old = serve::net::dial(daemon.endpoint(), &error);
+    ASSERT_TRUE(old.valid()) << error;
+    ASSERT_TRUE(old.writeLine(serve::helloLine(stale, false)));
+    ASSERT_TRUE(old.readLine(line));
+    reply = serve::parseLine(line);
+    EXPECT_EQ(reply.type, serve::MsgType::Error);
+    EXPECT_NE(reply.error.find("protocol version mismatch"),
+              std::string::npos)
+        << reply.error;
+    EXPECT_FALSE(old.readLine(line));
+
     // And a well-formed client still connects fine afterwards.
     serve::Client ok;
     EXPECT_TRUE(ok.connect(daemon.endpoint(), &error)) << error;
+}
+
+TEST(Serve, StatsLineRoundTripsEveryField)
+{
+    using serve::StatsMsg;
+    const std::vector<std::size_t StatsMsg::*> fields = {
+        &StatsMsg::connections,  &StatsMsg::requests,
+        &StatsMsg::executed,     &StatsMsg::cacheHits,
+        &StatsMsg::cacheSize,    &StatsMsg::forked,
+        &StatsMsg::rebuilt,      &StatsMsg::pooledArenas,
+        &StatsMsg::modelDecided, &StatsMsg::modelUndecided,
+        &StatsMsg::modelDisagreements};
+#if defined(__x86_64__) && defined(__linux__)
+    static_assert(sizeof(StatsMsg) == 11 * sizeof(std::size_t),
+                  "StatsMsg changed: extend this test");
+#endif
+    StatsMsg sent;
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        sent.*fields[i] = i + 1;
+    const std::string line = serve::statsLine(sent);
+    const serve::ParsedMsg got = serve::parseLine(line);
+    ASSERT_EQ(got.type, serve::MsgType::Stats) << got.error;
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        EXPECT_EQ(got.stats.*fields[i], i + 1) << "field " << i;
+
+    // A v3 stats line still carries the warm-snapshot counters; the
+    // strict parser refuses it rather than skipping keys.
+    std::string v3 = line;
+    const std::string anchor = "\"pooledArenas\": 8";
+    const std::size_t at = v3.find(anchor);
+    ASSERT_NE(at, std::string::npos) << v3;
+    v3.insert(at + anchor.size(), ", \"warmHits\": 0, "
+                                  "\"warmMisses\": 0, "
+                                  "\"warmEntries\": 0");
+    EXPECT_EQ(serve::parseLine(v3).type, serve::MsgType::Invalid);
 }
 
 TEST(Serve, MalformedRequestGetsErrorAndConnectionSurvives)
@@ -487,6 +553,20 @@ TEST(Serve, ExecuteKeyBatchNamesTheMalformedKey)
         &error))
         << error;
     EXPECT_EQ(emitted, 1u);
+
+    // Well-formed keys that cannot run fail the batch too, naming
+    // the key, whether the parser or the runner refuses them.
+    for (const std::string &bad : unrunnableKeys(keys.front())) {
+        for (const unsigned workers : {1u, 4u}) {
+            error.clear();
+            EXPECT_FALSE(executeKeyBatch(
+                {keys.front(), bad}, workers, nullptr,
+                [](std::size_t, const KeyBatchItem &) { return true; },
+                &error));
+            EXPECT_NE(error.find("index 1"), std::string::npos)
+                << error;
+        }
+    }
 }
 
 TEST(Serve, ZeroCacheDimensionKeyIsRejectedNotExecuted)
@@ -533,6 +613,26 @@ TEST(Serve, ZeroCacheDimensionKeyIsRejectedNotExecuted)
     ASSERT_TRUE(conn.writeLine(serve::statsRequestLine()));
     ASSERT_TRUE(conn.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
+
+    // Well-formed keys that cannot run are refused the same way,
+    // and the same connection then serves a good key.
+    for (const std::string &key : unrunnableKeys(good)) {
+        bad.keys = {key};
+        ASSERT_TRUE(conn.writeLine(serve::submitLine(bad)));
+        ASSERT_TRUE(conn.readLine(line));
+        const serve::ParsedMsg refused = serve::parseLine(line);
+        EXPECT_EQ(refused.type, serve::MsgType::Error);
+        EXPECT_NE(refused.error.find("index 0"), std::string::npos)
+            << refused.error;
+    }
+    serve::SubmitMsg ok;
+    ok.name = "good";
+    ok.keys = {good};
+    ASSERT_TRUE(conn.writeLine(serve::submitLine(ok)));
+    ASSERT_TRUE(conn.readLine(line));
+    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Result);
+    ASSERT_TRUE(conn.readLine(line));
+    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Done);
 }
 
 } // namespace

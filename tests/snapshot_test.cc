@@ -12,7 +12,6 @@
 
 #include "attacks/attack_kit.hh"
 #include "attacks/snapshot.hh"
-#include "attacks/spectre.hh"
 #include "campaign/campaign.hh"
 #include "regress/specs.hh"
 #include "tool/stream_export.hh"
@@ -114,7 +113,7 @@ TEST(Snapshot, ForkPathIsExercisedUnderForkMode)
     {
         const ScenarioBuildModeGuard fork(ScenarioBuildMode::Fork);
         const uarch::CpuConfig config;
-        { Scenario warm(config); } // park one arena in the pool
+        { Scenario first(config); } // park one arena in the pool
         { Scenario reuse(config); }
     }
     const attacks::ScenarioForkStats after =
@@ -130,133 +129,6 @@ TEST(Snapshot, ForkPathIsExercisedUnderForkMode)
         { Scenario fresh(config); }
     }
     EXPECT_EQ(attacks::scenarioForkStats().forked, forkedBefore);
-}
-
-TEST(Snapshot, WarmSnapshotReuseHitsAfterFirstBuild)
-{
-    attacks::clearWarmSnapshots();
-    const attacks::WarmSnapshotModeGuard warm(
-        attacks::WarmSnapshotMode::Reuse);
-    const uarch::CpuConfig config;
-    attacks::AttackOptions opt;
-    opt.secretLen = 4;
-
-    const auto first = attacks::runSpectreV1(config, opt);
-    attacks::WarmSnapshotStats s = attacks::warmSnapshotStats();
-    EXPECT_GE(s.misses, 1u); // first cell builds the snapshot
-    EXPECT_GE(s.entries, 1u);
-    const std::uint64_t hitsAfterFirst = s.hits;
-
-    const auto second = attacks::runSpectreV1(config, opt);
-    s = attacks::warmSnapshotStats();
-    EXPECT_GT(s.hits, hitsAfterFirst); // second cell restores it
-
-    // Restoring the prologue state must not change the outcome.
-    EXPECT_EQ(first.accuracy, second.accuracy);
-    EXPECT_EQ(first.guestCycles, second.guestCycles);
-    EXPECT_EQ(first.recovered, second.recovered);
-
-    // Body-only options (delayAuthorization is applied after the
-    // prologue) share the warm key, so flipping one still hits.
-    const std::uint64_t hitsBefore = s.hits;
-    attacks::AttackOptions noDelay = opt;
-    noDelay.delayAuthorization = false;
-    attacks::runSpectreV1(config, noDelay);
-    EXPECT_GT(attacks::warmSnapshotStats().hits, hitsBefore);
-    attacks::clearWarmSnapshots();
-}
-
-TEST(Snapshot, WarmRebuildModeBypassesTheCache)
-{
-    attacks::clearWarmSnapshots();
-    const attacks::WarmSnapshotModeGuard rebuild(
-        attacks::WarmSnapshotMode::Rebuild);
-    const uarch::CpuConfig config;
-    attacks::AttackOptions opt;
-    opt.secretLen = 4;
-    const std::uint64_t hitsBefore =
-        attacks::warmSnapshotStats().hits;
-    attacks::runSpectreV1(config, opt);
-    attacks::runSpectreV1(config, opt);
-    const attacks::WarmSnapshotStats s =
-        attacks::warmSnapshotStats();
-    EXPECT_EQ(s.hits, hitsBefore); // never restored
-    EXPECT_EQ(s.entries, 0u);      // never captured
-}
-
-TEST(Snapshot, WarmAttackKeySeparatesTrainingRelevantState)
-{
-    const uarch::CpuConfig config;
-    const attacks::AttackOptions opt;
-    const std::string base =
-        attacks::warmAttackKey("spectre-v1", config, opt);
-
-    // Different attack name, training-relevant option, or CPU
-    // config each get their own snapshot.
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1.1", config, opt),
-              base);
-    attacks::AttackOptions moreRounds = opt;
-    moreRounds.trainingRounds += 1;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", config,
-                                     moreRounds),
-              base);
-    attacks::AttackOptions primeProbe = opt;
-    primeProbe.channel = attacks::CovertChannelKind::PrimeProbe;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", config,
-                                     primeProbe),
-              base);
-    uarch::CpuConfig smallRob = config;
-    smallRob.robSize /= 2;
-    EXPECT_NE(attacks::warmAttackKey("spectre-v1", smallRob, opt),
-              base);
-
-    // Body-only options must NOT split the key: the prologue state
-    // is identical, so the snapshot is shared.
-    attacks::AttackOptions bodyOnly = opt;
-    bodyOnly.delayAuthorization = !bodyOnly.delayAuthorization;
-    bodyOnly.kpti = !bodyOnly.kpti;
-    EXPECT_EQ(attacks::warmAttackKey("spectre-v1", config,
-                                     bodyOnly),
-              base);
-}
-
-TEST(Snapshot, WarmMatchesColdOnEveryGoldenSpec)
-{
-    // Second acceptance bar: warm-attack prologue reuse must be
-    // invisible in every export.  The cold reference disables both
-    // arena forking and warm snapshots; the warm runs enable both,
-    // at one, two and eight workers.
-    attacks::clearWarmSnapshots();
-    for (const regress::NamedSpec &named :
-         regress::registeredSpecs()) {
-        campaign::CampaignEngine::Options coldOpts;
-        coldOpts.workers = 1;
-        coldOpts.forkScenarios = false;
-        coldOpts.warmAttacks = false;
-        const campaign::CampaignReport reference =
-            campaign::CampaignEngine(coldOpts).run(named.spec);
-        const std::string referenceJsonl =
-            tool::campaignJsonl(reference, false);
-        const std::string referenceMatrix =
-            reference.successMatrixText();
-
-        for (const unsigned workers : {1u, 2u, 8u}) {
-            campaign::CampaignEngine::Options warmOpts;
-            warmOpts.workers = workers;
-            warmOpts.forkScenarios = true;
-            warmOpts.warmAttacks = true;
-            const campaign::CampaignReport warmed =
-                campaign::CampaignEngine(warmOpts).run(named.spec);
-            EXPECT_EQ(tool::campaignJsonl(warmed, false),
-                      referenceJsonl)
-                << named.name << " diverged at workers="
-                << workers;
-            EXPECT_EQ(warmed.successMatrixText(), referenceMatrix)
-                << named.name << " matrix diverged at workers="
-                << workers;
-        }
-    }
-    attacks::clearWarmSnapshots();
 }
 
 TEST(Snapshot, ForkMatchesRebuildOnEveryGoldenSpec)
