@@ -45,14 +45,11 @@
  * result fragments cross the wire (see src/serve/protocol.hh).
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +58,7 @@
 #include "core/catalog.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 #include "tool/schema.hh"
@@ -69,27 +67,11 @@
 
 using namespace specsec;
 using namespace specsec::campaign;
+namespace cli = specsec::tool::cli;
+using cli::parseUnsigned;
 
 namespace
 {
-
-/** Strict decimal parse into @p out: digits only (strtoull reads
- *  "-1" as its maximum), and the value must fit @p T. */
-template <typename T>
-bool
-parseUnsigned(const std::string &s, T &out)
-{
-    if (s.empty() || s[0] < '0' || s[0] > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || *end != '\0' ||
-        v > std::numeric_limits<T>::max())
-        return false;
-    out = static_cast<T>(v);
-    return true;
-}
 
 std::vector<std::string>
 splitCommas(const std::string &arg)
@@ -127,25 +109,7 @@ usage(const char *prog)
         "       %s submit --connect HOST:P [--resume] [options]\n"
         "       %s stats --connect HOST:P\n"
         "       %s shutdown --connect HOST:P\n"
-        "  --workers N        worker threads (default: all cores)\n"
         "  --serial           shorthand for --workers 1\n"
-        "  --backend B        verdict backend: simulator (default),\n"
-        "                     model (analytic graph verdicts only, "
-        "no\n"
-        "                     simulation), differential (both, "
-        "disagreements\n"
-        "                     flagged per cell), triage (model "
-        "first,\n"
-        "                     simulate only the undecided frontier) "
-        "or\n"
-        "                     static (Fig. 9 program analysis beside\n"
-        "                     simulation, disagreements flagged)\n"
-        "  --rebuild-scenarios  build each cell's simulator state "
-        "from scratch\n"
-        "                     instead of forking pooled snapshot "
-        "arenas\n"
-        "                     (byte-identical; for comparison/"
-        "bisection)\n"
         "  --variants a,b,c   variants by catalog name "
         "(default: all but Spoiler)\n"
         "  --rob n1,n2,...    sweep ROB sizes\n"
@@ -157,16 +121,15 @@ usage(const char *prog)
         "  --vuln-ablate p,.. sweep forwarding-path ablations (all,\n"
         "                     no-meltdown, no-l1tf, no-mds, "
         "no-lazyfp,\n"
-        "                     no-store-bypass, no-msr, no-taa)\n"
+        "                     no-store-bypass, no-msr, no-taa, or "
+        "several\n"
+        "                     joined by '+', e.g. no-mds+no-taa)\n"
         "  --cache-geom g,... sweep cache geometries "
         "(SETSxWAYS[@MISS],\n"
         "                     SETS a power of two, e.g. "
         "256x4,64x2@100)\n"
-        "  --shard I/N        execute only shard I of N of the "
-        "grid\n"
         "  --shard-report F   write a mergeable shard report "
         "(see merge)\n"
-        "  --cache-file F     persistent result cache (load/save)\n"
         "  --json FILE        export full report as JSON\n"
         "  --csv FILE         export full report as CSV "
         "(streamed)\n"
@@ -174,13 +137,13 @@ usage(const char *prog)
         "scenarios finish\n"
         "  --progress         live progress line on stderr\n"
         "  --timing           include wall-clock fields in exports\n"
-        "  --connect HOST:P   run the sweep on a campaign_cli "
-        "serve daemon\n"
         "  --resume           with --connect and --jsonl: keep a "
         "killed run's\n"
         "                     valid JSONL prefix and fetch only "
-        "the missing cells\n",
-        prog, prog, prog, prog, prog, prog, prog, prog, prog);
+        "the missing cells\n"
+        "%s",
+        prog, prog, prog, prog, prog, prog, prog, prog, prog,
+        cli::kRunFlagUsage);
     return 2;
 }
 
@@ -218,8 +181,8 @@ int
 listAttacksMain(int argc, char **argv)
 {
     bool json = false;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0)
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (args.is("--json"))
             json = true;
         else
             return usage(argv[0]);
@@ -250,13 +213,13 @@ describeMain(int argc, char **argv)
 {
     bool json = false;
     std::string name;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0)
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (args.is("--json"))
             json = true;
-        else if (argv[i][0] == '-' || !name.empty())
+        else if (args.arg()[0] == '-' || !name.empty())
             return usage(argv[0]);
         else
-            name = argv[i];
+            name = args.arg();
     }
     if (name.empty()) {
         std::fprintf(stderr, "describe: no attack name given\n");
@@ -366,62 +329,29 @@ mergeMain(int argc, char **argv)
     std::vector<std::string> files;
     std::string json_path, csv_path, jsonl_path;
     bool timing = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json")
-            json_path = value();
-        else if (arg == "--csv")
-            csv_path = value();
-        else if (arg == "--jsonl")
-            jsonl_path = value();
-        else if (arg == "--timing")
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (args.is("--json"))
+            json_path = args.value();
+        else if (args.is("--csv"))
+            csv_path = args.value();
+        else if (args.is("--jsonl"))
+            jsonl_path = args.value();
+        else if (args.is("--timing"))
             timing = true;
-        else if (!arg.empty() && arg[0] == '-')
+        else if (!args.arg().empty() && args.arg()[0] == '-')
             return usage(argv[0]);
         else
-            files.push_back(arg);
-    }
-    if (files.empty()) {
-        std::fprintf(stderr, "merge: no shard report files given\n");
-        return 2;
+            files.push_back(args.arg());
     }
 
-    std::optional<CampaignReport> merged;
-    for (const std::string &path : files) {
-        std::string text;
-        if (!tool::readTextFile(path, text)) {
-            std::fprintf(stderr, "cannot read %s\n", path.c_str());
-            return 2;
-        }
-        std::string error;
-        auto shard = tool::parseShardReportJson(text, &error);
-        if (!shard) {
-            std::fprintf(stderr, "%s: malformed shard report: %s\n",
-                         path.c_str(), error.c_str());
-            return 2;
-        }
-        std::printf("loaded %s: shard %zu/%zu, %zu outcomes\n",
-                    path.c_str(), shard->shardIndex,
-                    shard->shardCount, shard->outcomes.size());
-        if (!merged) {
-            merged = std::move(*shard);
-            continue;
-        }
-        std::string merge_error;
-        if (!merged->merge(*shard, &merge_error)) {
-            std::fprintf(stderr, "%s: merge conflict: %s\n",
-                         path.c_str(), merge_error.c_str());
-            return 1;
-        }
+    std::string error;
+    const std::optional<CampaignReport> merged =
+        cli::mergeShardFiles(files, &error);
+    if (!merged) {
+        std::fprintf(stderr, "merge: %s\n", error.c_str());
+        return 2;
     }
+    std::printf("merged %zu shard report(s)\n", files.size());
     if (merged->partial())
         std::printf("note: merged report is still partial (%zu of "
                     "%zu grid points)\n",
@@ -439,34 +369,24 @@ int
 serveMain(int argc, char **argv)
 {
     serve::Server::Options opts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--host")
-            opts.host = value();
-        else if (arg == "--port") {
-            if (!parseUnsigned(value(), opts.port)) {
+    cli::RunFlags run;
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (args.is("--host")) {
+            opts.host = args.value();
+        } else if (args.is("--port")) {
+            if (!parseUnsigned(args.value(), opts.port)) {
                 std::fprintf(stderr,
                              "--port: not a port number\n");
                 return 2;
             }
-        } else if (arg == "--workers") {
-            if (!parseUnsigned(value(), opts.workers)) {
-                std::fprintf(stderr, "--workers: not a number\n");
-                return 2;
-            }
-        } else if (arg == "--cache-file")
-            opts.cachePath = value();
-        else
+        } else if (args.is("--workers") || args.is("--cache-file")) {
+            cli::parseRunFlag(args, run);
+        } else {
             return usage(argv[0]);
+        }
     }
+    opts.workers = run.workers;
+    opts.cachePath = run.cacheFile;
 
     serve::Server server(opts);
     std::string error;
@@ -485,42 +405,27 @@ serveMain(int argc, char **argv)
     return 0;
 }
 
-/** Shared --connect parsing for submit/stats/shutdown. */
-bool
-connectFromArg(const std::string &endpoint_text,
-               serve::Client &client)
+/** Connect with the `--connect HOST:P` that is all `stats` and
+ *  `shutdown` take; @return 0, or the exit code to fail with. */
+int
+connectOnly(int argc, char **argv, serve::Client &client)
 {
-    serve::net::Endpoint endpoint;
-    std::string error;
-    if (endpoint_text.empty()) {
-        std::fprintf(stderr, "--connect HOST:PORT is required\n");
-        return false;
+    std::string endpoint;
+    for (cli::Args args(argc, argv, 2); args.next();) {
+        if (!args.is("--connect"))
+            return usage(argv[0]);
+        endpoint = args.value();
     }
-    if (!serve::net::parseEndpoint(endpoint_text, endpoint,
-                                   &error) ||
-        !client.connect(endpoint, &error)) {
-        std::fprintf(stderr, "connect %s: %s\n",
-                     endpoint_text.c_str(), error.c_str());
-        return false;
-    }
-    return true;
+    return cli::connect(endpoint, client) ? 0 : 1;
 }
 
 /** `campaign_cli stats --connect HOST:P`. */
 int
 statsMain(int argc, char **argv)
 {
-    std::string endpoint;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--connect") == 0 &&
-            i + 1 < argc)
-            endpoint = argv[++i];
-        else
-            return usage(argv[0]);
-    }
     serve::Client client;
-    if (!connectFromArg(endpoint, client))
-        return 1;
+    if (const int rc = connectOnly(argc, argv, client))
+        return rc;
     serve::StatsMsg stats;
     std::string error;
     if (!client.serverStats(stats, &error)) {
@@ -547,17 +452,9 @@ statsMain(int argc, char **argv)
 int
 shutdownMain(int argc, char **argv)
 {
-    std::string endpoint;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--connect") == 0 &&
-            i + 1 < argc)
-            endpoint = argv[++i];
-        else
-            return usage(argv[0]);
-    }
     serve::Client client;
-    if (!connectFromArg(endpoint, client))
-        return 1;
+    if (const int rc = connectOnly(argc, argv, client))
+        return rc;
     std::string error;
     if (!client.requestShutdown(&error)) {
         std::fprintf(stderr, "shutdown: %s\n", error.c_str());
@@ -609,49 +506,23 @@ main(int argc, char **argv)
     }
 
     ScenarioSpec spec = ScenarioSpec::defenseMatrix();
-    CampaignEngine::Options engine_opts;
+    cli::RunFlags run;
     std::string json_path;
     std::string csv_path;
     std::string jsonl_path;
     std::string shard_report_path;
-    std::string cache_path;
-    ShardRange shard;
     bool progress = false;
     bool timing = false;
-    std::string connect_endpoint;
     bool resume = false;
 
-    for (int i = first_arg; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (export_mode && arg == "--format") {
-            export_format = value();
-        } else if (arg == "--workers") {
-            if (!parseUnsigned(value(), engine_opts.workers)) {
-                std::fprintf(stderr, "--workers: not a number\n");
-                return 2;
-            }
-        } else if (arg == "--serial") {
-            engine_opts.workers = 1;
-        } else if (arg == "--backend") {
-            const std::string name = value();
-            if (!verdict::parseBackend(name,
-                                       engine_opts.backend)) {
-                std::fprintf(
-                    stderr, "%s\n",
-                    verdict::unknownBackendMessage(name).c_str());
-                return 2;
-            }
-        } else if (arg == "--rebuild-scenarios") {
-            engine_opts.forkScenarios = false;
-        } else if (arg == "--variants") {
+    for (cli::Args args(argc, argv, first_arg); args.next();) {
+        if (cli::parseRunFlag(args, run))
+            continue;
+        if (export_mode && args.is("--format")) {
+            export_format = args.value();
+        } else if (args.is("--serial")) {
+            run.workers = 1;
+        } else if (args.is("--variants")) {
             // Rows resolve through the ScenarioCatalog, so names
             // and aliases of registered out-of-tree attacks work
             // exactly like built-in variants.
@@ -659,7 +530,7 @@ main(int argc, char **argv)
                 core::ScenarioCatalog::instance();
             spec.variants.clear();
             spec.attackNames.clear();
-            for (const std::string &name : splitCommas(value())) {
+            for (const std::string &name : splitCommas(args.value())) {
                 const core::AttackDescriptor *d =
                     catalog.findAttack(name);
                 if (d == nullptr) {
@@ -673,9 +544,9 @@ main(int argc, char **argv)
                 }
                 spec.attackNames.push_back(d->name);
             }
-        } else if (arg == "--rob") {
+        } else if (args.is("--rob")) {
             spec.robSizes.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 std::size_t rob = 0;
                 if (!parseUnsigned(n, rob) || rob == 0) {
                     std::fprintf(stderr,
@@ -685,9 +556,9 @@ main(int argc, char **argv)
                 }
                 spec.robSizes.push_back(rob);
             }
-        } else if (arg == "--perm-lat") {
+        } else if (args.is("--perm-lat")) {
             spec.permCheckLatencies.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 unsigned lat = 0;
                 if (!parseUnsigned(n, lat)) {
                     std::fprintf(stderr,
@@ -697,9 +568,9 @@ main(int argc, char **argv)
                 }
                 spec.permCheckLatencies.push_back(lat);
             }
-        } else if (arg == "--channels") {
+        } else if (args.is("--channels")) {
             spec.channels.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 if (n == "fr" || n == "flush-reload")
                     spec.channels.push_back(
                         core::CovertChannelKind::FlushReload);
@@ -712,9 +583,9 @@ main(int argc, char **argv)
                     return 2;
                 }
             }
-        } else if (arg == "--mitigations") {
+        } else if (args.is("--mitigations")) {
             spec.mitigations.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 auto m = SoftwareMitigation::byName(n);
                 if (!m) {
                     std::fprintf(
@@ -728,28 +599,12 @@ main(int argc, char **argv)
                 }
                 spec.mitigations.push_back(std::move(*m));
             }
-        } else if (arg == "--vuln-ablate") {
+        } else if (args.is("--vuln-ablate")) {
             spec.vulnAblations.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 VulnAblation a;
                 a.label = n;
-                if (n == "all")
-                    ;
-                else if (n == "no-meltdown")
-                    a.vuln.meltdown = false;
-                else if (n == "no-l1tf")
-                    a.vuln.l1tf = false;
-                else if (n == "no-mds")
-                    a.vuln.mds = false;
-                else if (n == "no-lazyfp")
-                    a.vuln.lazyFp = false;
-                else if (n == "no-store-bypass")
-                    a.vuln.storeBypass = false;
-                else if (n == "no-msr")
-                    a.vuln.msr = false;
-                else if (n == "no-taa")
-                    a.vuln.taa = false;
-                else {
+                if (!tool::parseVulnSummary(n, a.vuln)) {
                     std::fprintf(stderr,
                                  "unknown vuln ablation: %s\n",
                                  n.c_str());
@@ -757,9 +612,9 @@ main(int argc, char **argv)
                 }
                 spec.vulnAblations.push_back(std::move(a));
             }
-        } else if (arg == "--cache-geom") {
+        } else if (args.is("--cache-geom")) {
             spec.cacheGeometries.clear();
-            for (const std::string &n : splitCommas(value())) {
+            for (const std::string &n : splitCommas(args.value())) {
                 CacheGeometry g;
                 g.label = n;
                 // SETSxWAYS with an optional @MISS latency suffix.
@@ -799,35 +654,27 @@ main(int argc, char **argv)
                 }
                 spec.cacheGeometries.push_back(std::move(g));
             }
-        } else if (arg == "--shard") {
-            if (!parseShardRange(value(), shard)) {
-                std::fprintf(stderr,
-                             "--shard: expected I/N with I < N\n");
-                return 2;
-            }
-        } else if (arg == "--shard-report") {
-            shard_report_path = value();
-        } else if (arg == "--cache-file") {
-            cache_path = value();
-        } else if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--csv") {
-            csv_path = value();
-        } else if (arg == "--jsonl") {
-            jsonl_path = value();
-        } else if (arg == "--progress") {
+        } else if (args.is("--shard-report")) {
+            shard_report_path = args.value();
+        } else if (args.is("--json")) {
+            json_path = args.value();
+        } else if (args.is("--csv")) {
+            csv_path = args.value();
+        } else if (args.is("--jsonl")) {
+            jsonl_path = args.value();
+        } else if (args.is("--progress")) {
             progress = true;
-        } else if (arg == "--timing") {
+        } else if (args.is("--timing")) {
             timing = true;
-        } else if (arg == "--connect") {
-            connect_endpoint = value();
-        } else if (arg == "--resume") {
+        } else if (args.is("--resume")) {
             resume = true;
         } else {
             return usage(argv[0]);
         }
     }
 
+    const std::string &connect_endpoint = run.connect;
+    const ShardRange shard = run.shard.value_or(ShardRange{});
     if (submit_mode && connect_endpoint.empty()) {
         std::fprintf(stderr,
                      "submit: --connect HOST:PORT is required\n");
@@ -849,14 +696,15 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (!connect_endpoint.empty() && !cache_path.empty()) {
+    if (!connect_endpoint.empty() && !run.cacheFile.empty()) {
         std::fprintf(stderr,
                      "--cache-file does not apply to remote runs; "
                      "give it to `campaign_cli serve` instead\n");
         return 2;
     }
     if (!connect_endpoint.empty() &&
-        engine_opts.backend != verdict::VerdictBackend::Simulator) {
+        run.backend.value_or(verdict::VerdictBackend::Simulator) !=
+            verdict::VerdictBackend::Simulator) {
         std::fprintf(stderr,
                      "--backend does not apply to remote runs: the "
                      "daemon executes the simulator (and judges "
@@ -918,14 +766,14 @@ main(int argc, char **argv)
             jsonl_path = export_path;
     }
 
+    CampaignEngine::Options engine_opts;
+    engine_opts.workers = run.workers;
+    engine_opts.backend =
+        run.backend.value_or(verdict::VerdictBackend::Simulator);
     ResultCache cache;
-    const std::string fingerprint = modelFingerprint();
-    if (!cache_path.empty()) {
+    if (!run.cacheFile.empty()) {
         engine_opts.cache = &cache;
-        std::string error;
-        if (cache.loadFromFile(cache_path, fingerprint, &error))
-            std::printf("loaded %zu cached results from %s\n",
-                        cache.size(), cache_path.c_str());
+        cli::loadCache(run.cacheFile, cache);
     }
 
     // --resume completes a killed remote run's JSONL export in
@@ -937,7 +785,7 @@ main(int argc, char **argv)
     // already-covered prefix is never re-fetched).
     if (resume) {
         serve::Client client;
-        if (!connectFromArg(connect_endpoint, client))
+        if (!cli::connect(connect_endpoint, client))
             return 1;
         const ExpandedGrid grid = dedupGrid(spec);
         const CampaignHeader header = serve::headerForGrid(
@@ -1006,7 +854,7 @@ main(int argc, char **argv)
 
     serve::Client client;
     if (!connect_endpoint.empty() &&
-        !connectFromArg(connect_endpoint, client))
+        !cli::connect(connect_endpoint, client))
         return 1;
 
     const CampaignEngine engine(engine_opts);
@@ -1057,7 +905,14 @@ main(int argc, char **argv)
     }
 
     if (connect_endpoint.empty()) {
-        engine.run(spec, sinks, shard);
+        // A cell whose machine cannot be built (a ROB past what the
+        // host can allocate) is a bad sweep, not a crash.
+        try {
+            engine.run(spec, sinks, shard);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "campaign: %s\n", e.what());
+            return 2;
+        }
     } else {
         std::string error;
         if (!client.run(spec, sinks, shard, &error)) {
@@ -1089,19 +944,8 @@ main(int argc, char **argv)
 
     printSummary(report);
 
-    if (!cache_path.empty()) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_path, fingerprint, &error,
-                             &lockWarning))
-            std::printf("saved %zu cached results to %s\n",
-                        cache.size(), cache_path.c_str());
-        else
-            std::fprintf(stderr, "cache save failed: %s\n",
-                         error.c_str());
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    if (!run.cacheFile.empty())
+        cli::saveCache(run.cacheFile, cache);
 
     if (!shard_report_path.empty()) {
         if (tool::writeTextFile(shard_report_path,

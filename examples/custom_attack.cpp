@@ -39,6 +39,7 @@
 #include "campaign/sink.hh"
 #include "core/catalog.hh"
 #include "core/composer.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/stream_export.hh"
 
@@ -228,20 +229,11 @@ main(int argc, char **argv)
 {
     std::string jsonl_path = "custom-attack.jsonl";
     std::string cache_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jsonl")
-            jsonl_path = value();
-        else if (arg == "--cache-file")
-            cache_path = value();
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        if (args.is("--jsonl"))
+            jsonl_path = args.value();
+        else if (args.is("--cache-file"))
+            cache_path = args.value();
         else {
             std::fprintf(stderr,
                          "usage: %s [--jsonl FILE] "
@@ -269,13 +261,10 @@ main(int argc, char **argv)
     // Persistent cache: a second invocation with the same
     // --cache-file executes zero cells.
     campaign::ResultCache cache;
-    const std::string fingerprint = campaign::modelFingerprint();
     campaign::CampaignEngine::Options engine_opts;
     engine_opts.cache = &cache;
-    if (!cache_path.empty() &&
-        cache.loadFromFile(cache_path, fingerprint))
-        std::printf("cache: loaded %zu entries from %s\n",
-                    cache.size(), cache_path.c_str());
+    if (!cache_path.empty())
+        tool::cli::loadCache(cache_path, cache);
     const campaign::CampaignEngine engine(engine_opts);
 
     // 1-process run, streaming the JSONL export as workers finish.
@@ -331,21 +320,8 @@ main(int argc, char **argv)
         ok &= expectCell(report, row, 2, '.');
     }
 
-    if (!cache_path.empty()) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_path, fingerprint, &error,
-                             &lockWarning))
-            std::printf("cache: saved %zu entries to %s\n",
-                        cache.size(), cache_path.c_str());
-        else {
-            std::fprintf(stderr, "cache save failed: %s\n",
-                         error.c_str());
-            ok = false;
-        }
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    if (!cache_path.empty())
+        ok &= tool::cli::saveCache(cache_path, cache);
     std::printf("wrote %s\n%s\n", jsonl_path.c_str(),
                 ok ? "OK: out-of-tree attack ran the full pipeline"
                    : "FAILED");

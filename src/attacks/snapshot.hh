@@ -26,8 +26,9 @@
  * fork path cannot change any timing-free export; the regression
  * suite proves this by running every golden spec through both paths
  * (tests/snapshot_test.cc).  ScenarioBuildMode::Rebuild keeps the
- * old build-from-scratch path selectable for exactly that
- * comparison (and for bisecting a future divergence).
+ * build-from-scratch path as that test's reference and as the
+ * baseline of bench_campaign's fork_speedup; both select it with a
+ * ScenarioBuildModeGuard.  No tool or engine option does.
  *
  * The Cpu itself is still constructed per run: its predictor,
  * cache and buffer state are a few KB (cheap to build) and most

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -14,7 +15,6 @@
 #include <unordered_set>
 
 #include "attacks/runner.hh"
-#include "attacks/snapshot.hh"
 #include "core/catalog.hh"
 #include "sink.hh"
 #include "verdict/model.hh"
@@ -98,6 +98,56 @@ millisSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/**
+ * The worker pool every execution path shares: hands out the items
+ * [0, @p count) by atomic index to at most one thread per item and
+ * @p workers threads (0 = hardware concurrency; the caller's own
+ * thread when that is one), and stops handing out items once @p body
+ * returns false or throws.  The first exception is rethrown on the
+ * caller's thread after every worker has joined.
+ */
+void
+runPool(std::size_t count, unsigned workers,
+        const std::function<bool(std::size_t)> &body)
+{
+    if (workers == 0)
+        workers = std::max(1u, std::thread::hardware_concurrency());
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> stop{false};
+    std::mutex failureMutex;
+    std::exception_ptr failure; // guarded by failureMutex
+    const auto work = [&]() {
+        while (!stop.load(std::memory_order_relaxed)) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            try {
+                if (!body(i))
+                    stop.store(true, std::memory_order_relaxed);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(failureMutex);
+                if (!failure)
+                    failure = std::current_exception();
+                stop.store(true, std::memory_order_relaxed);
+            }
+        }
+    };
+    const std::size_t nthreads = std::min<std::size_t>(workers, count);
+    if (nthreads <= 1) {
+        work();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(nthreads);
+        for (std::size_t w = 0; w < nthreads; ++w)
+            pool.emplace_back(work);
+        for (std::thread &t : pool)
+            t.join();
+    }
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 std::vector<SoftwareMitigation>
@@ -203,79 +253,77 @@ ScenarioSpec::defenseMatrix()
     return spec;
 }
 
-std::string
-scenarioKey(core::AttackVariant variant, const CpuConfig &c,
-            const AttackOptions &o)
-{
-    // Tripwire: scenarioKey must cover every field that determines a
-    // run's outcome, or dedup silently folds distinct scenarios.
-    // When either struct grows, extend the serialization below, then
-    // update the expected size.
-#if defined(__x86_64__) && defined(__linux__)
-    static_assert(sizeof(CpuConfig) == 120,
-                  "CpuConfig changed: extend scenarioKey()");
-    static_assert(sizeof(AttackOptions) == 32,
-                  "AttackOptions changed: extend scenarioKey()");
-#endif
-    std::string key;
-    key.reserve(160);
-    appendField(key, static_cast<std::uint64_t>(variant));
-    // CpuConfig scalars.
-    appendField(key, c.robSize);
-    appendField(key, c.fetchWidth);
-    appendField(key, c.commitWidth);
-    appendField(key, c.permCheckLatency);
-    appendField(key, c.branchResolveLatency);
-    appendField(key, c.retResolveLatency);
-    appendField(key, c.exceptionDeliveryLatency);
-    appendField(key, c.txnAbortDetectLatency);
-    appendField(key, c.partialAliasPenalty);
-    appendField(key, c.physAliasPenalty);
-    appendField(key, c.rsbDepth);
-    appendField(key, c.lfbEntries);
-    // CacheConfig.
-    appendField(key, c.cache.sets);
-    appendField(key, c.cache.ways);
-    appendField(key, c.cache.lineSize);
-    appendField(key, c.cache.hitLatency);
-    appendField(key, c.cache.missLatency);
-    // VulnConfig.
-    appendField(key, c.vuln.meltdown);
-    appendField(key, c.vuln.l1tf);
-    appendField(key, c.vuln.mds);
-    appendField(key, c.vuln.lazyFp);
-    appendField(key, c.vuln.storeBypass);
-    appendField(key, c.vuln.msr);
-    appendField(key, c.vuln.taa);
-    // HwDefenseConfig.
-    appendField(key, c.defense.fenceSpeculativeLoads);
-    appendField(key, c.defense.blockSpeculativeForwarding);
-    appendField(key, c.defense.blockTaintedTransmit);
-    appendField(key, c.defense.invisibleSpeculation);
-    appendField(key, c.defense.cleanupSpec);
-    appendField(key, c.defense.conditionalSpeculation);
-    appendField(key, c.defense.partitionedCache);
-    appendField(key, c.defense.flushPredictorOnContextSwitch);
-    appendField(key, c.defense.noIndirectPrediction);
-    appendField(key, c.defense.noBranchPrediction);
-    appendField(key, c.defense.clearBuffersOnContextSwitch);
-    appendField(key, c.defense.eagerFpuSwitch);
-    appendField(key, c.defense.safeStoreBypass);
-    // AttackOptions.
-    appendField(key, static_cast<std::uint64_t>(o.channel));
-    appendField(key, o.secretLen);
-    appendField(key, o.flushL1OnExit);
-    appendField(key, o.kpti);
-    appendField(key, o.rsbStuffing);
-    appendField(key, o.softwareLfence);
-    appendField(key, o.addressMasking);
-    appendField(key, o.trainingRounds);
-    appendField(key, o.delayAuthorization);
-    return key;
-}
-
 namespace
 {
+
+/**
+ * The scenario key's field list: calls @p visit on every CpuConfig
+ * (nested CacheConfig / VulnConfig / HwDefenseConfig included) and
+ * AttackOptions field, in key order.  scenarioKey() writes and
+ * parseScenarioKey() reads through this one list, so the two cannot
+ * disagree on which machine a key names.
+ */
+template <typename Config, typename Options, typename Visit>
+void
+forEachKeyField(Config &c, Options &o, Visit &&visit)
+{
+    // Tripwire: the key must cover every field that determines a
+    // run's outcome, or dedup silently folds distinct scenarios.
+    // When either struct grows, extend the list below, then update
+    // the expected size.
+#if defined(__x86_64__) && defined(__linux__)
+    static_assert(sizeof(CpuConfig) == 120,
+                  "CpuConfig changed: extend forEachKeyField()");
+    static_assert(sizeof(AttackOptions) == 32,
+                  "AttackOptions changed: extend forEachKeyField()");
+#endif
+    visit(c.robSize);
+    visit(c.fetchWidth);
+    visit(c.commitWidth);
+    visit(c.permCheckLatency);
+    visit(c.branchResolveLatency);
+    visit(c.retResolveLatency);
+    visit(c.exceptionDeliveryLatency);
+    visit(c.txnAbortDetectLatency);
+    visit(c.partialAliasPenalty);
+    visit(c.physAliasPenalty);
+    visit(c.rsbDepth);
+    visit(c.lfbEntries);
+    visit(c.cache.sets);
+    visit(c.cache.ways);
+    visit(c.cache.lineSize);
+    visit(c.cache.hitLatency);
+    visit(c.cache.missLatency);
+    visit(c.vuln.meltdown);
+    visit(c.vuln.l1tf);
+    visit(c.vuln.mds);
+    visit(c.vuln.lazyFp);
+    visit(c.vuln.storeBypass);
+    visit(c.vuln.msr);
+    visit(c.vuln.taa);
+    visit(c.defense.fenceSpeculativeLoads);
+    visit(c.defense.blockSpeculativeForwarding);
+    visit(c.defense.blockTaintedTransmit);
+    visit(c.defense.invisibleSpeculation);
+    visit(c.defense.cleanupSpec);
+    visit(c.defense.conditionalSpeculation);
+    visit(c.defense.partitionedCache);
+    visit(c.defense.flushPredictorOnContextSwitch);
+    visit(c.defense.noIndirectPrediction);
+    visit(c.defense.noBranchPrediction);
+    visit(c.defense.clearBuffersOnContextSwitch);
+    visit(c.defense.eagerFpuSwitch);
+    visit(c.defense.safeStoreBypass);
+    visit(o.channel);
+    visit(o.secretLen);
+    visit(o.flushL1OnExit);
+    visit(o.kpti);
+    visit(o.rsbStuffing);
+    visit(o.softwareLfence);
+    visit(o.addressMasking);
+    visit(o.trainingRounds);
+    visit(o.delayAuthorization);
+}
 
 /**
  * Field-by-field consumer for parseScenarioKey: pops the next
@@ -312,7 +360,6 @@ class KeyReader
     }
 
     bool done() const { return !failed_ && pos_ == key_.size(); }
-    bool failed() const { return failed_; }
 
   private:
     const std::string &key_;
@@ -322,67 +369,30 @@ class KeyReader
 
 } // namespace
 
+std::string
+scenarioKey(core::AttackVariant variant, const CpuConfig &c,
+            const AttackOptions &o)
+{
+    std::string key;
+    key.reserve(160);
+    appendField(key, static_cast<std::uint64_t>(variant));
+    forEachKeyField(c, o, [&key](const auto &field) {
+        appendField(key, static_cast<std::uint64_t>(field));
+    });
+    return key;
+}
+
 bool
 parseScenarioKey(const std::string &key,
                  core::AttackVariant &variant, CpuConfig &c,
                  AttackOptions &o)
 {
-    // Mirror of scenarioKey(): consume the fields in the exact
-    // order that function appends them.  The static_asserts there
-    // cover this function too — both must be extended together.
     KeyReader in(key);
     const std::uint64_t v = in.next();
-    // CpuConfig scalars.
-    c.robSize = static_cast<std::size_t>(in.next());
-    c.fetchWidth = static_cast<unsigned>(in.next());
-    c.commitWidth = static_cast<unsigned>(in.next());
-    c.permCheckLatency = static_cast<unsigned>(in.next());
-    c.branchResolveLatency = static_cast<unsigned>(in.next());
-    c.retResolveLatency = static_cast<unsigned>(in.next());
-    c.exceptionDeliveryLatency = static_cast<unsigned>(in.next());
-    c.txnAbortDetectLatency = static_cast<unsigned>(in.next());
-    c.partialAliasPenalty = static_cast<unsigned>(in.next());
-    c.physAliasPenalty = static_cast<unsigned>(in.next());
-    c.rsbDepth = static_cast<std::size_t>(in.next());
-    c.lfbEntries = static_cast<std::size_t>(in.next());
-    // CacheConfig.
-    c.cache.sets = static_cast<std::size_t>(in.next());
-    c.cache.ways = static_cast<std::size_t>(in.next());
-    c.cache.lineSize = static_cast<std::size_t>(in.next());
-    c.cache.hitLatency = static_cast<std::uint32_t>(in.next());
-    c.cache.missLatency = static_cast<std::uint32_t>(in.next());
-    // VulnConfig.
-    c.vuln.meltdown = in.next() != 0;
-    c.vuln.l1tf = in.next() != 0;
-    c.vuln.mds = in.next() != 0;
-    c.vuln.lazyFp = in.next() != 0;
-    c.vuln.storeBypass = in.next() != 0;
-    c.vuln.msr = in.next() != 0;
-    c.vuln.taa = in.next() != 0;
-    // HwDefenseConfig.
-    c.defense.fenceSpeculativeLoads = in.next() != 0;
-    c.defense.blockSpeculativeForwarding = in.next() != 0;
-    c.defense.blockTaintedTransmit = in.next() != 0;
-    c.defense.invisibleSpeculation = in.next() != 0;
-    c.defense.cleanupSpec = in.next() != 0;
-    c.defense.conditionalSpeculation = in.next() != 0;
-    c.defense.partitionedCache = in.next() != 0;
-    c.defense.flushPredictorOnContextSwitch = in.next() != 0;
-    c.defense.noIndirectPrediction = in.next() != 0;
-    c.defense.noBranchPrediction = in.next() != 0;
-    c.defense.clearBuffersOnContextSwitch = in.next() != 0;
-    c.defense.eagerFpuSwitch = in.next() != 0;
-    c.defense.safeStoreBypass = in.next() != 0;
-    // AttackOptions.
-    o.channel = static_cast<core::CovertChannelKind>(in.next());
-    o.secretLen = static_cast<std::size_t>(in.next());
-    o.flushL1OnExit = in.next() != 0;
-    o.kpti = in.next() != 0;
-    o.rsbStuffing = in.next() != 0;
-    o.softwareLfence = in.next() != 0;
-    o.addressMasking = in.next() != 0;
-    o.trainingRounds = static_cast<unsigned>(in.next());
-    o.delayAuthorization = in.next() != 0;
+    forEachKeyField(c, o, [&in](auto &field) {
+        field = static_cast<std::remove_reference_t<decltype(field)>>(
+            in.next());
+    });
     if (!in.done() || uarch::cacheGeometryError(c.cache) != nullptr ||
         v > std::numeric_limits<
                 std::underlying_type_t<core::AttackVariant>>::max())
@@ -447,33 +457,6 @@ expandGrid(const ScenarioSpec &spec)
         grid.push_back(std::move(s));
     }
     return grid;
-}
-
-bool
-parseShardRange(const std::string &text, ShardRange &shard)
-{
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        return false;
-    const auto parseField = [&text](std::size_t begin,
-                                    std::size_t end,
-                                    std::size_t &out) {
-        std::size_t value = 0;
-        if (begin == end)
-            return false;
-        for (std::size_t i = begin; i < end; ++i) {
-            const char c = text[i];
-            if (c < '0' || c > '9')
-                return false;
-            value = value * 10 + static_cast<std::size_t>(c - '0');
-        }
-        out = value;
-        return true;
-    };
-    return parseField(0, slash, shard.index) &&
-           parseField(slash + 1, text.size(), shard.count) &&
-           shard.count > 0 && shard.index < shard.count;
 }
 
 ShardSelection
@@ -807,22 +790,8 @@ executeKeyBatch(
         }
     }
 
-    if (workers == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        workers = hw > 0 ? hw : 1;
-    }
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex failureMutex;
-    std::string failure; // the first runner exception, if any
-    const auto worker = [&]() {
-        for (;;) {
-            if (cancelled.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= keys.size())
-                return;
+    try {
+        runPool(keys.size(), workers, [&](std::size_t i) {
             KeyBatchItem item;
             if (cache) {
                 if (const auto hit = cache->lookup(keys[i])) {
@@ -840,39 +809,22 @@ executeKeyBatch(
                 } catch (const std::exception &e) {
                     // A key can parse yet name a machine the runner
                     // cannot build: fail the batch, not the process.
-                    const std::lock_guard<std::mutex> lock(
-                        failureMutex);
-                    if (failure.empty())
-                        failure = "key at index " +
-                                  std::to_string(i) + ": " +
-                                  e.what();
-                    cancelled.store(true, std::memory_order_relaxed);
-                    return;
+                    throw std::runtime_error("key at index " +
+                                             std::to_string(i) +
+                                             ": " + e.what());
                 }
                 item.wallMillis = millisSince(t0);
                 if (cache)
-                    cache->store(keys[i],
-                                 {item.result, item.stats});
+                    cache->store(keys[i], {item.result, item.stats});
             }
-            if (!emit(i, item))
-                cancelled.store(true, std::memory_order_relaxed);
-        }
-    };
-    if (workers <= 1 || keys.size() <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        const unsigned n = std::min<std::size_t>(
-            workers, keys.size());
-        pool.reserve(n);
-        for (unsigned w = 0; w < n; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
+            return emit(i, item);
+        });
+    } catch (const std::exception &e) {
+        if (error)
+            *error = e.what();
+        return false;
     }
-    if (!failure.empty() && error)
-        *error = failure;
-    return failure.empty();
+    return true;
 }
 
 unsigned
@@ -889,15 +841,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
                     const std::vector<OutcomeSink *> &sinks,
                     ShardRange shard) const
 {
-    // Scenario build-path selection for this run (worker threads
-    // read the process-wide mode): fork pooled snapshot arenas by
-    // default, rebuild-from-scratch when the caller wants the
-    // reference path for a byte-identity comparison.
-    const attacks::ScenarioBuildModeGuard buildMode(
-        options_.forkScenarios
-            ? attacks::ScenarioBuildMode::Fork
-            : attacks::ScenarioBuildMode::Rebuild);
-
     const ExpandedGrid grid = dedupGrid(spec);
     const ShardSelection sel = grid.shard(shard.index, shard.count);
     const unsigned nworkers = workers();
@@ -960,7 +903,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> cacheHits{0};
     std::atomic<std::size_t> modelDecided{0};
     std::atomic<std::size_t> modelUndecided{0};
@@ -1053,161 +995,121 @@ CampaignEngine::run(const ScenarioSpec &spec,
         return false;
     };
 
-    // Simulator / Model / Differential: one unique position per
-    // work item.
-    const auto worker = [&]() {
-        for (;;) {
-            const std::size_t n =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (n >= sel.uniquePositions.size())
-                return;
-            const std::size_t pos = sel.uniquePositions[n];
-            const Scenario &s =
-                grid.expanded[grid.uniqueIndices[pos]];
+    // Simulator / Model / Differential / Static: one unique
+    // position per work item.
+    const auto cell = [&](std::size_t n) {
+        const std::size_t pos = sel.uniquePositions[n];
+        const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
 
-            if (backend == verdict::VerdictBackend::Model) {
-                // Analysis only: never touches the simulator.  The
-                // synthesized result carries the predicted leak bit
-                // and nothing else; cache entries live under the
-                // tagged key so they can never satisfy a simulator
-                // lookup.
-                const core::ModelJudgement j = judged(s);
-                AttackResult result;
-                CpuStats stats;
-                const std::string mkey =
-                    backendCacheKey(backend, s.key);
-                bool cached = false;
-                if (cache) {
-                    if (const auto hit = cache->lookup(mkey)) {
-                        result = hit->result;
-                        stats = hit->stats;
-                        cached = true;
-                        cacheHits.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                }
-                if (!cached) {
-                    result.name = s.rowLabel;
-                    result.leaked = j.predictsLeak();
-                    if (cache)
-                        cache->store(mkey, {result, stats});
-                }
-                emit(pos, result, stats, 0.0, &j, nullptr);
-                continue;
-            }
-
+        if (backend == verdict::VerdictBackend::Model) {
+            // Analysis only: never touches the simulator.  The
+            // synthesized result carries the predicted leak bit and
+            // nothing else; cache entries live under the tagged key
+            // so they can never satisfy a simulator lookup.
+            const core::ModelJudgement j = judged(s);
             AttackResult result;
             CpuStats stats;
-            double wallMillis = 0.0;
-            simulate(s, result, stats, wallMillis);
-            if (backend == verdict::VerdictBackend::Differential ||
-                backend == verdict::VerdictBackend::Static) {
-                verdict::StaticJudgement sj;
-                const core::ModelJudgement j = judged(s, &sj);
-                const char *agreement = "undecided";
-                if (j.decided()) {
-                    agreement =
-                        j.predictsLeak() == result.leaked
-                            ? "agree"
-                            : "disagree";
-                    if (j.predictsLeak() != result.leaked)
-                        disagreements.fetch_add(
-                            1, std::memory_order_relaxed);
+            const std::string mkey = backendCacheKey(backend, s.key);
+            bool cached = false;
+            if (cache) {
+                if (const auto hit = cache->lookup(mkey)) {
+                    result = hit->result;
+                    stats = hit->stats;
+                    cached = true;
+                    cacheHits.fetch_add(1, std::memory_order_relaxed);
                 }
-                emit(pos, result, stats, wallMillis, &j, agreement,
-                     backend == verdict::VerdictBackend::Static
-                         ? &sj
-                         : nullptr);
-            } else {
-                emit(pos, result, stats, wallMillis, nullptr,
-                     nullptr);
             }
+            if (!cached) {
+                result.name = s.rowLabel;
+                result.leaked = j.predictsLeak();
+                if (cache)
+                    cache->store(mkey, {result, stats});
+            }
+            emit(pos, result, stats, 0.0, &j, nullptr);
+            return true;
         }
+
+        AttackResult result;
+        CpuStats stats;
+        double wallMillis = 0.0;
+        simulate(s, result, stats, wallMillis);
+        if (backend == verdict::VerdictBackend::Differential ||
+            backend == verdict::VerdictBackend::Static) {
+            verdict::StaticJudgement sj;
+            const core::ModelJudgement j = judged(s, &sj);
+            const char *agreement = "undecided";
+            if (j.decided()) {
+                agreement = j.predictsLeak() == result.leaked
+                                ? "agree"
+                                : "disagree";
+                if (j.predictsLeak() != result.leaked)
+                    disagreements.fetch_add(1,
+                                            std::memory_order_relaxed);
+            }
+            emit(pos, result, stats, wallMillis, &j, agreement,
+                 backend == verdict::VerdictBackend::Static ? &sj
+                                                            : nullptr);
+        } else {
+            emit(pos, result, stats, wallMillis, nullptr, nullptr);
+        }
+        return true;
     };
 
     // Triage: one replication class per work item.  Every member is
     // judged (the counters below report the model's coverage); the
     // class is served by a cache hit or one simulated representative
     // and the rest replicate that entry verbatim.
-    const auto triageWorker = [&]() {
-        for (;;) {
-            const std::size_t n =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (n >= classes.size())
-                return;
-            const std::vector<std::size_t> &members = classes[n];
+    const auto triageClass = [&](std::size_t n) {
+        const std::vector<std::size_t> &members = classes[n];
 
-            std::vector<core::ModelJudgement> judgements;
-            judgements.reserve(members.size());
-            bool conflict = false;
-            bool sawDecided = false;
-            bool decidedLeak = false;
-            for (const std::size_t pos : members) {
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                judgements.push_back(judged(s));
-                const core::ModelJudgement &j = judgements.back();
-                if (!j.decided())
-                    continue;
-                if (sawDecided && decidedLeak != j.predictsLeak())
-                    conflict = true;
-                sawDecided = true;
-                decidedLeak = j.predictsLeak();
-            }
-
-            // Cache pass: members already memoized emit directly and
-            // the first hit doubles as the class representative.
-            std::vector<std::size_t> missing;
-            std::optional<ResultCache::Entry> have;
-            for (std::size_t m = 0; m < members.size(); ++m) {
-                const std::size_t pos = members[m];
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                bool cached = false;
-                if (cache) {
-                    if (const auto hit = cache->lookup(s.key)) {
-                        emit(pos, hit->result, hit->stats, 0.0,
-                             &judgements[m], nullptr);
-                        cacheHits.fetch_add(
-                            1, std::memory_order_relaxed);
-                        if (!have)
-                            have = *hit;
-                        cached = true;
-                    }
-                }
-                if (!cached)
-                    missing.push_back(m);
-            }
-            if (missing.empty())
+        std::vector<core::ModelJudgement> judgements;
+        judgements.reserve(members.size());
+        bool conflict = false;
+        bool sawDecided = false;
+        bool decidedLeak = false;
+        for (const std::size_t pos : members) {
+            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
+            judgements.push_back(judged(s));
+            const core::ModelJudgement &j = judgements.back();
+            if (!j.decided())
                 continue;
+            if (sawDecided && decidedLeak != j.predictsLeak())
+                conflict = true;
+            sawDecided = true;
+            decidedLeak = j.predictsLeak();
+        }
 
-            if (conflict) {
-                // Soundness tripwire: decided verdicts disagreeing
-                // inside one class would mean the canonicalization
-                // folded two genuinely different experiments.
-                // Should be unreachable; simulate every member
-                // individually rather than replicate anything.
-                for (const std::size_t m : missing) {
-                    const std::size_t pos = members[m];
-                    const Scenario &s =
-                        grid.expanded[grid.uniqueIndices[pos]];
-                    AttackResult result;
-                    CpuStats stats;
-                    double wallMillis = 0.0;
-                    simulate(s, result, stats, wallMillis);
-                    emit(pos, result, stats, wallMillis,
+        // Cache pass: members already memoized emit directly and the
+        // first hit doubles as the class representative.
+        std::vector<std::size_t> missing;
+        std::optional<ResultCache::Entry> have;
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            const std::size_t pos = members[m];
+            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
+            bool cached = false;
+            if (cache) {
+                if (const auto hit = cache->lookup(s.key)) {
+                    emit(pos, hit->result, hit->stats, 0.0,
                          &judgements[m], nullptr);
+                    cacheHits.fetch_add(1, std::memory_order_relaxed);
+                    if (!have)
+                        have = *hit;
+                    cached = true;
                 }
-                continue;
             }
+            if (!cached)
+                missing.push_back(m);
+        }
+        if (missing.empty())
+            return true;
 
-            std::size_t first = 0;
-            if (!have) {
-                // Simulate the class representative (first missing
-                // member, stored under its own bare key only —
-                // replicated entries are never stored, so the cache
-                // stays a record of real executions).
-                const std::size_t m = missing.front();
+        if (conflict) {
+            // Soundness tripwire: decided verdicts disagreeing inside
+            // one class would mean the canonicalization folded two
+            // genuinely different experiments.  Should be
+            // unreachable; simulate every member individually rather
+            // than replicate anything.
+            for (const std::size_t m : missing) {
                 const std::size_t pos = members[m];
                 const Scenario &s =
                     grid.expanded[grid.uniqueIndices[pos]];
@@ -1217,37 +1119,43 @@ CampaignEngine::run(const ScenarioSpec &spec,
                 simulate(s, result, stats, wallMillis);
                 emit(pos, result, stats, wallMillis, &judgements[m],
                      nullptr);
-                have = ResultCache::Entry{result, stats};
-                first = 1;
             }
-            for (std::size_t i = first; i < missing.size(); ++i) {
-                const std::size_t m = missing[i];
-                emit(members[m], have->result, have->stats, 0.0,
-                     &judgements[m], nullptr);
-                replicatedCells.fetch_add(
-                    1, std::memory_order_relaxed);
-            }
+            return true;
         }
+
+        std::size_t first = 0;
+        if (!have) {
+            // Simulate the class representative (first missing
+            // member, stored under its own bare key only — replicated
+            // entries are never stored, so the cache stays a record
+            // of real executions).
+            const std::size_t m = missing.front();
+            const std::size_t pos = members[m];
+            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
+            AttackResult result;
+            CpuStats stats;
+            double wallMillis = 0.0;
+            simulate(s, result, stats, wallMillis);
+            emit(pos, result, stats, wallMillis, &judgements[m],
+                 nullptr);
+            have = ResultCache::Entry{result, stats};
+            first = 1;
+        }
+        for (std::size_t i = first; i < missing.size(); ++i) {
+            const std::size_t m = missing[i];
+            emit(members[m], have->result, have->stats, 0.0,
+                 &judgements[m], nullptr);
+            replicatedCells.fetch_add(1, std::memory_order_relaxed);
+        }
+        return true;
     };
 
-    const bool triage = backend == verdict::VerdictBackend::Triage;
-    const std::function<void()> work =
-        triage ? std::function<void()>(triageWorker)
-               : std::function<void()>(worker);
-    // At most one thread per work item, however many were asked
-    // for (header.workers still reports the request).
-    const std::size_t nthreads = std::min<std::size_t>(
-        nworkers, triage ? classes.size() : sel.uniquePositions.size());
-    if (nthreads <= 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nthreads);
-        for (std::size_t w = 0; w < nthreads; ++w)
-            pool.emplace_back(work);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    // header.workers still reports the request; runPool caps the
+    // threads at the work items.
+    if (backend == verdict::VerdictBackend::Triage)
+        runPool(classes.size(), nworkers, triageClass);
+    else
+        runPool(sel.uniquePositions.size(), nworkers, cell);
 
     CampaignFooter footer;
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);

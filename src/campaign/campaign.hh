@@ -184,9 +184,10 @@ struct Scenario
 /**
  * Canonical serialization of everything that determines a run's
  * outcome.  Two grid points with equal keys are the same experiment
- * and are executed once.  Must cover every field of CpuConfig
- * (including nested CacheConfig / VulnConfig / HwDefenseConfig) and
- * AttackOptions; extend when those structs grow.
+ * and are executed once.  Covers every field of CpuConfig (including
+ * nested CacheConfig / VulnConfig / HwDefenseConfig) and
+ * AttackOptions through the one field list in campaign.cc, which a
+ * sizeof tripwire makes grow with those structs.
  */
 std::string scenarioKey(core::AttackVariant variant,
                         const CpuConfig &config,
@@ -196,9 +197,8 @@ std::string scenarioKey(core::AttackVariant variant,
  * Invert scenarioKey(): reconstruct the (variant, config, options)
  * triple from its canonical key.  The key is the wire encoding of a
  * scenario's configuration in shard report files (src/tool/
- * report_io) — one string instead of ~47 named fields.  Must stay in
- * lockstep with scenarioKey(); the static_asserts there and the
- * round-trip test in tests/shard_test.cc tripwire both directions.
+ * report_io) — one string instead of ~47 named fields.  It reads the
+ * same field list scenarioKey() writes.
  *
  * @return false when @p key is not a well-formed scenario key,
  *         names a cache geometry uarch::cacheGeometryError() rejects
@@ -226,12 +226,6 @@ struct ShardRange
     std::size_t index = 0;
     std::size_t count = 1;
 };
-
-/**
- * Parse the user-facing "I/N" shard spelling (strict decimals,
- * N > 0, I < N) shared by every CLI front-end.
- */
-bool parseShardRange(const std::string &text, ShardRange &shard);
 
 /**
  * The slice of an ExpandedGrid owned by one shard: which unique
@@ -592,15 +586,6 @@ class CampaignEngine
         /// re-executed; fresh results are stored back.
         ResultCache *cache = nullptr;
 
-        /// Build each cell's simulator state by forking the pooled
-        /// ScenarioSnapshot arenas (attacks/snapshot.hh) instead of
-        /// reconstructing Memory/PageTable from scratch.  The two
-        /// paths are byte-identical in every timing-free export
-        /// (tests/snapshot_test.cc proves it per golden spec); this
-        /// knob exists for that comparison and for bisecting any
-        /// future divergence, not for production use.
-        bool forkScenarios = true;
-
         /// How each unique cell gets its verdict (src/verdict/):
         /// simulate (default), judge analytically, do both and flag
         /// disagreement, or triage — judge everything, simulate only
@@ -625,6 +610,11 @@ class CampaignEngine
      * @p sinks.  Each sink sees begin() once, then consume() once
      * per grid point the shard covers — from any worker thread, in
      * completion order — then end() once after the pool drains.
+     *
+     * A runner that throws (a cell whose machine cannot be built,
+     * such as a ROB past std::vector::max_size()) stops the pool;
+     * the exception is rethrown here after every worker has joined,
+     * and the sinks never see end().
      */
     void run(const ScenarioSpec &spec,
              const std::vector<OutcomeSink *> &sinks,

@@ -15,14 +15,14 @@
  * pin, 2 usage error.
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/catalog.hh"
 #include "lint/lint.hh"
+#include "tool/cli.hh"
+#include "tool/report.hh"
 
 namespace
 {
@@ -54,18 +54,6 @@ std::string
 goldenPath(const std::string &dir, const std::string &attack)
 {
     return dir + "/lint-" + lint::lintFileSlug(attack) + ".json";
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    out = os.str();
-    return true;
 }
 
 /** Resolve attack args (or default to every static-program attack). */
@@ -108,17 +96,15 @@ main(int argc, char **argv)
     std::string goldenDir = "golden";
     std::vector<std::string> attackArgs;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (tool::cli::Args args(argc, argv); args.next();) {
+        const std::string &arg = args.arg();
         if (arg == "--list-rules" || arg == "--show" ||
             arg == "--check" || arg == "--record") {
             if (!mode.empty())
                 return usage(std::cerr, 2);
             mode = arg;
-        } else if (arg == "--golden-dir") {
-            if (++i >= argc)
-                return usage(std::cerr, 2);
-            goldenDir = argv[i];
+        } else if (args.is("--golden-dir")) {
+            goldenDir = args.value();
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "unknown option '" << arg << "'\n";
             return usage(std::cerr, 2);
@@ -150,18 +136,16 @@ main(int argc, char **argv)
         findings += fresh.findings.size();
         const std::string path = goldenPath(goldenDir, d->name);
         if (mode == "--record") {
-            std::ofstream out(path, std::ios::binary);
-            if (!out) {
+            if (!tool::writeTextFile(path, lint::lintReportJson(fresh))) {
                 std::cerr << "cannot write " << path << "\n";
                 return 2;
             }
-            out << lint::lintReportJson(fresh);
             std::cout << "recorded " << path << " ("
                       << fresh.findings.size() << " findings)\n";
             continue;
         }
         std::string text;
-        if (!readFile(path, text)) {
+        if (!tool::readTextFile(path, text)) {
             std::cerr << d->name << ": missing lint pin " << path
                       << " (run --record)\n";
             ++failures;

@@ -221,20 +221,11 @@ vulnAblationSpec()
                      AttackVariant::Taa};
     const uarch::VulnConfig all;
     spec.vulnAblations.push_back({"all-paths", all});
-    const auto ablate =
-        [&spec, &all](const char *name,
-                      bool uarch::VulnConfig::*path) {
-            uarch::VulnConfig v = all;
-            v.*path = false;
-            spec.vulnAblations.push_back({name, v});
-        };
-    ablate("no-meltdown", &uarch::VulnConfig::meltdown);
-    ablate("no-l1tf", &uarch::VulnConfig::l1tf);
-    ablate("no-mds", &uarch::VulnConfig::mds);
-    ablate("no-lazyfp", &uarch::VulnConfig::lazyFp);
-    ablate("no-store-bypass", &uarch::VulnConfig::storeBypass);
-    ablate("no-msr", &uarch::VulnConfig::msr);
-    ablate("no-taa", &uarch::VulnConfig::taa);
+    for (const uarch::VulnPath &path : uarch::kVulnPaths) {
+        uarch::VulnConfig v = all;
+        v.*path.member = false;
+        spec.vulnAblations.push_back({std::string("no-") + path.name, v});
+    }
     return spec;
 }
 

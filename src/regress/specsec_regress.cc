@@ -36,16 +36,11 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,6 +49,7 @@
 #include "regress/golden.hh"
 #include "regress/specs.hh"
 #include "serve/client.hh"
+#include "tool/cli.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
 #include "verdict/differential.hh"
@@ -63,6 +59,7 @@
 
 using namespace specsec;
 using namespace specsec::regress;
+namespace cli = specsec::tool::cli;
 
 namespace
 {
@@ -88,19 +85,6 @@ usage(const char *prog)
         "                     golden/differential-static-<spec>.json\n"
         "  --check            compare a fresh run against goldens "
         "(default)\n"
-        "  --backend B        with --check: simulator (default), "
-        "differential\n"
-        "                     (also gate model-vs-simulator "
-        "disagreements against\n"
-        "                     the committed pins), triage (model "
-        "first, simulate\n"
-        "                     only the undecided frontier; matrices "
-        "must still\n"
-        "                     match the goldens byte-for-byte) or "
-        "static (gate\n"
-        "                     analyzer-vs-simulator disagreements "
-        "against the\n"
-        "                     differential-static-<spec>.json pins)\n"
         "  --merge            merge shard reports from --shard-dir "
         "and compare\n"
         "                     the merged matrices against goldens\n"
@@ -110,25 +94,8 @@ usage(const char *prog)
         "  --artifact-dir DIR where --check drops actual/diff/"
         "campaign files on drift\n"
         "                     (default: regress-artifacts)\n"
-        "  --workers N        engine worker threads (default: all "
-        "cores)\n"
-        "  --shard I/N        with --check: execute only shard I of "
-        "N of each spec\n"
-        "                     and write mergeable shard reports to "
-        "--shard-dir\n"
-        "                     instead of comparing\n"
         "  --shard-dir DIR    shard report directory (default: "
         "regress-shards)\n"
-        "  --cache-file PATH  persistent result cache: load before "
-        "running, save\n"
-        "                     (atomically) after; stale/corrupt "
-        "files are ignored\n"
-        "  --connect HOST:P   with --check: execute every spec on "
-        "a running\n"
-        "                     `campaign_cli serve` daemon (shared "
-        "cache fleet)\n"
-        "                     instead of in-process; results are "
-        "byte-identical\n"
         "  --with-accuracy    with --record: also pin every "
         "schema-declared\n"
         "                     accuracy field per grid point "
@@ -148,31 +115,15 @@ usage(const char *prog)
         "  --flip-vuln PATH   drift self-test: disable a forwarding "
         "path (meltdown,\n"
         "                     l1tf, mds, lazyfp, store-bypass, msr, "
-        "taa) before running\n",
-        prog);
+        "taa) before running\n"
+        "%s"
+        "  --backend, --shard and --connect apply to --check: backend "
+        "differential\n"
+        "  or static also gates the pinned divergences, and --shard "
+        "writes shard\n"
+        "  reports to --shard-dir instead of comparing.\n",
+        prog, cli::kRunFlagUsage);
     return 2;
-}
-
-bool
-flipVuln(const std::string &path, uarch::VulnConfig &vuln)
-{
-    if (path == "meltdown")
-        vuln.meltdown = !vuln.meltdown;
-    else if (path == "l1tf")
-        vuln.l1tf = !vuln.l1tf;
-    else if (path == "mds")
-        vuln.mds = !vuln.mds;
-    else if (path == "lazyfp")
-        vuln.lazyFp = !vuln.lazyFp;
-    else if (path == "store-bypass")
-        vuln.storeBypass = !vuln.storeBypass;
-    else if (path == "msr")
-        vuln.msr = !vuln.msr;
-    else if (path == "taa")
-        vuln.taa = !vuln.taa;
-    else
-        return false;
-    return true;
 }
 
 bool
@@ -303,29 +254,11 @@ mergeShards(const NamedSpec &named, const std::string &shard_dir)
     // Deterministic fold order regardless of directory order.
     std::sort(files.begin(), files.end());
 
-    std::optional<campaign::CampaignReport> merged;
-    for (const std::string &path : files) {
-        std::string text;
-        if (!tool::readTextFile(path, text)) {
-            std::fprintf(stderr, "cannot read %s\n", path.c_str());
-            return std::nullopt;
-        }
-        std::string error;
-        auto shard = tool::parseShardReportJson(text, &error);
-        if (!shard) {
-            std::fprintf(stderr, "%s: malformed shard report: %s\n",
-                         path.c_str(), error.c_str());
-            return std::nullopt;
-        }
-        if (!merged) {
-            merged = std::move(*shard);
-            continue;
-        }
-        if (!merged->merge(*shard, &error)) {
-            std::fprintf(stderr, "%s: merge conflict: %s\n",
-                         path.c_str(), error.c_str());
-            return std::nullopt;
-        }
+    std::string error;
+    auto merged = cli::mergeShardFiles(files, &error);
+    if (!merged) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return std::nullopt;
     }
     if (merged->partial()) {
         std::fprintf(stderr,
@@ -475,65 +408,38 @@ main(int argc, char **argv)
     std::string golden_dir = "golden";
     std::string artifact_dir = "regress-artifacts";
     std::string shard_dir = "regress-shards";
-    std::string cache_file;
-    std::string connect_endpoint;
     std::string flip;
     std::string format_from;
     bool list_json = false;
-    bool backend_given = false;
-    verdict::VerdictBackend backend =
-        verdict::VerdictBackend::Simulator;
     bool with_accuracy = false;
     std::optional<double> accuracy_eps;
-    campaign::ShardRange shard;
-    bool sharded = false;
-    campaign::CampaignEngine::Options engine_opts;
+    cli::RunFlags run;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list")
+    for (cli::Args args(argc, argv); args.next();) {
+        if (cli::parseRunFlag(args, run))
+            continue;
+        if (args.is("--list"))
             mode = Mode::List;
-        else if (arg == "--record")
+        else if (args.is("--record"))
             mode = Mode::Record;
-        else if (arg == "--check")
+        else if (args.is("--check"))
             mode = Mode::Check;
-        else if (arg == "--merge")
+        else if (args.is("--merge"))
             mode = Mode::Merge;
-        else if (arg == "--json")
+        else if (args.is("--json"))
             list_json = true;
-        else if (arg == "--backend") {
-            const std::string name = value();
-            if (!verdict::parseBackend(name, backend)) {
-                std::fprintf(
-                    stderr, "%s\n",
-                    verdict::unknownBackendMessage(name).c_str());
-                return 2;
-            }
-            backend_given = true;
-        } else if (arg == "--spec")
-            only_spec = value();
-        else if (arg == "--golden-dir")
-            golden_dir = value();
-        else if (arg == "--artifact-dir")
-            artifact_dir = value();
-        else if (arg == "--shard-dir")
-            shard_dir = value();
-        else if (arg == "--cache-file")
-            cache_file = value();
-        else if (arg == "--connect")
-            connect_endpoint = value();
-        else if (arg == "--with-accuracy")
+        else if (args.is("--spec"))
+            only_spec = args.value();
+        else if (args.is("--golden-dir"))
+            golden_dir = args.value();
+        else if (args.is("--artifact-dir"))
+            artifact_dir = args.value();
+        else if (args.is("--shard-dir"))
+            shard_dir = args.value();
+        else if (args.is("--with-accuracy"))
             with_accuracy = true;
-        else if (arg == "--accuracy-eps") {
-            const char *v = value();
+        else if (args.is("--accuracy-eps")) {
+            const char *v = args.value();
             char *end = nullptr;
             const double eps = std::strtod(v, &end);
             if (*v == '\0' || end == nullptr || *end != '\0' ||
@@ -545,35 +451,20 @@ main(int argc, char **argv)
                 return 2;
             }
             accuracy_eps = eps;
-        } else if (arg == "--format-from")
-            format_from = value();
-        else if (arg == "--shard") {
-            if (!campaign::parseShardRange(value(), shard)) {
-                std::fprintf(stderr,
-                             "--shard: expected I/N with I < N\n");
-                return 2;
-            }
-            sharded = true;
-        } else if (arg == "--workers") {
-            // Digits only: strtoull would read "-1" as its maximum.
-            const char *v = value();
-            errno = 0;
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (*v < '0' || *v > '9' || errno == ERANGE ||
-                *end != '\0' ||
-                n > std::numeric_limits<unsigned>::max()) {
-                std::fprintf(stderr,
-                             "--workers: '%s' is not a number\n",
-                             v);
-                return 2;
-            }
-            engine_opts.workers = static_cast<unsigned>(n);
-        } else if (arg == "--flip-vuln")
-            flip = value();
+        } else if (args.is("--format-from"))
+            format_from = args.value();
+        else if (args.is("--flip-vuln"))
+            flip = args.value();
         else
             return usage(argv[0]);
     }
+    const bool backend_given = run.backend.has_value();
+    const verdict::VerdictBackend backend =
+        run.backend.value_or(verdict::VerdictBackend::Simulator);
+    const bool sharded = run.shard.has_value();
+    const campaign::ShardRange shard =
+        run.shard.value_or(campaign::ShardRange{});
+    const std::string &connect_endpoint = run.connect;
 
     if (list_json && mode != Mode::List) {
         std::fprintf(stderr, "--json only applies to --list\n");
@@ -636,7 +527,7 @@ main(int argc, char **argv)
                          "model)\n");
             return 2;
         }
-        if (sharded || !cache_file.empty()) {
+        if (sharded || !run.cacheFile.empty()) {
             // Remote runs already share the daemon's cache and
             // its worker pool; client-side shards and caches
             // would only obscure whose results a check used.
@@ -685,6 +576,14 @@ main(int argc, char **argv)
         return 0;
     }
 
+    const uarch::VulnPath *flip_path =
+        flip.empty() ? nullptr : uarch::findVulnPath(flip);
+    if (!flip.empty() && flip_path == nullptr) {
+        std::fprintf(stderr, "unknown --flip-vuln path '%s'\n",
+                     flip.c_str());
+        return 2;
+    }
+
     std::vector<NamedSpec> selected;
     for (const NamedSpec &named : registeredSpecs())
         if (only_spec.empty() || named.name == only_spec)
@@ -704,6 +603,8 @@ main(int argc, char **argv)
     }
 
     campaign::ResultCache cache;
+    campaign::CampaignEngine::Options engine_opts;
+    engine_opts.workers = run.workers;
     engine_opts.cache = &cache;
     // Recording always runs the differential backend so the golden
     // matrices (simulator results, byte-identical to a plain run)
@@ -713,31 +614,16 @@ main(int argc, char **argv)
     else if (mode == Mode::Check)
         engine_opts.backend = backend;
     const campaign::CampaignEngine engine(engine_opts);
-    const std::string fingerprint = campaign::modelFingerprint();
     serve::Client client;
     if (!connect_endpoint.empty()) {
-        serve::net::Endpoint endpoint;
-        std::string error;
-        if (!serve::net::parseEndpoint(connect_endpoint, endpoint,
-                                       &error) ||
-            !client.connect(endpoint, &error)) {
-            std::fprintf(stderr, "connect %s: %s\n",
-                         connect_endpoint.c_str(), error.c_str());
+        if (!cli::connect(connect_endpoint, client))
             return 2;
-        }
         std::printf("connected to %s (%u server workers)\n",
                     connect_endpoint.c_str(),
                     client.serverWorkers());
     }
-    if (!cache_file.empty() && mode != Mode::Merge) {
-        std::string error;
-        if (cache.loadFromFile(cache_file, fingerprint, &error))
-            std::printf("cache    loaded %zu entries from %s\n",
-                        cache.size(), cache_file.c_str());
-        else
-            std::printf("cache    cold start (%s)\n",
-                        error.c_str());
-    }
+    if (!run.cacheFile.empty() && mode != Mode::Merge)
+        cli::loadCache(run.cacheFile, cache);
 
     if (mode == Mode::Record && !ensureDir(golden_dir)) {
         std::fprintf(stderr, "cannot create %s\n",
@@ -752,11 +638,9 @@ main(int argc, char **argv)
 
     GateStatus status;
     for (NamedSpec &named : selected) {
-        if (!flip.empty() &&
-            !flipVuln(flip, named.spec.baseConfig.vuln)) {
-            std::fprintf(stderr, "unknown --flip-vuln path '%s'\n",
-                         flip.c_str());
-            return 2;
+        if (flip_path != nullptr) {
+            bool &path = named.spec.baseConfig.vuln.*flip_path->member;
+            path = !path;
         }
 
         if (mode == Mode::Merge) {
@@ -923,19 +807,8 @@ main(int argc, char **argv)
                         report.replicatedCells, report.cacheHits);
     }
 
-    if (!cache_file.empty() && mode != Mode::Merge) {
-        std::string error, lockWarning;
-        if (cache.saveToFile(cache_file, fingerprint, &error,
-                             &lockWarning))
-            std::printf("cache    saved %zu entries to %s\n",
-                        cache.size(), cache_file.c_str());
-        else
-            std::fprintf(stderr, "cache    save failed: %s\n",
-                         error.c_str());
-        if (!lockWarning.empty())
-            std::fprintf(stderr, "cache    save degraded: %s\n",
-                         lockWarning.c_str());
-    }
+    if (!run.cacheFile.empty() && mode != Mode::Merge)
+        cli::saveCache(run.cacheFile, cache);
 
     if (status.io_error)
         return 2;

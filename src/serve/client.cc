@@ -182,44 +182,6 @@ Client::runSubset(
 }
 
 bool
-Client::cacheGet(const std::vector<std::string> &keys,
-                 std::vector<CacheEntryMsg> &entries,
-                 std::string *error)
-{
-    if (!conn_.writeLine(cacheGetLine(keys)))
-        return fail(error, "connection lost");
-    std::string line;
-    if (!conn_.readLine(line))
-        return fail(error, "connection lost");
-    ParsedMsg msg = parseLine(line);
-    if (msg.type == MsgType::Error)
-        return fail(error, "server: " + msg.error);
-    if (msg.type != MsgType::CacheEntries)
-        return fail(error, "unexpected cache-get reply");
-    entries = std::move(msg.cache.entries);
-    return true;
-}
-
-bool
-Client::cachePut(const std::vector<CacheEntryMsg> &entries,
-                 std::size_t *stored, std::string *error)
-{
-    if (!conn_.writeLine(cachePutLine(entries)))
-        return fail(error, "connection lost");
-    std::string line;
-    if (!conn_.readLine(line))
-        return fail(error, "connection lost");
-    const ParsedMsg msg = parseLine(line);
-    if (msg.type == MsgType::Error)
-        return fail(error, "server: " + msg.error);
-    if (msg.type != MsgType::Ok)
-        return fail(error, "unexpected cache-put reply");
-    if (stored)
-        *stored = msg.ok.count;
-    return true;
-}
-
-bool
 Client::serverStats(StatsMsg &stats, std::string *error)
 {
     if (!conn_.writeLine(statsRequestLine()))

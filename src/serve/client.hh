@@ -77,16 +77,6 @@ class Client
         const std::vector<campaign::OutcomeSink *> &sinks,
         std::string *error = nullptr);
 
-    /** Shared-cache GET: entries come back for the keys present. */
-    bool cacheGet(const std::vector<std::string> &keys,
-                  std::vector<CacheEntryMsg> &entries,
-                  std::string *error = nullptr);
-
-    /** Shared-cache PUT; @p stored counts accepted entries. */
-    bool cachePut(const std::vector<CacheEntryMsg> &entries,
-                  std::size_t *stored = nullptr,
-                  std::string *error = nullptr);
-
     bool serverStats(StatsMsg &stats,
                      std::string *error = nullptr);
 

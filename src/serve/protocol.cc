@@ -28,29 +28,6 @@ num(double value)
     return tool::formatDouble(value, tool::DoubleStyle::Exact17);
 }
 
-std::string
-entryJson(const CacheEntryMsg &entry)
-{
-    std::string out = "{\"key\": " + quoted(entry.key);
-    out += ", \"result\": " + tool::attackResultJson(entry.result);
-    out += ", \"stats\": " + tool::cpuStatsJson(entry.stats);
-    out += "}";
-    return out;
-}
-
-std::string
-entriesJson(const std::vector<CacheEntryMsg> &entries)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += entryJson(entries[i]);
-    }
-    out += "]";
-    return out;
-}
-
 /** Expect the next object key to be exactly @p name. */
 bool
 expectKey(tool::json::Cursor &cur, const char *name)
@@ -62,33 +39,6 @@ expectKey(tool::json::Cursor &cur, const char *name)
         return cur.fail("expected key '" + std::string(name) +
                         "', got '" + key + "'");
     return cur.expect(':');
-}
-
-bool
-parseEntries(tool::json::Cursor &cur,
-             std::vector<CacheEntryMsg> &entries)
-{
-    if (!cur.expect('['))
-        return false;
-    if (cur.peekConsume(']'))
-        return true;
-    do {
-        CacheEntryMsg entry;
-        if (!cur.expect('{') || !expectKey(cur, "key"))
-            return false;
-        entry.key = cur.parseString();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "result") ||
-            !tool::parseAttackResultJson(cur, entry.result))
-            return false;
-        if (!cur.expect(',') || !expectKey(cur, "stats") ||
-            !tool::parseCpuStatsJson(cur, entry.stats))
-            return false;
-        if (!cur.expect('}'))
-            return false;
-        entries.push_back(std::move(entry));
-    } while (cur.peekConsume(','));
-    return cur.expect(']');
 }
 
 } // namespace
@@ -141,33 +91,6 @@ doneLine(const DoneMsg &msg)
        << ", \"cacheHits\": " << msg.cacheHits
        << ", \"wallMillis\": " << num(msg.wallMillis) << "}";
     return os.str();
-}
-
-std::string
-cacheGetLine(const std::vector<std::string> &keys)
-{
-    std::string out = "{\"type\": \"cache-get\", \"keys\": [";
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += quoted(keys[i]);
-    }
-    out += "]}";
-    return out;
-}
-
-std::string
-cacheEntriesLine(const std::vector<CacheEntryMsg> &entries)
-{
-    return "{\"type\": \"cache-entries\", \"entries\": " +
-           entriesJson(entries) + "}";
-}
-
-std::string
-cachePutLine(const std::vector<CacheEntryMsg> &entries)
-{
-    return "{\"type\": \"cache-put\", \"entries\": " +
-           entriesJson(entries) + "}";
 }
 
 std::string
@@ -310,25 +233,6 @@ parseLine(const std::string &line)
         if (cur.failed() || !cur.expect('}') || !cur.atEnd())
             return invalid("malformed done");
         msg.type = MsgType::Done;
-        return msg;
-    }
-    if (type == "cache-get") {
-        if (!cur.expect(',') || !expectKey(cur, "keys"))
-            return invalid("malformed cache-get");
-        msg.cache.keys = tool::json::parseStringArray(cur);
-        if (cur.failed() || !cur.expect('}') || !cur.atEnd())
-            return invalid("malformed cache-get");
-        msg.type = MsgType::CacheGet;
-        return msg;
-    }
-    if (type == "cache-entries" || type == "cache-put") {
-        if (!cur.expect(',') || !expectKey(cur, "entries") ||
-            !parseEntries(cur, msg.cache.entries))
-            return invalid("malformed " + type);
-        if (!cur.expect('}') || !cur.atEnd())
-            return invalid("malformed " + type);
-        msg.type = type == "cache-put" ? MsgType::CachePut
-                                       : MsgType::CacheEntries;
         return msg;
     }
     if (type == "ok") {

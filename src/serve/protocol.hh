@@ -19,10 +19,6 @@
  *                              <--  result{index,cached,wallMillis,
  *                                          result,stats}   (xN, any order)
  *                              <--  done{executed,cacheHits,wallMillis}
- *   cache-get{keys[]}          -->
- *                              <--  cache-entries{entries[]}
- *   cache-put{entries[]}       -->
- *                              <--  ok{count}
  *   stats{}                    -->
  *                              <--  stats{connections,requests,...}
  *   shutdown{}                 -->
@@ -30,6 +26,8 @@
  *
  * Any malformed or unexpected message yields error{message}; the
  * connection survives unless the handshake itself was rejected.
+ * Results enter the daemon's shared cache only from its own
+ * executions: no message stores a client-supplied result.
  * The handshake pins BOTH tool::wireSchemaTag() (field registry)
  * and campaign::modelFingerprint() (struct shapes, defaults and
  * extension-slot bindings): two binaries interoperate exactly when
@@ -56,8 +54,9 @@ namespace specsec::serve
 /** Protocol revision; bumped on any message-shape change.
  *  v2: stats grew the scenario-fork and warm-snapshot counters.
  *  v3: stats grew the verdict-model agreement counters.
- *  v4: stats dropped the warm-snapshot counters with their tier. */
-inline constexpr unsigned kProtocolVersion = 4;
+ *  v4: stats dropped the warm-snapshot counters with their tier.
+ *  v5: cache-get / cache-entries / cache-put removed. */
+inline constexpr unsigned kProtocolVersion = 5;
 
 /** The leading "type" value of a parsed message. */
 enum class MsgType
@@ -66,9 +65,6 @@ enum class MsgType
     Submit,
     Result,
     Done,
-    CacheGet,
-    CacheEntries,
-    CachePut,
     Ok,
     Stats,
     Shutdown,
@@ -106,19 +102,6 @@ struct DoneMsg
     double wallMillis = 0.0;
 };
 
-struct CacheEntryMsg
-{
-    std::string key;
-    attacks::AttackResult result;
-    uarch::CpuStats stats;
-};
-
-struct CacheMsg
-{
-    std::vector<std::string> keys;        ///< cache-get
-    std::vector<CacheEntryMsg> entries;   ///< cache-entries / put
-};
-
 struct OkMsg
 {
     std::size_t count = 0;
@@ -152,7 +135,6 @@ struct ParsedMsg
     SubmitMsg submit;
     ResultMsg result;
     DoneMsg done;
-    CacheMsg cache;
     OkMsg ok;
     StatsMsg stats;
     std::string error; ///< Error payload, or the parse failure
@@ -163,10 +145,6 @@ std::string helloLine(const HelloMsg &msg, bool with_workers);
 std::string submitLine(const SubmitMsg &msg);
 std::string resultLine(const ResultMsg &msg);
 std::string doneLine(const DoneMsg &msg);
-std::string cacheGetLine(const std::vector<std::string> &keys);
-std::string
-cacheEntriesLine(const std::vector<CacheEntryMsg> &entries);
-std::string cachePutLine(const std::vector<CacheEntryMsg> &entries);
 std::string okLine(std::size_t count);
 std::string statsRequestLine();
 std::string statsLine(const StatsMsg &msg);

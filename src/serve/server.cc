@@ -255,41 +255,6 @@ Server::handleConnection(std::shared_ptr<net::Conn> conn)
             if (!handleSubmit(*conn, msg.submit))
                 return; // client vanished mid-stream
             break;
-        case MsgType::CacheGet: {
-            std::vector<CacheEntryMsg> entries;
-            for (const std::string &key : msg.cache.keys) {
-                if (const auto hit = cache_.lookup(key)) {
-                    CacheEntryMsg entry;
-                    entry.key = key;
-                    entry.result = hit->result;
-                    entry.stats = hit->stats;
-                    entries.push_back(std::move(entry));
-                }
-            }
-            if (!conn->writeLine(cacheEntriesLine(entries)))
-                return;
-            break;
-        }
-        case MsgType::CachePut: {
-            std::size_t stored = 0;
-            for (const CacheEntryMsg &entry : msg.cache.entries) {
-                // Only canonical keys enter the shared cache; a
-                // client cannot poison it with unparseable keys.
-                core::AttackVariant variant{};
-                campaign::CpuConfig config;
-                campaign::AttackOptions options;
-                if (!campaign::parseScenarioKey(entry.key, variant,
-                                                config, options))
-                    continue;
-                cache_.store(entry.key,
-                             {entry.result, entry.stats});
-                ++stored;
-            }
-            saveCache();
-            if (!conn->writeLine(okLine(stored)))
-                return;
-            break;
-        }
         case MsgType::Stats:
             if (!conn->writeLine(statsLine(stats())))
                 return;

@@ -1,9 +1,9 @@
 /**
  * @file
  * The campaign daemon: one process owning one ResultCache, serving
- * scenario-execution batches and cache queries to any number of
- * concurrent clients over the line-delimited JSON protocol
- * (src/serve/protocol.hh).
+ * scenario-execution batches to any number of concurrent clients
+ * over the line-delimited JSON protocol (src/serve/protocol.hh).
+ * Only the daemon's own executions write its cache.
  *
  * Each accepted connection gets its own thread; a submit expands
  * into an executeKeyBatch() on the server's worker pool with

@@ -240,21 +240,14 @@ std::string
 vulnSummary(const uarch::VulnConfig &v)
 {
     std::string out;
-    const auto add = [&out](bool enabled, const char *name) {
-        if (enabled)
-            return;
+    for (const uarch::VulnPath &path : uarch::kVulnPaths) {
+        if (v.*path.member)
+            continue;
         if (!out.empty())
             out += '+';
         out += "no-";
-        out += name;
-    };
-    add(v.meltdown, "meltdown");
-    add(v.l1tf, "l1tf");
-    add(v.mds, "mds");
-    add(v.lazyFp, "lazyfp");
-    add(v.storeBypass, "store-bypass");
-    add(v.msr, "msr");
-    add(v.taa, "taa");
+        out += path.name;
+    }
     return out.empty() ? "all" : out;
 }
 
@@ -262,8 +255,8 @@ bool
 parseVulnSummary(const std::string &text, uarch::VulnConfig &out)
 {
     uarch::VulnConfig parsed;
-    parsed.meltdown = parsed.l1tf = parsed.mds = parsed.lazyFp =
-        parsed.storeBypass = parsed.msr = parsed.taa = true;
+    for (const uarch::VulnPath &path : uarch::kVulnPaths)
+        parsed.*path.member = true;
     if (text != "all") {
         std::size_t start = 0;
         while (start <= text.size()) {
@@ -272,22 +265,14 @@ parseVulnSummary(const std::string &text, uarch::VulnConfig &out)
                 text.substr(start, plus == std::string::npos
                                        ? std::string::npos
                                        : plus - start);
-            if (name == "no-meltdown")
-                parsed.meltdown = false;
-            else if (name == "no-l1tf")
-                parsed.l1tf = false;
-            else if (name == "no-mds")
-                parsed.mds = false;
-            else if (name == "no-lazyfp")
-                parsed.lazyFp = false;
-            else if (name == "no-store-bypass")
-                parsed.storeBypass = false;
-            else if (name == "no-msr")
-                parsed.msr = false;
-            else if (name == "no-taa")
-                parsed.taa = false;
-            else
+            const uarch::VulnPath *path =
+                name.rfind("no-", 0) == 0
+                    ? uarch::findVulnPath(
+                          std::string_view(name).substr(3))
+                    : nullptr;
+            if (path == nullptr)
                 return false;
+            parsed.*path->member = false;
             if (plus == std::string::npos)
                 break;
             start = plus + 1;

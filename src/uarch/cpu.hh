@@ -39,6 +39,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "buffers.hh"
@@ -62,6 +63,40 @@ struct VulnConfig
     bool msr = true;         ///< RDMSR forwards before privilege check
     bool taa = true;         ///< aborting-transaction loads forward residue
 };
+
+/** One forwarding path: its user-facing name and its VulnConfig
+ *  switch. */
+struct VulnPath
+{
+    const char *name;
+    bool VulnConfig::*member;
+};
+
+/**
+ * Every forwarding path, in VulnConfig order: the one table that
+ * maps a path name to its switch.  Export summaries ("no-mds+
+ * no-taa"), the vuln-ablation spec, `campaign_cli --vuln-ablate` and
+ * `specsec_regress --flip-vuln` all iterate it.
+ */
+inline constexpr VulnPath kVulnPaths[] = {
+    {"meltdown", &VulnConfig::meltdown},
+    {"l1tf", &VulnConfig::l1tf},
+    {"mds", &VulnConfig::mds},
+    {"lazyfp", &VulnConfig::lazyFp},
+    {"store-bypass", &VulnConfig::storeBypass},
+    {"msr", &VulnConfig::msr},
+    {"taa", &VulnConfig::taa},
+};
+
+/** The kVulnPaths row named @p name, or nullptr. */
+inline const VulnPath *
+findVulnPath(std::string_view name)
+{
+    for (const VulnPath &path : kVulnPaths)
+        if (name == path.name)
+            return &path;
+    return nullptr;
+}
 
 /** Hardware defense knobs, each mapped to a paper strategy. */
 struct HwDefenseConfig

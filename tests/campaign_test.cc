@@ -219,6 +219,12 @@ TEST(Grid, KeyCoversConfigAndOptions)
     AttackOptions kpti = opts;
     kpti.kpti = true;
     EXPECT_NE(k0, scenarioKey(AttackVariant::SpectreV1, base, kpti));
+
+    // The default Spectre v1 key, byte for byte: cache files, shard
+    // reports, wire keys and modelFingerprint() all embed it.
+    EXPECT_EQ(k0, "0;48;2;4;30;2;2;16;30;12;60;16;10;256;4;64;4;200;"
+                  "1;1;1;1;1;1;1;0;0;0;0;0;0;0;0;0;0;0;0;0;0;8;0;0;0;"
+                  "0;0;8;1;");
 }
 
 TEST(Grid, KeyIsExhaustiveOverEveryField)
@@ -226,9 +232,11 @@ TEST(Grid, KeyIsExhaustiveOverEveryField)
     // Tripwire companion to the static_asserts in campaign.cc: for
     // every field of CpuConfig (including nested CacheConfig /
     // VulnConfig / HwDefenseConfig) and AttackOptions, a config
-    // differing only in that field must produce a distinct key.  A
-    // field missing from scenarioKey() would silently fold distinct
-    // scenarios in dedup and the result cache.
+    // differing only in that field must produce a distinct key, and
+    // that key must parse back to the same machine.  A field missing
+    // from scenarioKey() would silently fold distinct scenarios in
+    // dedup and the result cache; one the parser skipped would make
+    // the daemon run a machine other than the one the client keyed.
     const CpuConfig base;
     const AttackOptions opts;
     std::vector<std::pair<std::string, std::string>> keys;
@@ -275,10 +283,10 @@ TEST(Grid, KeyIsExhaustiveOverEveryField)
     addConfig("rsbDepth", [](CpuConfig &c) { c.rsbDepth = 99; });
     addConfig("lfbEntries", [](CpuConfig &c) { c.lfbEntries = 99; });
     // CacheConfig.
-    addConfig("cache.sets", [](CpuConfig &c) { c.cache.sets = 99; });
+    addConfig("cache.sets", [](CpuConfig &c) { c.cache.sets = 512; });
     addConfig("cache.ways", [](CpuConfig &c) { c.cache.ways = 99; });
     addConfig("cache.lineSize",
-              [](CpuConfig &c) { c.cache.lineSize = 99; });
+              [](CpuConfig &c) { c.cache.lineSize = 128; });
     addConfig("cache.hitLatency",
               [](CpuConfig &c) { c.cache.hitLatency = 99; });
     addConfig("cache.missLatency",
@@ -361,6 +369,15 @@ TEST(Grid, KeyIsExhaustiveOverEveryField)
                 << "scenarioKey() does not separate '"
                 << keys[i].first << "' from '" << keys[j].first
                 << "'";
+
+    for (const auto &[name, key] : keys) {
+        AttackVariant variant{};
+        CpuConfig config;
+        AttackOptions options;
+        ASSERT_TRUE(parseScenarioKey(key, variant, config, options))
+            << name;
+        EXPECT_EQ(scenarioKey(variant, config, options), key) << name;
+    }
 }
 
 TEST(Cache, RepeatedCampaignsExecuteOnce)
@@ -517,6 +534,35 @@ TEST(Engine, HugeWorkerCountMatchesSerial)
         EXPECT_EQ(tool::campaignJson(huge, false),
                   tool::campaignJson(serial, false));
     }
+}
+
+TEST(Engine, RunnerExceptionReachesTheCaller)
+{
+    // A ROB past std::vector::max_size() makes every cell's Cpu
+    // throw std::length_error (a merely huge one would throw
+    // bad_alloc, which the sanitizer allocators abort on instead).
+    // The pool stops and rethrows on this thread, inline or threaded.
+    ScenarioSpec spec;
+    spec.variants = {AttackVariant::SpectreV1, AttackVariant::Meltdown};
+    spec.defenses = {{"baseline", nullptr}, fenceAxis()};
+    ScenarioSpec unbuildable = spec;
+    unbuildable.robSizes = {std::numeric_limits<std::size_t>::max()};
+    for (const auto backend : {verdict::VerdictBackend::Simulator,
+                               verdict::VerdictBackend::Triage})
+        for (const unsigned workers : {1u, 4u})
+            EXPECT_THROW(CampaignEngine({workers, nullptr, backend})
+                             .run(unbuildable),
+                         std::length_error)
+                << "workers=" << workers;
+
+    // The process is still sound: a normal run matches its serial
+    // export.
+    const auto json = [&spec](unsigned workers) {
+        return tool::campaignJson(
+            CampaignEngine(CampaignEngine::Options{workers}).run(spec),
+            false);
+    };
+    EXPECT_EQ(json(4), json(1));
 }
 
 TEST(Engine, CollectsStatsAndThroughput)

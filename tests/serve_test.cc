@@ -3,12 +3,12 @@
  * Tests for the campaign service: an in-process daemon on an
  * ephemeral port serving a real Client.  Covers the handshake
  * (including schema/fingerprint rejection), remote-vs-offline
- * byte identity through the sink contract, the shared cache
- * (warm second submit, cache-get/put round trip), protocol
- * robustness (malformed and truncated request lines answered
- * with error{} on a surviving connection; a client vanishing
- * mid-stream leaving the daemon healthy), and the JSONL resume
- * planner's accept/trim/refuse cases.
+ * byte identity through the sink contract, the shared cache (warm
+ * second submit), protocol robustness (malformed, truncated and
+ * removed request lines answered with error{} on a surviving
+ * connection; a client vanishing mid-stream leaving the daemon
+ * healthy), and the JSONL resume planner's accept/trim/refuse
+ * cases.
  */
 
 #include <gtest/gtest.h>
@@ -278,10 +278,20 @@ TEST(Serve, MalformedRequestGetsErrorAndConnectionSurvives)
     ASSERT_TRUE(conn.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Error);
 
-    // Unknown type tag.
-    ASSERT_TRUE(conn.writeLine("{\"type\": \"frobnicate\"}"));
-    ASSERT_TRUE(conn.readLine(line));
-    EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Error);
+    // Unknown type tags, including protocol v4's cache side channel:
+    // only the daemon's own runs write its cache.
+    for (const char *request :
+         {"{\"type\": \"frobnicate\"}",
+          "{\"type\": \"cache-get\", \"keys\": []}",
+          "{\"type\": \"cache-put\", \"entries\": []}"}) {
+        ASSERT_TRUE(conn.writeLine(request));
+        ASSERT_TRUE(conn.readLine(line));
+        reply = serve::parseLine(line);
+        EXPECT_EQ(reply.type, serve::MsgType::Error);
+        EXPECT_NE(reply.error.find("unknown message type"),
+                  std::string::npos)
+            << reply.error;
+    }
 
     // The same connection still serves real requests afterwards.
     ASSERT_TRUE(conn.writeLine(serve::statsRequestLine()));
@@ -335,48 +345,6 @@ TEST(Serve, ClientDisconnectMidStreamLeavesServerHealthy)
     EXPECT_EQ(report.outcomes.size(), report.expandedCount);
     EXPECT_EQ(report.executedCount + report.cacheHits,
               report.uniqueCount);
-}
-
-TEST(Serve, CacheGetAndPutRoundTrip)
-{
-    const ScenarioSpec spec = sampleSpec();
-    const ExpandedGrid grid = dedupGrid(spec);
-    const std::string key =
-        grid.expanded[grid.uniqueIndices.front()].key;
-
-    TestServer daemon;
-    serve::Client client;
-    std::string error;
-    ASSERT_TRUE(client.connect(daemon.endpoint(), &error))
-        << error;
-
-    // Cold daemon: the key is not cached yet.
-    std::vector<serve::CacheEntryMsg> entries;
-    ASSERT_TRUE(client.cacheGet({key}, entries, &error)) << error;
-    EXPECT_TRUE(entries.empty());
-
-    // Run the spec; every unique key is now in the shared cache.
-    ReportSink sink;
-    ASSERT_TRUE(client.run(spec, {&sink}, {}, &error)) << error;
-    ASSERT_TRUE(client.cacheGet({key}, entries, &error)) << error;
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries.front().key, key);
-
-    // Round-trip: what GET returned, PUT re-stores verbatim.
-    std::size_t stored = 0;
-    ASSERT_TRUE(client.cachePut(entries, &stored, &error))
-        << error;
-    EXPECT_EQ(stored, 1u);
-
-    // A PUT with an unparseable key stores nothing (the daemon
-    // validates keys before admitting foreign entries).
-    serve::CacheEntryMsg bogus = entries.front();
-    bogus.key = "not-a-scenario-key";
-    ASSERT_TRUE(client.cachePut({bogus}, &stored, &error))
-        << error;
-    EXPECT_EQ(stored, 0u);
-    EXPECT_EQ(daemon.server().cache().size(),
-              grid.uniqueIndices.size());
 }
 
 TEST(Serve, WriteLineCompletesAcrossForcedPartialWrites)

@@ -140,22 +140,25 @@ TEST(Snapshot, ForkMatchesRebuildOnEveryGoldenSpec)
     // state between cells.
     for (const regress::NamedSpec &named :
          regress::registeredSpecs()) {
-        campaign::CampaignEngine::Options rebuildOpts;
-        rebuildOpts.workers = 1;
-        rebuildOpts.forkScenarios = false;
-        const campaign::CampaignReport reference =
-            campaign::CampaignEngine(rebuildOpts).run(named.spec);
+        campaign::CampaignReport reference;
+        {
+            const ScenarioBuildModeGuard rebuild(
+                ScenarioBuildMode::Rebuild);
+            reference = campaign::CampaignEngine(
+                            campaign::CampaignEngine::Options{1})
+                            .run(named.spec);
+        }
         const std::string referenceJsonl =
             tool::campaignJsonl(reference, false);
         const std::string referenceMatrix =
             reference.successMatrixText();
 
+        const ScenarioBuildModeGuard fork(ScenarioBuildMode::Fork);
         for (const unsigned workers : {1u, 2u, 8u}) {
-            campaign::CampaignEngine::Options forkOpts;
-            forkOpts.workers = workers;
-            forkOpts.forkScenarios = true;
             const campaign::CampaignReport forked =
-                campaign::CampaignEngine(forkOpts).run(named.spec);
+                campaign::CampaignEngine(
+                    campaign::CampaignEngine::Options{workers})
+                    .run(named.spec);
             EXPECT_EQ(tool::campaignJsonl(forked, false),
                       referenceJsonl)
                 << named.name << " diverged at workers="
