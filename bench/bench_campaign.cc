@@ -18,7 +18,6 @@
 #include <thread>
 
 #include "attacks/phase.hh"
-#include "attacks/snapshot.hh"
 #include "bench_util.hh"
 #include "campaign/campaign.hh"
 #include "campaign/sink.hh"
@@ -61,10 +60,9 @@ main(int argc, char **argv)
                 spec.gridSize());
 
     // Warm-up, excluded from every timed region below: one full
-    // pass touches every lazily initialized catalog AND populates
-    // the scenario arena pool (attacks/snapshot.hh), so the timed
+    // pass touches every lazily initialized catalog, so the timed
     // runs measure steady-state sweep throughput rather than
-    // one-time snapshot construction.
+    // one-time set-up.
     CampaignEngine(CampaignEngine::Options{parallel_workers})
         .run(spec);
 
@@ -96,68 +94,40 @@ main(int argc, char **argv)
     if (!agree)
         return 1;
 
-    // Steady state: the same unique keys stamped out through the
-    // fork path (pooled snapshot arenas, attacks/snapshot.hh) vs.
-    // the rebuild path (Memory/PageTable from scratch per cell).
-    // Grid expansion, key extraction and the pool warm-up pass all
-    // happen outside the timed region, so the two numbers measure
-    // exactly one thing — scenario construction strategy — and
-    // their ratio is machine-independent: it is what the CI perf
-    // gate (bench/perf_gate.cc) pins against a committed baseline.
-    bench::header("steady state: fork vs. rebuild scenario build");
+    // Steady state: the unique keys executed once untimed, then
+    // once timed, with grid expansion and key extraction outside
+    // the timed region; the phase profile of the timed pass is the
+    // breakdown emitted into the JSON artifact.
+    bench::header("steady state: unique keys, one worker");
     const ExpandedGrid grid = dedupGrid(spec);
     std::vector<std::string> keys;
     for (const std::size_t u : grid.uniqueIndices)
         keys.push_back(grid.expanded[u].key);
-    attacks::PhaseProfile phases;
-    const auto timedBatch = [&keys, &phases](
-                                attacks::ScenarioBuildMode mode,
-                                double &rate) {
-        const attacks::ScenarioBuildModeGuard guard(mode);
-        const auto noop = [](std::size_t, const KeyBatchItem &) {
-            return true;
-        };
-        std::string err;
-        // Pass 0 is an untimed warm-up that fills the arena pool
-        // under Fork; pass 1 measures pure steady state.
-        std::chrono::steady_clock::time_point t0;
-        for (int pass = 0; pass < 2; ++pass) {
-            attacks::resetPhaseProfile();
-            t0 = std::chrono::steady_clock::now();
-            if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
-                std::fprintf(stderr, "key batch: %s\n", err.c_str());
-                return false;
-            }
-        }
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        phases = attacks::phaseProfile();
-        rate = ms > 0.0 ? 1000.0 *
-                              static_cast<double>(keys.size()) / ms
-                        : 0.0;
+    const auto noop = [](std::size_t, const KeyBatchItem &) {
         return true;
     };
-    // The fork pass runs last: it is the production path, and the
-    // phase profile it leaves behind is the steady-state breakdown
-    // emitted into the JSON artifact.
-    double rebuild_rate = 0.0, fork_rate = 0.0;
-    if (!timedBatch(attacks::ScenarioBuildMode::Rebuild,
-                    rebuild_rate) ||
-        !timedBatch(attacks::ScenarioBuildMode::Fork, fork_rate))
-        return 1;
-    const double fork_speedup =
-        rebuild_rate > 0.0 ? fork_rate / rebuild_rate : 0.0;
-    std::printf("%-10s %8s %14s\n", "mode", "unique",
-                "scenarios/sec");
-    std::printf("%-10s %8zu %14.1f\n", "rebuild", keys.size(),
-                rebuild_rate);
-    std::printf("%-10s %8zu %14.1f\n", "fork", keys.size(),
-                fork_rate);
-    std::printf("fork speedup: %.2fx\n", fork_speedup);
+    std::string err;
+    std::chrono::steady_clock::time_point t0;
+    for (int pass = 0; pass < 2; ++pass) {
+        attacks::resetPhaseProfile();
+        t0 = std::chrono::steady_clock::now();
+        if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
+            std::fprintf(stderr, "key batch: %s\n", err.c_str());
+            return 1;
+        }
+    }
+    const double steadyMs =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    const attacks::PhaseProfile phases = attacks::phaseProfile();
+    std::printf("%zu unique keys: %.1f scenarios/sec\n", keys.size(),
+                steadyMs > 0.0 ? 1000.0 *
+                                     static_cast<double>(keys.size()) /
+                                     steadyMs
+                               : 0.0);
 
-    // Per-phase attribution of the production steady-state pass.
+    // Per-phase attribution of the timed pass.
     const double totalNs =
         static_cast<double>(phases.totalNanos > 0 ? phases.totalNanos
                                                   : 1);
@@ -295,9 +265,6 @@ main(int argc, char **argv)
     out.set("parallel_scenarios_per_sec",
             parallel.scenariosPerSecond);
     out.set("parallel_speedup", speedup);
-    out.set("warm_rebuild_scenarios_per_sec", rebuild_rate);
-    out.set("warm_fork_scenarios_per_sec", fork_rate);
-    out.set("fork_speedup", fork_speedup);
     out.set("phase_cells", static_cast<double>(phases.cells));
     out.set("phase_build_pct", pct(phases.buildNanos));
     out.set("phase_prologue_pct", pct(phases.prologueNanos));

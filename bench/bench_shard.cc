@@ -60,10 +60,9 @@ main(int argc, char **argv)
                 engine.workers());
 
     // Warm-up, excluded from every timed region below: one full
-    // untimed pass touches every lazily initialized catalog and
-    // populates the scenario arena pool (attacks/snapshot.hh), so
-    // the timed runs compare sharding strategies at steady state
-    // instead of charging the first one for snapshot construction.
+    // untimed pass touches every lazily initialized catalog, so the
+    // timed runs compare sharding strategies at steady state
+    // instead of charging the first one for that set-up.
     engine.run(spec);
 
     const auto f0 = std::chrono::steady_clock::now();

@@ -55,9 +55,8 @@ main(int argc, char **argv)
     std::printf("grid: %zu unique of %zu expanded scenarios\n",
                 grid.uniqueIndices.size(), grid.expanded.size());
 
-    // Warm-up (untimed): touches lazily initialized catalogs and
-    // fills the scenario arena pool, so both timed passes below
-    // measure steady state.
+    // Warm-up (untimed): touches lazily initialized catalogs, so
+    // both timed passes below measure steady state.
     CampaignEngine::Options serial_opts;
     serial_opts.workers = 1;
     CampaignEngine(serial_opts).run(spec);

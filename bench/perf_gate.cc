@@ -1,16 +1,17 @@
 /**
  * @file
  * CI perf gate: checks the machine-readable bench results
- * (BENCH_campaign.json, BENCH_shard.json) against the committed
- * baseline bench/perf_baseline.json, failing the build when a
- * pinned metric regresses below its floor.
+ * (BENCH_*.json) against the committed baseline
+ * bench/perf_baseline.json, failing the build when a pinned metric
+ * regresses below its floor.
  *
  * The baseline follows the golden suite's tolerance idiom: every
  * gate carries an explicit absEps, and a metric passes while
  * value >= min - absEps.  Gated metrics must be machine-independent
- * ratios (fork_speedup is fork vs. rebuild measured in the same
- * process on the same machine), never absolute scenarios/sec —
- * those swing with the CI runner and would make the gate flaky.
+ * ratios (model_vs_sim_speedup is the analytic model vs. the
+ * simulator, measured in the same process on the same machine),
+ * never absolute scenarios/sec — those swing with the CI runner and
+ * would make the gate flaky.
  *
  * Usage: perf_gate [--baseline PATH] [--dir DIR]
  *   --baseline  gate definitions (default bench/perf_baseline.json)

@@ -432,19 +432,8 @@ statsMain(int argc, char **argv)
         std::fprintf(stderr, "stats: %s\n", error.c_str());
         return 1;
     }
-    std::printf("connections: %zu\nrequests:    %zu\n"
-                "executed:    %zu\ncacheHits:   %zu\n"
-                "cacheSize:   %zu\n",
-                stats.connections, stats.requests, stats.executed,
-                stats.cacheHits, stats.cacheSize);
-    std::printf("forked:      %zu\nrebuilt:     %zu\n"
-                "pooled:      %zu\n",
-                stats.forked, stats.rebuilt, stats.pooledArenas);
-    std::printf("modelDecided:      %zu\n"
-                "modelUndecided:    %zu\n"
-                "modelDisagreements: %zu\n",
-                stats.modelDecided, stats.modelUndecided,
-                stats.modelDisagreements);
+    for (const serve::StatsField &field : serve::kStatsFields)
+        std::printf("%s: %zu\n", field.name, stats.*field.member);
     return 0;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "phase.hh"
-#include "snapshot.hh"
 
 namespace specsec::attacks
 {
@@ -13,6 +12,37 @@ namespace
 
 thread_local uarch::CpuStats tlsLastStats;
 thread_local std::uint64_t tlsScenarioDeaths = 0;
+
+/** The canonical scenario layout, shared by every attack runner. */
+const uarch::PageTable &
+layoutPageTable()
+{
+    static const uarch::PageTable pt = [] {
+        uarch::PageTable t;
+        // Shared / attacker-accessible regions.
+        t.mapRange(Layout::kProbeArray, 256 * uarch::kPageSize,
+                   uarch::PageOwner::User, true, true);
+        t.mapRange(Layout::kEvictArray, 0x10000,
+                   uarch::PageOwner::User, true, true);
+        // Victim user-space data (bounds-protected, not OS-protected).
+        t.mapRange(Layout::kVictimArray, 0x8000,
+                   uarch::PageOwner::User, true, true);
+        t.mapRange(Layout::kReadOnlyPage, uarch::kPageSize,
+                   uarch::PageOwner::User, true, /*writable=*/false);
+        t.mapRange(Layout::kUserSecret, uarch::kPageSize,
+                   uarch::PageOwner::User, true, true);
+        // Privileged regions.
+        t.mapRange(Layout::kKernelData, uarch::kPageSize,
+                   uarch::PageOwner::Kernel, false, true);
+        t.mapRange(Layout::kEnclaveData, uarch::kPageSize,
+                   uarch::PageOwner::Enclave, false, true);
+        t.mapRange(Layout::kVmmData, uarch::kPageSize,
+                   uarch::PageOwner::Vmm, false, true);
+        // Layout::kUnmapped intentionally has no PTE.
+        return t;
+    }();
+    return pt;
+}
 
 } // namespace
 
@@ -28,44 +58,54 @@ scenarioDeathCount()
     return tlsScenarioDeaths;
 }
 
-Scenario::~Scenario()
+/** Declared in this order so the Cpu, which references the memory
+ *  and page table, is built after and destroyed before them. */
+struct Scenario::State
 {
-    tlsLastStats = cpu_->stats();
-    ++tlsScenarioDeaths;
-    ScopedPhaseTimer timer(Phase::Teardown);
-    // The Cpu references the arena's memory/page table: destroy it
-    // before the arena goes back to the pool for the next fork.
-    cpu_.reset();
-    releaseScenarioArena(std::move(arena_));
-}
+    explicit State(const CpuConfig &config) : cpu(config, mem, pt) {}
+
+    uarch::Memory mem{Layout::kMemorySize};
+    uarch::PageTable pt = layoutPageTable();
+    Cpu cpu;
+};
 
 Scenario::Scenario(const CpuConfig &config)
 {
     ScopedPhaseTimer timer(Phase::Build);
-    arena_ = acquireScenarioArena();
-    // The canonical layout (page table + zeroed memory) comes with
-    // the arena, forked from the ScenarioSnapshot baseline — see
-    // snapshot.cc for the mapRange calls that used to live here.
-    cpu_ = std::make_unique<Cpu>(config, arena_->mem, arena_->pt);
+    state_ = std::make_unique<State>(config);
+}
+
+Scenario::~Scenario()
+{
+    tlsLastStats = state_->cpu.stats();
+    ++tlsScenarioDeaths;
+    ScopedPhaseTimer timer(Phase::Teardown);
+    state_.reset();
+}
+
+Cpu &
+Scenario::cpu()
+{
+    return state_->cpu;
 }
 
 uarch::Memory &
 Scenario::mem()
 {
-    return arena_->mem;
+    return state_->mem;
 }
 
 uarch::PageTable &
 Scenario::pageTable()
 {
-    return arena_->pt;
+    return state_->pt;
 }
 
 void
 Scenario::plantBytes(Addr vaddr, const std::vector<std::uint8_t> &data)
 {
     for (std::size_t i = 0; i < data.size(); ++i)
-        arena_->mem.write8(vaddr + i, data[i]);
+        state_->mem.write8(vaddr + i, data[i]);
 }
 
 std::vector<std::uint8_t>
@@ -73,7 +113,7 @@ Scenario::readBytes(Addr vaddr, std::size_t len) const
 {
     std::vector<std::uint8_t> out(len);
     for (std::size_t i = 0; i < len; ++i)
-        out[i] = arena_->mem.read8(vaddr + i);
+        out[i] = state_->mem.read8(vaddr + i);
     return out;
 }
 

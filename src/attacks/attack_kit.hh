@@ -25,11 +25,6 @@
 
 namespace specsec::attacks
 {
-struct ScenarioArena; // snapshot.hh
-}
-
-namespace specsec::attacks
-{
 
 using core::CovertChannelKind;
 using uarch::Addr;
@@ -63,12 +58,11 @@ struct Layout
 /**
  * A scenario owns the memory, page table and CPU for one attack.
  *
- * The Memory/PageTable pair lives in a ScenarioArena forked from
- * the process-wide ScenarioSnapshot (snapshot.hh): under the
- * default Fork build mode the arena comes from a pool and is reset
- * — not reconstructed — between scenarios, which is what makes
- * sweep cells cheap.  The Cpu is always built fresh (its config is
- * the thing grid cells vary).
+ * Every scenario is built fresh: the Memory allocates pages only as
+ * the attack writes them, the PageTable is a copy of the canonical
+ * Layout mapping, and the Cpu takes the cell's config.  Nothing is
+ * shared between scenarios, so cells on different worker threads
+ * cannot see each other's state.
  */
 class Scenario
 {
@@ -76,7 +70,7 @@ class Scenario
     explicit Scenario(const CpuConfig &config);
     ~Scenario();
 
-    Cpu &cpu() { return *cpu_; }
+    Cpu &cpu();
     uarch::Memory &mem();
     uarch::PageTable &pageTable();
 
@@ -88,8 +82,8 @@ class Scenario
                                         std::size_t len) const;
 
   private:
-    std::unique_ptr<ScenarioArena> arena_;
-    std::unique_ptr<Cpu> cpu_;
+    struct State;
+    std::unique_ptr<State> state_;
 };
 
 /**

@@ -5,12 +5,14 @@
  * Attributes grid-cell wall time to the four phases a scenario
  * execution moves through:
  *
- *   - Build:    Scenario construction (arena acquire + Cpu build)
+ *   - Build:    Scenario construction (Memory, PageTable copy and
+ *               Cpu, built fresh)
  *   - Prologue: attack preparation before the transient runs
  *               (secret planting, program load, predictor
  *               training); only the Spectre v1/v1.1/v1.2 runners
  *               mark it so far, so other attacks count it as body
- *   - Teardown: Scenario destruction (arena release/reset)
+ *   - Teardown: Scenario destruction (freeing the Cpu and the
+ *               pages the attack wrote)
  *   - Total:    the whole attack runner invocation
  *
  * Body time (channel setup, the transient runs, recovery) is the

@@ -408,11 +408,6 @@ struct KeyBatchItem
  * runner that throws a std::exception stops the batch the same way,
  * with "key at index N: <what()>" in @p error; keys already emitted
  * stay emitted.
- *
- * Executed keys build their simulator state through the snapshot/
- * fork path (attacks/snapshot.hh) under the process-wide build
- * mode: the serve daemon and sharded offline runs all stamp cells
- * out of the same pooled arenas, which outlive any one batch.
  */
 bool executeKeyBatch(
     const std::vector<std::string> &keys, unsigned workers,

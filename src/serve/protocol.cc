@@ -110,18 +110,10 @@ std::string
 statsLine(const StatsMsg &msg)
 {
     std::ostringstream os;
-    os << "{\"type\": \"stats\", \"connections\": "
-       << msg.connections << ", \"requests\": " << msg.requests
-       << ", \"executed\": " << msg.executed
-       << ", \"cacheHits\": " << msg.cacheHits
-       << ", \"cacheSize\": " << msg.cacheSize
-       << ", \"forked\": " << msg.forked
-       << ", \"rebuilt\": " << msg.rebuilt
-       << ", \"pooledArenas\": " << msg.pooledArenas
-       << ", \"modelDecided\": " << msg.modelDecided
-       << ", \"modelUndecided\": " << msg.modelUndecided
-       << ", \"modelDisagreements\": " << msg.modelDisagreements
-       << "}";
+    os << "{\"type\": \"stats\"";
+    for (const StatsField &field : kStatsFields)
+        os << ", \"" << field.name << "\": " << msg.*field.member;
+    os << "}";
     return os.str();
 }
 
@@ -251,50 +243,14 @@ parseLine(const std::string &line)
             msg.type = MsgType::Stats; // bare request
             return msg;
         }
-        if (!cur.expect(',') || !expectKey(cur, "connections"))
-            return invalid("malformed stats");
-        msg.stats.connections = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "requests"))
-            return invalid("malformed stats");
-        msg.stats.requests = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "executed"))
-            return invalid("malformed stats");
-        msg.stats.executed = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "cacheHits"))
-            return invalid("malformed stats");
-        msg.stats.cacheHits = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "cacheSize"))
-            return invalid("malformed stats");
-        msg.stats.cacheSize = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "forked"))
-            return invalid("malformed stats");
-        msg.stats.forked = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "rebuilt"))
-            return invalid("malformed stats");
-        msg.stats.rebuilt = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "pooledArenas"))
-            return invalid("malformed stats");
-        msg.stats.pooledArenas = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelDecided"))
-            return invalid("malformed stats");
-        msg.stats.modelDecided = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelUndecided"))
-            return invalid("malformed stats");
-        msg.stats.modelUndecided = cur.parseU64();
-        if (cur.failed() || !cur.expect(',') ||
-            !expectKey(cur, "modelDisagreements"))
-            return invalid("malformed stats");
-        msg.stats.modelDisagreements = cur.parseU64();
-        if (cur.failed() || !cur.expect('}') || !cur.atEnd())
+        for (const StatsField &field : kStatsFields) {
+            if (!cur.expect(',') || !expectKey(cur, field.name))
+                return invalid("malformed stats");
+            msg.stats.*field.member = cur.parseU64();
+            if (cur.failed())
+                return invalid("malformed stats");
+        }
+        if (!cur.expect('}') || !cur.atEnd())
             return invalid("malformed stats");
         msg.type = MsgType::Stats;
         return msg;

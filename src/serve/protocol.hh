@@ -55,8 +55,9 @@ namespace specsec::serve
  *  v2: stats grew the scenario-fork and warm-snapshot counters.
  *  v3: stats grew the verdict-model agreement counters.
  *  v4: stats dropped the warm-snapshot counters with their tier.
- *  v5: cache-get / cache-entries / cache-put removed. */
-inline constexpr unsigned kProtocolVersion = 5;
+ *  v5: cache-get / cache-entries / cache-put removed.
+ *  v6: stats dropped the scenario-fork counters with the arena pool. */
+inline constexpr unsigned kProtocolVersion = 6;
 
 /** The leading "type" value of a parsed message. */
 enum class MsgType
@@ -114,17 +115,34 @@ struct StatsMsg
     std::size_t executed = 0;
     std::size_t cacheHits = 0;
     std::size_t cacheSize = 0;
-    // Execution-path counters (v2): scenario fork pool health of
-    // the daemon process.
-    std::size_t forked = 0;
-    std::size_t rebuilt = 0;
-    std::size_t pooledArenas = 0;
     // Verdict-model counters (v3): the daemon judges every cell it
     // executes with the analytic model (verdict/model.hh) and tracks
     // live agreement against the simulator.
     std::size_t modelDecided = 0;
     std::size_t modelUndecided = 0;
     std::size_t modelDisagreements = 0;
+};
+
+/** One stats counter: its wire key and its StatsMsg member. */
+struct StatsField
+{
+    const char *name;
+    std::size_t StatsMsg::*member;
+};
+
+/**
+ * Every stats counter, in wire order: the one list the emitter, the
+ * parser and `campaign_cli stats` iterate.
+ */
+inline constexpr StatsField kStatsFields[] = {
+    {"connections", &StatsMsg::connections},
+    {"requests", &StatsMsg::requests},
+    {"executed", &StatsMsg::executed},
+    {"cacheHits", &StatsMsg::cacheHits},
+    {"cacheSize", &StatsMsg::cacheSize},
+    {"modelDecided", &StatsMsg::modelDecided},
+    {"modelUndecided", &StatsMsg::modelUndecided},
+    {"modelDisagreements", &StatsMsg::modelDisagreements},
 };
 
 /** One decoded line: the type tag plus the matching payload. */

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "attacks/snapshot.hh"
 #include "verdict/model.hh"
 
 namespace specsec::serve
@@ -108,11 +107,6 @@ Server::stats() const
     msg.executed = executed_;
     msg.cacheHits = cacheHits_;
     msg.cacheSize = cache_.size();
-    const attacks::ScenarioForkStats fork =
-        attacks::scenarioForkStats();
-    msg.forked = fork.forked;
-    msg.rebuilt = fork.rebuilt;
-    msg.pooledArenas = fork.pooled;
     msg.modelDecided = modelDecided_;
     msg.modelUndecided = modelUndecided_;
     msg.modelDisagreements = modelDisagreements_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace specsec::tool::json
 {
@@ -106,16 +107,9 @@ Cursor::parseString()
     return out;
 }
 
-unsigned
-Cursor::parseUnsigned()
-{
-    return static_cast<unsigned>(parseU64());
-}
-
 std::uint64_t
-Cursor::parseU64()
+Cursor::parseDigits(std::size_t start, std::uint64_t limit)
 {
-    skipWs();
     if (pos_ >= text_.size() || text_[pos_] < '0' ||
         text_[pos_] > '9') {
         char buf[48];
@@ -125,24 +119,59 @@ Cursor::parseU64()
         return 0;
     }
     std::uint64_t value = 0;
+    bool overflow = false;
     while (pos_ < text_.size() && text_[pos_] >= '0' &&
-           text_[pos_] <= '9')
-        value = value * 10 +
-                static_cast<std::uint64_t>(text_[pos_++] - '0');
+           text_[pos_] <= '9') {
+        const auto digit =
+            static_cast<std::uint64_t>(text_[pos_++] - '0');
+        if (value > (limit - digit) / 10)
+            overflow = true;
+        else
+            value = value * 10 + digit;
+    }
+    if (overflow) {
+        char buf[56];
+        std::snprintf(buf, sizeof buf,
+                      "integer out of range at offset %zu", start);
+        fail(buf);
+        return 0;
+    }
     return value;
+}
+
+unsigned
+Cursor::parseUnsigned()
+{
+    skipWs();
+    return static_cast<unsigned>(
+        parseDigits(pos_, std::numeric_limits<unsigned>::max()));
+}
+
+std::uint64_t
+Cursor::parseU64()
+{
+    skipWs();
+    return parseDigits(pos_,
+                       std::numeric_limits<std::uint64_t>::max());
 }
 
 std::int64_t
 Cursor::parseI64()
 {
     skipWs();
+    const std::size_t start = pos_;
     const bool negative =
         pos_ < text_.size() && text_[pos_] == '-';
     if (negative)
         ++pos_;
-    const std::uint64_t magnitude = parseU64();
-    return negative ? -static_cast<std::int64_t>(magnitude)
-                    : static_cast<std::int64_t>(magnitude);
+    // |INT64_MIN| is one more than INT64_MAX.
+    constexpr auto kMax = static_cast<std::uint64_t>(
+        std::numeric_limits<std::int64_t>::max());
+    const std::uint64_t magnitude =
+        parseDigits(start, negative ? kMax + 1 : kMax);
+    // Modular conversion (C++20): 0 - 2^63 becomes INT64_MIN.
+    return static_cast<std::int64_t>(negative ? 0 - magnitude
+                                              : magnitude);
 }
 
 double

@@ -43,11 +43,12 @@ class Cursor
 
     std::string parseString();
 
-    /** Unsigned decimal; fails on sign, fraction or exponent. */
+    /** Unsigned decimal; fails on sign, fraction or exponent, and
+     *  with "integer out of range" past the result type's maximum. */
     unsigned parseUnsigned();
     std::uint64_t parseU64();
 
-    /** Signed decimal integer. */
+    /** Signed decimal integer; fails outside the int64_t range. */
     std::int64_t parseI64();
 
     /** JSON number including sign/fraction/exponent. */
@@ -59,6 +60,10 @@ class Cursor
     bool fail(const std::string &message);
 
   private:
+    /** The digit run at pos_, failing past @p limit with the
+     *  number's @p start offset. */
+    std::uint64_t parseDigits(std::size_t start, std::uint64_t limit);
+
     const std::string &text_;
     std::size_t pos_ = 0;
     bool failed_ = false;

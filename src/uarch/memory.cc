@@ -1,6 +1,5 @@
 #include "memory.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace specsec::uarch
@@ -102,75 +101,58 @@ PageTable::setReservedBit(Addr vaddr, bool reserved)
     pte->reservedBit = reserved;
 }
 
-Memory::Memory(std::size_t size)
-    : bytes_(size, 0),
-      dirty_((size / kPageSize + 64) / 64, 0)
-{
-}
-
-void
-Memory::rezeroDirtyPages()
-{
-    for (std::size_t w = 0; w < dirty_.size(); ++w) {
-        std::uint64_t bits = dirty_[w];
-        if (!bits)
-            continue;
-        dirty_[w] = 0;
-        while (bits) {
-            const int bit = __builtin_ctzll(bits);
-            bits &= bits - 1;
-            const std::size_t page = w * 64 +
-                                     static_cast<std::size_t>(bit);
-            const std::size_t start = page * kPageSize;
-            const std::size_t len =
-                std::min<std::size_t>(kPageSize,
-                                      bytes_.size() - start);
-            std::fill_n(bytes_.begin() +
-                            static_cast<std::ptrdiff_t>(start),
-                        len, 0);
-        }
-    }
-}
-
-std::size_t
-Memory::dirtyPageCount() const
-{
-    std::size_t count = 0;
-    for (const std::uint64_t bits : dirty_)
-        count += static_cast<std::size_t>(
-            __builtin_popcountll(bits));
-    return count;
-}
-
 void
 Memory::check(Addr paddr, std::size_t len) const
 {
-    if (paddr + len > bytes_.size())
+    // Written so it cannot wrap: paddr + len overflows near 2^64.
+    if (len > size_ || paddr > size_ - len)
         throw std::out_of_range("Memory: physical address out of range");
+}
+
+const Memory::Page *
+Memory::findPage(Addr paddr) const
+{
+    const auto it = pages_.find(paddr / kPageSize);
+    return it == pages_.end() ? nullptr : &it->second;
+}
+
+Memory::Page &
+Memory::pageFor(Addr paddr)
+{
+    return pages_[paddr / kPageSize];
 }
 
 std::uint8_t
 Memory::read8(Addr paddr) const
 {
     check(paddr, 1);
-    return bytes_[paddr];
+    const Page *page = findPage(paddr);
+    return page ? (*page)[paddr % kPageSize] : 0;
 }
 
 void
 Memory::write8(Addr paddr, std::uint8_t value)
 {
     check(paddr, 1);
-    markDirty(paddr, 1);
-    bytes_[paddr] = value;
+    pageFor(paddr)[paddr % kPageSize] = value;
 }
 
 Word
 Memory::read64(Addr paddr) const
 {
     check(paddr, 8);
+    const Addr offset = paddr % kPageSize;
     Word value = 0;
+    if (offset > kPageSize - 8) { // straddles two pages
+        for (int i = 7; i >= 0; --i)
+            value = (value << 8) | read8(paddr + static_cast<Addr>(i));
+        return value;
+    }
+    const Page *page = findPage(paddr);
+    if (!page)
+        return 0;
     for (int i = 7; i >= 0; --i)
-        value = (value << 8) | bytes_[paddr + static_cast<Addr>(i)];
+        value = (value << 8) | (*page)[offset + static_cast<Addr>(i)];
     return value;
 }
 
@@ -178,11 +160,17 @@ void
 Memory::write64(Addr paddr, Word value)
 {
     check(paddr, 8);
-    markDirty(paddr, 8);
-    for (int i = 0; i < 8; ++i) {
-        bytes_[paddr + static_cast<Addr>(i)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
+    const Addr offset = paddr % kPageSize;
+    if (offset > kPageSize - 8) { // straddles two pages
+        for (int i = 0; i < 8; ++i)
+            write8(paddr + static_cast<Addr>(i),
+                   static_cast<std::uint8_t>(value >> (8 * i)));
+        return;
     }
+    Page &page = pageFor(paddr);
+    for (int i = 0; i < 8; ++i)
+        page[offset + static_cast<Addr>(i)] =
+            static_cast<std::uint8_t>(value >> (8 * i));
 }
 
 Word

@@ -19,6 +19,7 @@
 #ifndef SPECSEC_UARCH_MEMORY_HH
 #define SPECSEC_UARCH_MEMORY_HH
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -239,22 +240,22 @@ PageTable::translate(Addr vaddr, AccessType type, Privilege privilege,
 }
 
 /**
- * Flat physical memory, little-endian.
+ * Physical memory, little-endian, stored one 4KB page at a time.
  *
- * Every mutation goes through write8/write64/write, so the image
- * can track which 4KB pages have diverged from the all-zero
- * post-construction state in a small bitmap.  rezeroDirtyPages()
- * restores the construction-time image by re-zeroing only the
- * touched pages — the arena-reset primitive behind the scenario
- * fork path (attacks/snapshot.hh), which turns the per-grid-cell
- * 8MB zero-fill into a handful of page clears.
+ * A page is allocated on its first write; a page never written
+ * reads as zeros.  A scenario's memory is 8MB of address space of
+ * which a cell writes a handful of pages (the planted secret, the
+ * victim's bounds and pointers), so building one allocates nothing
+ * and tearing one down frees only what the cell wrote.  Every
+ * access is bounds-checked against size() and throws
+ * std::out_of_range past it.
  */
 class Memory
 {
   public:
-    explicit Memory(std::size_t size);
+    explicit Memory(std::size_t size) : size_(size) {}
 
-    std::size_t size() const { return bytes_.size(); }
+    std::size_t size() const { return size_; }
 
     std::uint8_t read8(Addr paddr) const;
     void write8(Addr paddr, std::uint8_t value);
@@ -268,32 +269,19 @@ class Memory
     /** Sized write: 1 or 8 bytes. */
     void write(Addr paddr, Word value, std::uint8_t size);
 
-    /**
-     * Restore the all-zero construction-time image: re-zero every
-     * page written since construction (or the last call) and clear
-     * the dirty set.  Afterwards the memory is byte-identical to a
-     * freshly constructed Memory of the same size.
-     */
-    void rezeroDirtyPages();
-
-    /** Pages currently marked dirty (bench/test introspection). */
-    std::size_t dirtyPageCount() const;
-
   private:
+    using Page = std::array<std::uint8_t, kPageSize>;
+
     void check(Addr paddr, std::size_t len) const;
 
-    void
-    markDirty(Addr paddr, std::size_t len)
-    {
-        const Addr first = paddr / kPageSize;
-        const Addr last = (paddr + len - 1) / kPageSize;
-        dirty_[first >> 6] |= std::uint64_t{1} << (first & 63);
-        if (last != first)
-            dirty_[last >> 6] |= std::uint64_t{1} << (last & 63);
-    }
+    /** The page holding @p paddr, or nullptr if never written. */
+    const Page *findPage(Addr paddr) const;
 
-    std::vector<std::uint8_t> bytes_;
-    std::vector<std::uint64_t> dirty_; ///< one bit per page
+    /** The page holding @p paddr, allocated zeroed if new. */
+    Page &pageFor(Addr paddr);
+
+    std::size_t size_;
+    std::unordered_map<Addr, Page> pages_; ///< keyed by page number
 };
 
 } // namespace specsec::uarch

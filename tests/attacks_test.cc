@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attacks/attack_kit.hh"
 #include "attacks/runner.hh"
 
 namespace
@@ -300,6 +301,46 @@ TEST(AttackSpecific, SpoilerBlockedWithoutAliasPenalties)
     cfg.partialAliasPenalty = 0;
     cfg.physAliasPenalty = 0;
     EXPECT_FALSE(runSpoiler(cfg).leaked);
+}
+
+TEST(Scenario, FreshScenariosAreIsolatedAndPristine)
+{
+    const CpuConfig config;
+    const std::vector<std::uint8_t> zeros(4, 0);
+
+    // Two live scenarios share no memory and no PTEs: mutating one
+    // must not leak into its sibling.
+    {
+        Scenario a(config);
+        Scenario b(config);
+        a.plantBytes(Layout::kUserSecret, {1, 2, 3, 4});
+        a.pageTable().setPresent(Layout::kEnclaveData, false);
+        a.pageTable().unmap(Layout::kKernelData);
+
+        EXPECT_EQ(b.readBytes(Layout::kUserSecret, 4), zeros);
+        const uarch::Pte *enclave =
+            b.pageTable().lookup(Layout::kEnclaveData);
+        ASSERT_NE(enclave, nullptr);
+        EXPECT_TRUE(enclave->present);
+        EXPECT_NE(b.pageTable().lookup(Layout::kKernelData), nullptr);
+    }
+
+    // A later scenario sees the canonical layout: zero memory, the
+    // kernel page mapped, the enclave page present, the read-only
+    // page read-only and kUnmapped still unmapped.
+    Scenario c(config);
+    EXPECT_EQ(c.readBytes(Layout::kUserSecret, 4), zeros);
+    const uarch::Pte *kernel = c.pageTable().lookup(Layout::kKernelData);
+    ASSERT_NE(kernel, nullptr);
+    EXPECT_EQ(kernel->owner, uarch::PageOwner::Kernel);
+    const uarch::Pte *enclave =
+        c.pageTable().lookup(Layout::kEnclaveData);
+    ASSERT_NE(enclave, nullptr);
+    EXPECT_TRUE(enclave->present);
+    const uarch::Pte *ro = c.pageTable().lookup(Layout::kReadOnlyPage);
+    ASSERT_NE(ro, nullptr);
+    EXPECT_FALSE(ro->writable);
+    EXPECT_EQ(c.pageTable().lookup(Layout::kUnmapped), nullptr);
 }
 
 } // namespace

@@ -50,6 +50,57 @@ TEST(Memory, OutOfRangeThrows)
     Memory m(64);
     EXPECT_THROW(m.read8(64), std::out_of_range);
     EXPECT_THROW(m.write64(60, 1), std::out_of_range);
+    // paddr + len wraps past 2^64 here; the check must not.
+    EXPECT_THROW(m.read8(UINT64_MAX), std::out_of_range);
+    EXPECT_THROW(m.read64(UINT64_MAX - 3), std::out_of_range);
+    EXPECT_THROW(m.write64(UINT64_MAX - 3, 1), std::out_of_range);
+}
+
+TEST(Memory, UnwrittenPagesReadZero)
+{
+    Memory m(4 * kPageSize);
+    m.write8(kPageSize + 7, 0x5a);
+    EXPECT_EQ(m.read8(2 * kPageSize + 7), 0u);
+    EXPECT_EQ(m.read64(3 * kPageSize), 0u);
+    // A neighbour on an allocated page reads zero too.
+    EXPECT_EQ(m.read8(kPageSize + 8), 0u);
+    EXPECT_EQ(m.read8(kPageSize + 7), 0x5a);
+}
+
+TEST(Memory, Word64StraddlingPagesRoundTrips)
+{
+    Memory m(4 * kPageSize);
+    const Addr at = 2 * kPageSize - 3;
+    m.write64(at, 0x1122334455667788ull);
+    EXPECT_EQ(m.read64(at), 0x1122334455667788ull);
+    EXPECT_EQ(m.read8(2 * kPageSize - 1), 0x66);
+    EXPECT_EQ(m.read8(2 * kPageSize), 0x55);
+    // A straddling read over one written and one unwritten page.
+    EXPECT_EQ(m.read64(kPageSize - 4), 0u);
+    EXPECT_EQ(m.read64(2 * kPageSize - 7), 0x5566778800000000ull);
+}
+
+TEST(Memory, LastByteOfPartialPage)
+{
+    const std::size_t size = 3 * kPageSize + 100;
+    Memory m(size);
+    EXPECT_EQ(m.size(), size);
+    m.write8(size - 1, 0xef);
+    EXPECT_EQ(m.read8(size - 1), 0xef);
+    m.write64(size - 8, 0x0102030405060708ull);
+    EXPECT_EQ(m.read64(size - 8), 0x0102030405060708ull);
+    EXPECT_THROW(m.read8(size), std::out_of_range);
+    EXPECT_THROW(m.write64(size - 7, 0), std::out_of_range);
+}
+
+TEST(Memory, RewritingAnAllocatedPageKeepsItsOtherBytes)
+{
+    Memory m(2 * kPageSize);
+    m.write64(16, 0xaabbccddeeff0011ull);
+    m.write8(16, 0x22);
+    m.write8(kPageSize - 1, 0x33);
+    EXPECT_EQ(m.read64(16), 0xaabbccddeeff0022ull);
+    EXPECT_EQ(m.read8(kPageSize - 1), 0x33);
 }
 
 TEST(PageTable, IdentityMapRange)

@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -553,6 +555,48 @@ TEST(SchemaRoundTrip, UnparseableSummaryValuesFailLoudly)
         EXPECT_NE(cur.error().find("bad value"), std::string::npos)
             << doc << " -> " << cur.error();
     }
+}
+
+TEST(SchemaRoundTrip, CursorIntegersOutOfRangeFailLoudly)
+{
+    // Every in-range value parses to itself, the extremes included.
+    {
+        const std::string text =
+            "18446744073709551615 4294967295 9223372036854775807 "
+            "-9223372036854775808 -0";
+        json::Cursor cur(text);
+        EXPECT_EQ(cur.parseU64(), UINT64_MAX);
+        EXPECT_EQ(cur.parseUnsigned(), UINT_MAX);
+        EXPECT_EQ(cur.parseI64(), INT64_MAX);
+        EXPECT_EQ(cur.parseI64(), INT64_MIN);
+        EXPECT_EQ(cur.parseI64(), 0);
+        EXPECT_FALSE(cur.failed()) << cur.error();
+    }
+    // One past each limit fails at the number's offset instead of
+    // wrapping (2^64 + 5 used to read as 5, 2^32 + 6 as 6).
+    const auto fails = [](const std::string &text, auto parse) {
+        json::Cursor cur(text);
+        parse(cur);
+        EXPECT_TRUE(cur.failed()) << text;
+        EXPECT_EQ(cur.error(), "integer out of range at offset 2")
+            << text;
+    };
+    fails("  18446744073709551621",
+          [](json::Cursor &c) { return c.parseU64(); });
+    fails("  1234567890123456789012345",
+          [](json::Cursor &c) { return c.parseU64(); });
+    fails("  4294967302",
+          [](json::Cursor &c) { return c.parseUnsigned(); });
+    fails("  9223372036854775808",
+          [](json::Cursor &c) { return c.parseI64(); });
+    fails("  -9223372036854775809",
+          [](json::Cursor &c) { return c.parseI64(); });
+    const std::string ints = "[1, 99999999999999999999]";
+    json::Cursor array(ints);
+    json::parseIntArray(array);
+    EXPECT_NE(array.error().find("integer out of range"),
+              std::string::npos)
+        << array.error();
 }
 
 // -------------------------------------------------------------------

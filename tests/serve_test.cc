@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
+#include <random>
 #include <thread>
 
 #include <sys/socket.h>
@@ -218,6 +220,28 @@ TEST(Serve, HandshakeRejectsMismatchedSchemaOrFingerprint)
         << reply.error;
     EXPECT_FALSE(old.readLine(line));
 
+    // A protocol number equal to ours only modulo 2^32 is out of
+    // range, not our version: the handshake fails to parse.
+    std::string wrapped = serve::helloLine(serve::localHello(), false);
+    const std::string current =
+        "\"protocol\": " + std::to_string(serve::kProtocolVersion);
+    const std::size_t at = wrapped.find(current);
+    ASSERT_NE(at, std::string::npos) << wrapped;
+    wrapped.replace(at, current.size(),
+                    "\"protocol\": " +
+                        std::to_string((std::uint64_t{1} << 32) +
+                                       serve::kProtocolVersion));
+    serve::net::Conn wide = serve::net::dial(daemon.endpoint(), &error);
+    ASSERT_TRUE(wide.valid()) << error;
+    ASSERT_TRUE(wide.writeLine(wrapped));
+    ASSERT_TRUE(wide.readLine(line));
+    reply = serve::parseLine(line);
+    ASSERT_EQ(reply.type, serve::MsgType::Error) << line;
+    EXPECT_NE(reply.error.find("handshake failed: integer out of range"),
+              std::string::npos)
+        << reply.error;
+    EXPECT_FALSE(wide.readLine(line));
+
     // And a well-formed client still connects fine afterwards.
     serve::Client ok;
     EXPECT_TRUE(ok.connect(daemon.endpoint(), &error)) << error;
@@ -225,37 +249,111 @@ TEST(Serve, HandshakeRejectsMismatchedSchemaOrFingerprint)
 
 TEST(Serve, StatsLineRoundTripsEveryField)
 {
-    using serve::StatsMsg;
-    const std::vector<std::size_t StatsMsg::*> fields = {
-        &StatsMsg::connections,  &StatsMsg::requests,
-        &StatsMsg::executed,     &StatsMsg::cacheHits,
-        &StatsMsg::cacheSize,    &StatsMsg::forked,
-        &StatsMsg::rebuilt,      &StatsMsg::pooledArenas,
-        &StatsMsg::modelDecided, &StatsMsg::modelUndecided,
-        &StatsMsg::modelDisagreements};
+    using serve::kStatsFields;
+    constexpr std::size_t kCount = std::size(kStatsFields);
 #if defined(__x86_64__) && defined(__linux__)
-    static_assert(sizeof(StatsMsg) == 11 * sizeof(std::size_t),
-                  "StatsMsg changed: extend this test");
+    static_assert(sizeof(serve::StatsMsg) == kCount * sizeof(std::size_t),
+                  "StatsMsg member missing from serve::kStatsFields");
 #endif
-    StatsMsg sent;
-    for (std::size_t i = 0; i < fields.size(); ++i)
-        sent.*fields[i] = i + 1;
+    serve::StatsMsg sent;
+    for (std::size_t i = 0; i < kCount; ++i)
+        sent.*kStatsFields[i].member = i + 1;
     const std::string line = serve::statsLine(sent);
     const serve::ParsedMsg got = serve::parseLine(line);
     ASSERT_EQ(got.type, serve::MsgType::Stats) << got.error;
-    for (std::size_t i = 0; i < fields.size(); ++i)
-        EXPECT_EQ(got.stats.*fields[i], i + 1) << "field " << i;
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(got.stats.*kStatsFields[i].member, i + 1)
+            << kStatsFields[i].name;
 
-    // A v3 stats line still carries the warm-snapshot counters; the
+    // A v5 stats line still carries the scenario-fork counters; the
     // strict parser refuses it rather than skipping keys.
-    std::string v3 = line;
-    const std::string anchor = "\"pooledArenas\": 8";
-    const std::size_t at = v3.find(anchor);
-    ASSERT_NE(at, std::string::npos) << v3;
-    v3.insert(at + anchor.size(), ", \"warmHits\": 0, "
-                                  "\"warmMisses\": 0, "
-                                  "\"warmEntries\": 0");
-    EXPECT_EQ(serve::parseLine(v3).type, serve::MsgType::Invalid);
+    std::string v5 = line;
+    const std::string anchor = "\"cacheSize\": 5";
+    const std::size_t at = v5.find(anchor);
+    ASSERT_NE(at, std::string::npos) << v5;
+    v5.insert(at + anchor.size(), ", \"forked\": 0, \"rebuilt\": 0, "
+                                  "\"pooledArenas\": 0");
+    EXPECT_EQ(serve::parseLine(v5).type, serve::MsgType::Invalid);
+}
+
+TEST(Serve, ParseLineSurvivesMutationFuzz)
+{
+    // One valid line of every message type.
+    serve::HelloMsg hello = serve::localHello();
+    hello.workers = 4;
+    serve::ResultMsg result;
+    result.index = 7;
+    result.cached = true;
+    result.wallMillis = 0.125;
+    result.result = attacks::scoreResult("spectre-v1", {83, -1, 67},
+                                         {83, 69, 67}, 1234, 5);
+    result.stats.cycles = 1234;
+    result.stats.committed = 99;
+    result.stats.transientForwards = 5;
+    serve::DoneMsg done;
+    done.executed = 3;
+    done.cacheHits = 2;
+    done.wallMillis = 1.5;
+    serve::StatsMsg stats;
+    stats.requests = 12;
+    stats.modelDisagreements = 1;
+    const std::vector<std::string> seeds = {
+        serve::helloLine(hello, true),
+        serve::submitLine({"fuzz", {"key-a", "key \"b\"\n"}}),
+        serve::resultLine(result),
+        serve::doneLine(done),
+        serve::okLine(0),
+        serve::statsRequestLine(),
+        serve::statsLine(stats),
+        serve::shutdownLine(),
+        serve::errorLine("boom: \"quoted\" \\ tail"),
+    };
+
+    std::size_t invalid = 0;
+    const auto check = [&invalid](const std::string &line) {
+        serve::ParsedMsg msg;
+        ASSERT_NO_THROW(msg = serve::parseLine(line)) << line;
+        if (msg.type == serve::MsgType::Invalid) {
+            ++invalid;
+            EXPECT_FALSE(msg.error.empty()) << line;
+        }
+    };
+
+    const std::string structural = "{}[]\",:\\";
+    std::mt19937 rng(20261017);
+    for (const std::string &seed : seeds) {
+        ASSERT_NE(serve::parseLine(seed).type, serve::MsgType::Invalid)
+            << seed;
+        for (std::size_t cut = 0; cut < seed.size(); ++cut)
+            check(seed.substr(0, cut));
+        for (int round = 0; round < 2000; ++round) {
+            std::string line = seed;
+            const int edits = 1 + static_cast<int>(rng() % 3);
+            for (int e = 0; e < edits && !line.empty(); ++e) {
+                const std::size_t at = rng() % line.size();
+                switch (rng() % 4) {
+                  case 0:
+                    line[at] = static_cast<char>(
+                        line[at] ^ (1 << (rng() % 8)));
+                    break;
+                  case 1:
+                    line.erase(at, 1);
+                    break;
+                  case 2:
+                    line.insert(at, 1,
+                                structural[rng() % structural.size()]);
+                    break;
+                  default:
+                    line.insert(at, std::string(25, '9'));
+                    break;
+                }
+            }
+            check(line);
+        }
+    }
+    // Most mutants must be refused; an all-accepting parser would
+    // pass the checks above vacuously.
+    EXPECT_GT(invalid, seeds.size() * 1000);
 }
 
 TEST(Serve, MalformedRequestGetsErrorAndConnectionSurvives)
