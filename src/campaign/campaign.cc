@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -86,10 +87,11 @@ resolveKnob(const std::vector<T> &sweep, T baseline)
 void
 appendField(std::string &out, std::uint64_t value)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu;",
-                  static_cast<unsigned long long>(value));
-    out += buf;
+    // to_chars, not snprintf: parseScenarioKey re-serializes every
+    // key it reads, so this runs 47 times per parse.
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+    out += ';';
 }
 
 double
@@ -398,8 +400,12 @@ parseScenarioKey(const std::string &key,
                 std::underlying_type_t<core::AttackVariant>>::max())
         return false;
     variant = static_cast<core::AttackVariant>(v);
+    // Only the canonical spelling names a scenario: a wrapped
+    // 2^64 + 48, a leading zero or a 2 in a bool field would run
+    // one cell and be cached under another key.
     return core::ScenarioCatalog::instance().findAttack(variant) !=
-           nullptr;
+               nullptr &&
+           scenarioKey(variant, c, o) == key;
 }
 
 std::vector<Scenario>
@@ -746,21 +752,6 @@ CampaignReport::merge(const CampaignReport &other,
     return true;
 }
 
-std::string
-backendCacheKey(verdict::VerdictBackend backend,
-                const std::string &key)
-{
-    // Simulator, Differential, Static and Triage all memoize
-    // *simulated* entries, mutually compatible under the bare key
-    // (Static's analyzer verdict is an annotation beside the
-    // simulation, never cached).  Model entries are predictions, not
-    // measurements: tag them so neither side can ever satisfy the
-    // other's lookup.
-    if (backend == verdict::VerdictBackend::Model)
-        return "model|" + key;
-    return key;
-}
-
 bool
 executeKeyBatch(
     const std::vector<std::string> &keys, unsigned workers,
@@ -916,9 +907,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
     const auto emit = [&](std::size_t pos, const AttackResult &result,
                           const CpuStats &stats, double wallMillis,
                           const core::ModelJudgement *judgement,
-                          const char *agreement,
-                          const verdict::StaticJudgement *rewrite =
-                              nullptr) {
+                          const char *agreement) {
         for (const std::size_t e : backedBy.at(pos)) {
             const Scenario &dup = grid.expanded[e];
             ScenarioOutcome o;
@@ -940,11 +929,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
             }
             if (agreement)
                 o.agreement = agreement;
-            if (rewrite) {
-                o.fencesInserted = rewrite->fencesInserted;
-                o.masksInserted = rewrite->masksInserted;
-                o.extraInstructions = rewrite->extraInstructions;
-            }
             for (OutcomeSink *sink : sinks)
                 sink->consume(o);
         }
@@ -952,23 +936,15 @@ CampaignEngine::run(const ScenarioSpec &spec,
 
     /// Count one judged cell; @return the judgement.  Under the
     /// Static backend the verdict comes from the Fig. 9 program
-    /// analyzer (and @p rewrite, when given, receives the applied
-    /// program rewrite's overhead); every other backend asks the
-    /// graph model.
-    const auto judged = [&](const Scenario &s,
-                            verdict::StaticJudgement *rewrite =
-                                nullptr) {
-        core::ModelJudgement j;
-        if (backend == verdict::VerdictBackend::Static) {
-            verdict::StaticJudgement sj = verdict::judgeScenarioStatic(
-                s.variant, s.config, s.options);
-            if (rewrite)
-                *rewrite = sj;
-            j = std::move(sj.judgement);
-        } else {
-            j = verdict::judgeScenario(s.variant, s.config,
-                                       s.options);
-        }
+    /// analyzer; every other backend asks the graph model.
+    const auto judged = [&](const Scenario &s) {
+        core::ModelJudgement j =
+            backend == verdict::VerdictBackend::Static
+                ? verdict::judgeScenarioStatic(s.variant, s.config,
+                                               s.options)
+                      .judgement
+                : verdict::judgeScenario(s.variant, s.config,
+                                         s.options);
         (j.decided() ? modelDecided : modelUndecided)
             .fetch_add(1, std::memory_order_relaxed);
         return j;
@@ -1002,30 +978,16 @@ CampaignEngine::run(const ScenarioSpec &spec,
         const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
 
         if (backend == verdict::VerdictBackend::Model) {
-            // Analysis only: never touches the simulator.  The
+            // Analysis only: never touches the simulator or the
+            // result cache (a judgement costs microseconds, and a
+            // prediction must never pass for a measurement).  The
             // synthesized result carries the predicted leak bit and
-            // nothing else; cache entries live under the tagged key
-            // so they can never satisfy a simulator lookup.
+            // nothing else.
             const core::ModelJudgement j = judged(s);
             AttackResult result;
-            CpuStats stats;
-            const std::string mkey = backendCacheKey(backend, s.key);
-            bool cached = false;
-            if (cache) {
-                if (const auto hit = cache->lookup(mkey)) {
-                    result = hit->result;
-                    stats = hit->stats;
-                    cached = true;
-                    cacheHits.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-            if (!cached) {
-                result.name = s.rowLabel;
-                result.leaked = j.predictsLeak();
-                if (cache)
-                    cache->store(mkey, {result, stats});
-            }
-            emit(pos, result, stats, 0.0, &j, nullptr);
+            result.name = s.rowLabel;
+            result.leaked = j.predictsLeak();
+            emit(pos, result, CpuStats{}, 0.0, &j, nullptr);
             return true;
         }
 
@@ -1035,8 +997,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
         simulate(s, result, stats, wallMillis);
         if (backend == verdict::VerdictBackend::Differential ||
             backend == verdict::VerdictBackend::Static) {
-            verdict::StaticJudgement sj;
-            const core::ModelJudgement j = judged(s, &sj);
+            const core::ModelJudgement j = judged(s);
             const char *agreement = "undecided";
             if (j.decided()) {
                 agreement = j.predictsLeak() == result.leaked
@@ -1046,9 +1007,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
                     disagreements.fetch_add(1,
                                             std::memory_order_relaxed);
             }
-            emit(pos, result, stats, wallMillis, &j, agreement,
-                 backend == verdict::VerdictBackend::Static ? &sj
-                                                            : nullptr);
+            emit(pos, result, stats, wallMillis, &j, agreement);
         } else {
             emit(pos, result, stats, wallMillis, nullptr, nullptr);
         }

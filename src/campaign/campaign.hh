@@ -200,7 +200,9 @@ std::string scenarioKey(core::AttackVariant variant,
  * report_io) — one string instead of ~47 named fields.  It reads the
  * same field list scenarioKey() writes.
  *
- * @return false when @p key is not a well-formed scenario key,
+ * @return false when @p key is not a well-formed scenario key, is
+ *         not the canonical key of what it parses to (a field past
+ *         its type, a leading zero, a bool field other than 0/1),
  *         names a cache geometry uarch::cacheGeometryError() rejects
  *         (so a hostile key cannot reach the Cache constructor), or
  *         names a variant id the ScenarioCatalog does not know.
@@ -345,20 +347,6 @@ class ResultCache
 };
 
 /**
- * The ResultCache key a backend's entries live under.  Entries
- * produced by the *simulator* (Simulator, Differential and Triage
- * backends all simulate what they store) use the bare scenarioKey()
- * — mutually compatible, and compatible with persisted caches, which
- * only ever hold simulated results.  Entries synthesized by the
- * analytic model are tagged with a "model|" prefix so a model run
- * can never poison a simulator lookup (or vice versa); the tagged
- * keys fail parseScenarioKey() on purpose, so persistence drops
- * them rather than replaying model predictions as measurements.
- */
-std::string backendCacheKey(verdict::VerdictBackend backend,
-                            const std::string &key);
-
-/**
  * Fingerprint of the simulated model for cache invalidation: any
  * change to the shape *or defaults* of CpuConfig / AttackOptions
  * (captured by the canonical key of a default-configured scenario,
@@ -440,25 +428,20 @@ struct ScenarioOutcome
 
     /// @name Verdict-backend annotations (src/verdict/).
     ///
-    /// Empty under the plain simulator backend.  Model / Differential
-    /// / Triage fill modelVerdict ("leak" / "blocked" /
-    /// "inapplicable" / "undecided") and its evidence line; the
-    /// differential backend additionally sets agreement ("agree" /
-    /// "disagree" when the model decided, "undecided" otherwise).
-    /// Annotations, not results: excluded from the default exports
-    /// (schema flag kVerdict) and ignored by shard-merge conflict
-    /// detection, exactly like wallMillis.
+    /// Empty under the plain simulator backend.  Every other backend
+    /// fills modelVerdict ("leak" / "blocked" / "inapplicable" /
+    /// "undecided") and its evidence line; the differential and
+    /// static backends also set agreement ("agree" / "disagree"
+    /// when the verdict is decided, "undecided" otherwise).
+    /// Annotations, not results: specsec_regress builds its
+    /// disagreement pins from them, shard reports carry them when
+    /// set, and no JSON/CSV/JSONL export shows them, which keeps
+    /// the simulating backends' exports byte-identical; shard-merge
+    /// conflict detection ignores them, exactly like wallMillis.
     /// @{
     std::string modelVerdict;
     std::string agreement;
     std::string evidence;
-    /// Static-backend rewrite overhead: fences / index masks the
-    /// in-program mitigation inserted into the attack's static
-    /// program before analysis, and the resulting instruction-count
-    /// growth.  All zero outside `--backend static`.
-    std::size_t fencesInserted = 0;
-    std::size_t masksInserted = 0;
-    std::size_t extraInstructions = 0;
     /// @}
 };
 
@@ -585,11 +568,12 @@ class CampaignEngine
         /// simulate (default), judge analytically, do both and flag
         /// disagreement, or triage — judge everything, simulate only
         /// the frontier the model cannot replicate or decide.
-        /// Simulator, Differential and Triage produce byte-identical
-        /// timing-free exports; Model synthesizes results from
-        /// verdicts alone (leak bit = predicted verdict, accuracy
-        /// and counters zero) and is only comparable through the
-        /// verdict columns.
+        /// Simulator, Differential, Static and Triage produce
+        /// byte-identical timing-free exports; Model synthesizes
+        /// results from verdicts alone (leak bit = predicted
+        /// verdict, accuracy and counters zero) and neither reads
+        /// nor writes the result cache, which holds only
+        /// simulations.
         verdict::VerdictBackend backend =
             verdict::VerdictBackend::Simulator;
     };

@@ -4,9 +4,9 @@
  *
  * The cache file is versioned JSON: a fingerprint of the simulated
  * model and one entry per memoized scenario, keyed on the canonical
- * scenarioKey().  The result/stats record bodies are the schema-
- * derived wire fragments of tool/report_io.cc (tool/schema.hh), so
- * the cache format tracks the field registry automatically.  Loading trusts entries only under an exact
+ * scenarioKey().  The result/stats record bodies are the wire
+ * fragments of tool/schema.hh, so the cache format follows their
+ * field lists.  Loading trusts entries only under an exact
  * fingerprint match; anything else (stale fingerprint, corrupt or
  * truncated file, missing file, bad version) loads nothing and
  * reports false without raising — a persistent cache must never be
@@ -34,6 +34,7 @@
 #include "tool/jsonio.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
+#include "tool/schema.hh"
 
 namespace specsec::campaign
 {

@@ -20,15 +20,6 @@ namespace
 using tool::json::Cursor;
 using tool::json::parseStringArray;
 
-/** True when @p name is a kAccuracy field of the outcome schema —
- *  the only extra keys a golden cell may carry. */
-bool
-isAccuracyField(const std::string &name)
-{
-    const auto *field = tool::outcomeSchema().find(name);
-    return field != nullptr && (field->flags & tool::kAccuracy);
-}
-
 GoldenCell
 parseCell(Cursor &cur)
 {
@@ -45,18 +36,17 @@ parseCell(Cursor &cur)
             cell.leaks = cur.parseUnsigned();
         else if (key == "pattern")
             cell.pattern = cur.parseString();
-        else if (isAccuracyField(key)) {
-            std::vector<double> values;
+        else if (key == "accuracy") {
+            cell.accuracy.clear();
             if (!cur.expect('['))
                 return cell;
             if (!cur.peekConsume(']')) {
                 do {
-                    values.push_back(cur.parseDouble());
+                    cell.accuracy.push_back(cur.parseDouble());
                 } while (!cur.failed() && cur.peekConsume(','));
                 if (!cur.expect(']'))
                     return cell;
             }
-            cell.accuracy.emplace(key, std::move(values));
         } else {
             cur.fail("unknown cell key '" + key + "'");
             return cell;
@@ -105,13 +95,8 @@ GoldenMatrix::fromReport(const campaign::CampaignReport &report,
     for (const campaign::ScenarioOutcome &o : report.outcomes) {
         GoldenCell &cell = m.cells[o.row][o.col];
         cell.pattern += o.result.leaked ? '1' : '0';
-        if (!with_accuracy)
-            continue;
-        for (const auto &field : tool::outcomeSchema().fields()) {
-            if (!(field.flags & tool::kAccuracy))
-                continue;
-            cell.accuracy[field.name].push_back(field.get(o).d);
-        }
+        if (with_accuracy)
+            cell.accuracy.push_back(o.result.accuracy);
     }
     return m;
 }
@@ -142,11 +127,11 @@ goldenJson(const GoldenMatrix &matrix)
                << ", \"leaks\": " << cell.leaks
                << ", \"pattern\": \""
                << tool::jsonEscape(cell.pattern) << "\"";
-            for (const auto &[name, values] : cell.accuracy) {
-                os << ", \"" << tool::jsonEscape(name) << "\": [";
-                for (std::size_t i = 0; i < values.size(); ++i)
+            if (!cell.accuracy.empty()) {
+                os << ", \"accuracy\": [";
+                for (std::size_t i = 0; i < cell.accuracy.size(); ++i)
                     os << (i ? ", " : "")
-                       << tool::shortestExactDouble(values[i]);
+                       << tool::shortestExactDouble(cell.accuracy[i]);
                 os << "]";
             }
             os << "}";
@@ -238,14 +223,12 @@ parseGoldenJson(const std::string &text, std::string *error)
                          "declares no absEps tolerance");
                 return failed();
             }
-            for (const auto &[name, values] : cell.accuracy) {
-                if (values.size() != cell.runs) {
-                    cur.fail("cell " + name + " array has " +
-                             std::to_string(values.size()) +
-                             " values for " +
-                             std::to_string(cell.runs) + " runs");
-                    return failed();
-                }
+            if (m.hasAccuracy && cell.accuracy.size() != cell.runs) {
+                cur.fail("cell accuracy array has " +
+                         std::to_string(cell.accuracy.size()) +
+                         " values for " + std::to_string(cell.runs) +
+                         " runs");
+                return failed();
             }
         }
     }
@@ -307,50 +290,36 @@ compareGolden(const GoldenMatrix &golden, const GoldenMatrix &actual)
 
     // Accuracy values compare under the golden's recorded
     // tolerance, every other cell field exactly.  Each violation
-    // becomes a note naming the field, the grid point within the
-    // cell, both values and the delta.
+    // becomes a note naming the grid point within the cell, both
+    // values and the delta.
     const auto accuracyDrift = [&golden](const GoldenCell &g,
                                          const GoldenCell &a) {
         std::vector<std::string> notes;
         if (!golden.hasAccuracy)
             return notes;
-        const double eps = golden.absEps;
-        for (const auto &[name, expected] : g.accuracy) {
-            const auto hit = a.accuracy.find(name);
-            if (hit == a.accuracy.end()) {
-                notes.push_back(name + ": missing from actual");
-                continue;
-            }
-            const std::vector<double> &got = hit->second;
-            if (got.size() != expected.size()) {
-                notes.push_back(
-                    name + ": golden has " +
-                    std::to_string(expected.size()) +
-                    " values, actual " +
-                    std::to_string(got.size()));
-                continue;
-            }
-            for (std::size_t i = 0; i < expected.size(); ++i) {
-                const double delta =
-                    std::fabs(expected[i] - got[i]);
-                if (delta <= eps)
-                    continue;
-                char buf[160];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "%s[%zu]: golden %s -> actual %s "
-                    "(|delta| %s > absEps %s)",
-                    name.c_str(), i,
-                    tool::shortestExactDouble(expected[i]).c_str(),
-                    tool::shortestExactDouble(got[i]).c_str(),
-                    tool::shortestExactDouble(delta).c_str(),
-                    tool::shortestExactDouble(eps).c_str());
-                notes.push_back(buf);
-            }
+        if (g.accuracy.size() != a.accuracy.size()) {
+            notes.push_back("accuracy: golden has " +
+                            std::to_string(g.accuracy.size()) +
+                            " values, actual " +
+                            std::to_string(a.accuracy.size()));
+            return notes;
         }
-        for (const auto &[name, values] : a.accuracy)
-            if (!g.accuracy.count(name))
-                notes.push_back(name + ": missing from golden");
+        const double eps = golden.absEps;
+        for (std::size_t i = 0; i < g.accuracy.size(); ++i) {
+            const double delta = std::fabs(g.accuracy[i] - a.accuracy[i]);
+            if (delta <= eps)
+                continue;
+            char buf[160];
+            std::snprintf(
+                buf, sizeof buf,
+                "accuracy[%zu]: golden %s -> actual %s "
+                "(|delta| %s > absEps %s)",
+                i, tool::shortestExactDouble(g.accuracy[i]).c_str(),
+                tool::shortestExactDouble(a.accuracy[i]).c_str(),
+                tool::shortestExactDouble(delta).c_str(),
+                tool::shortestExactDouble(eps).c_str());
+            notes.push_back(buf);
+        }
         return notes;
     };
 

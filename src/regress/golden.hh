@@ -10,19 +10,18 @@
  * re-runs the spec, compares cell-by-cell, and renders a
  * human-readable diff naming every changed (variant, defense) cell.
  *
- * Goldens recorded with `--record --with-accuracy` additionally pin
- * every schema-declared kAccuracy field (tool/schema.hh) per grid
- * point, compared under an explicit absolute tolerance (absEps)
- * recorded in the golden file — accuracy drift beyond the tolerance
- * fails the gate with a line naming the field, the grid point, both
- * values and the delta.  Legacy goldens (no accuracy arrays)
- * compare exactly as before.
+ * A spec that declares an accuracy tolerance (NamedSpec::accuracyEps,
+ * src/regress/specs.hh) also pins each grid point's attack accuracy,
+ * compared under the absolute tolerance (absEps) recorded in the
+ * golden file — accuracy drift beyond the tolerance fails the gate
+ * with a line naming the grid point, both values and the delta.
+ * Goldens without accuracy arrays compare runs, leaks and patterns
+ * only.
  */
 
 #ifndef SPECSEC_REGRESS_GOLDEN_HH
 #define SPECSEC_REGRESS_GOLDEN_HH
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,14 +43,12 @@ struct GoldenCell
     /// the total would pass.  The pattern pins the full shape.
     std::string pattern;
 
-    /// Per-grid-point values of every schema-declared kAccuracy
-    /// field (tool::outcomeSchema()), expansion order, keyed by
-    /// field name — parallel to @c pattern.  Empty in goldens
-    /// recorded before the accuracy migration; such files compare
-    /// exactly as they always did.  Populated cells are compared
+    /// Per-grid-point attack accuracy (AttackResult::accuracy),
+    /// expansion order, parallel to @c pattern: one value per run
+    /// when the matrix pins accuracy, empty otherwise.  Compared
     /// under the matrix's explicit absEps tolerance, so partially-
     /// leaking cells pin their accuracy *values*, not just counts.
-    std::map<std::string, std::vector<double>> accuracy;
+    std::vector<double> accuracy;
 
     bool operator==(const GoldenCell &) const = default;
 };
@@ -65,9 +62,9 @@ struct GoldenMatrix
     /// cells[r][c] pairs rows[r] with cols[c].
     std::vector<std::vector<GoldenCell>> cells;
 
-    /// True when this golden pins accuracy values; recorded via an
-    /// explicit `specsec_regress --record --with-accuracy`
-    /// migration, never implicitly.
+    /// True when this golden pins accuracy values: recorded for a
+    /// spec with a nonzero NamedSpec::accuracyEps, read from a file
+    /// with an "absEps" key.
     bool hasAccuracy = false;
 
     /// Absolute tolerance for accuracy comparisons, recorded in the
@@ -77,9 +74,8 @@ struct GoldenMatrix
 
     /**
      * Build from a report; @p with_accuracy additionally captures
-     * every kAccuracy outcome field per grid point (the caller
-     * sets absEps — typically inherited from the golden being
-     * checked or re-recorded).
+     * each grid point's accuracy (the caller sets absEps: the
+     * spec's tolerance when recording, the golden's when checking).
      */
     static GoldenMatrix
     fromReport(const campaign::CampaignReport &report,
@@ -110,8 +106,8 @@ struct CellDiff
     std::optional<GoldenCell> actual; ///< nullopt: cell disappeared
 
     /// Human-readable accuracy drift, one line per out-of-tolerance
-    /// value, naming the field, grid point, both values, the delta
-    /// and the tolerance it exceeded.
+    /// value, naming the grid point, both values, the delta and the
+    /// tolerance it exceeded.
     std::vector<std::string> accuracyNotes;
 };
 

@@ -308,7 +308,7 @@ registeredSpecs()
         {"table3-baseline",
          "Table III cross-check: all variants leak on the "
          "undefended core",
-         table3BaselineSpec()},
+         table3BaselineSpec(), 0.005},
         {"ablation-spectre-window",
          "Spectre v1 leak vs. speculation-window length",
          ablationSpectreWindowSpec()},

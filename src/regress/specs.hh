@@ -27,6 +27,10 @@ struct NamedSpec
     std::string name; ///< golden/<name>.json
     std::string description;
     campaign::ScenarioSpec spec;
+    /// The golden's accuracy tolerance (its "absEps"): nonzero pins
+    /// every grid point's accuracy within it; 0 pins none.
+    /// `specsec_regress --record` writes exactly this format.
+    double accuracyEps = 0.0;
 };
 
 /** Every spec gated by the golden regression suite, stable order. */

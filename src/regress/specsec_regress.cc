@@ -36,9 +36,7 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -96,22 +94,6 @@ usage(const char *prog)
         "                     (default: regress-artifacts)\n"
         "  --shard-dir DIR    shard report directory (default: "
         "regress-shards)\n"
-        "  --with-accuracy    with --record: also pin every "
-        "schema-declared\n"
-        "                     accuracy field per grid point "
-        "(compared under\n"
-        "                     the golden's absEps tolerance)\n"
-        "  --accuracy-eps E   absolute tolerance recorded into "
-        "accuracy goldens\n"
-        "                     (implies --with-accuracy)\n"
-        "  --format-from DIR  with --record: inherit each spec's "
-        "golden format\n"
-        "                     (accuracy fields + absEps) from the "
-        "goldens in DIR\n"
-        "                     (default: --golden-dir), so "
-        "re-recording into a\n"
-        "                     scratch dir reproduces committed "
-        "files byte-for-byte\n"
         "  --flip-vuln PATH   drift self-test: disable a forwarding "
         "path (meltdown,\n"
         "                     l1tf, mds, lazyfp, store-bypass, msr, "
@@ -409,10 +391,7 @@ main(int argc, char **argv)
     std::string artifact_dir = "regress-artifacts";
     std::string shard_dir = "regress-shards";
     std::string flip;
-    std::string format_from;
     bool list_json = false;
-    bool with_accuracy = false;
-    std::optional<double> accuracy_eps;
     cli::RunFlags run;
 
     for (cli::Args args(argc, argv); args.next();) {
@@ -436,23 +415,6 @@ main(int argc, char **argv)
             artifact_dir = args.value();
         else if (args.is("--shard-dir"))
             shard_dir = args.value();
-        else if (args.is("--with-accuracy"))
-            with_accuracy = true;
-        else if (args.is("--accuracy-eps")) {
-            const char *v = args.value();
-            char *end = nullptr;
-            const double eps = std::strtod(v, &end);
-            if (*v == '\0' || end == nullptr || *end != '\0' ||
-                !std::isfinite(eps) || eps < 0.0) {
-                std::fprintf(stderr,
-                             "--accuracy-eps: '%s' is not a "
-                             "non-negative number\n",
-                             v);
-                return 2;
-            }
-            accuracy_eps = eps;
-        } else if (args.is("--format-from"))
-            format_from = args.value();
         else if (args.is("--flip-vuln"))
             flip = args.value();
         else
@@ -538,17 +500,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (mode != Mode::Record &&
-        (with_accuracy || accuracy_eps || !format_from.empty())) {
-        std::fprintf(stderr,
-                     "--with-accuracy / --accuracy-eps / "
-                     "--format-from only apply to --record (--check "
-                     "follows the committed golden's format)\n");
-        return 2;
-    }
-    if (format_from.empty())
-        format_from = golden_dir;
-
     if (mode == Mode::List) {
         if (list_json) {
             // The same shape `campaign_cli list-attacks --json`
@@ -697,30 +648,12 @@ main(int argc, char **argv)
         }
 
         if (mode == Mode::Record) {
-            // The recorded format: explicit flags win; otherwise
-            // each spec inherits the shape (accuracy fields +
-            // absEps) of its golden under --format-from, so a
-            // re-record into a scratch directory reproduces the
-            // committed files byte-for-byte (the CI schema-drift
-            // job relies on this).
-            bool record_accuracy =
-                with_accuracy || accuracy_eps.has_value();
-            double eps = accuracy_eps.value_or(0.0);
-            std::string prior_text;
-            if (tool::readTextFile(format_from + "/" + named.name +
-                                       ".json",
-                                   prior_text)) {
-                if (const auto prior =
-                        parseGoldenJson(prior_text)) {
-                    if (!with_accuracy && !accuracy_eps)
-                        record_accuracy = prior->hasAccuracy;
-                    if (!accuracy_eps && prior->hasAccuracy)
-                        eps = prior->absEps;
-                }
-            }
-            GoldenMatrix actual =
-                GoldenMatrix::fromReport(report, record_accuracy);
-            actual.absEps = eps;
+            // The spec declares its golden's format, so a record
+            // into a scratch directory reproduces the committed
+            // files byte-for-byte (CI's record step relies on it).
+            GoldenMatrix actual = GoldenMatrix::fromReport(
+                report, named.accuracyEps > 0.0);
+            actual.absEps = named.accuracyEps;
             const std::string golden_path =
                 golden_dir + "/" + named.name + ".json";
             if (!tool::writeTextFile(golden_path,
@@ -739,8 +672,8 @@ main(int argc, char **argv)
             // The disagreement pins ride along with every record:
             // one differential-<spec>.json per spec, empty list
             // included, so a re-record into a scratch directory
-            // reproduces the committed set byte-for-byte (the CI
-            // schema-drift job compares both directions).
+            // reproduces the committed set byte-for-byte (CI's
+            // record step compares both directions).
             const verdict::DisagreementSet fresh =
                 freshDisagreements(
                     named, report,

@@ -262,7 +262,7 @@ planJsonlResume(const campaign::CampaignHeader &header,
         const std::string line =
             existingText.substr(pos, nl + 1 - pos);
         // Outcome lines open with their gridIndex (the record's
-        // first schema field); the prefix is valid exactly while
+        // first column); the prefix is valid exactly while
         // the indices follow the announced grid order.
         const std::string want =
             "{\"type\": \"outcome\", \"record\": {\"gridIndex\": " +

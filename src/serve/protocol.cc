@@ -301,7 +301,7 @@ checkHello(const HelloMsg &peer, std::string *error)
         return fail(
             "schema tag mismatch: peer '" + peer.schema +
             "' vs local '" + ours.schema +
-            "' (rebuild both sides from the same field registry)");
+            "' (rebuild both sides from the same field lists)");
     if (peer.fingerprint != ours.fingerprint)
         return fail(
             "model fingerprint mismatch: peer '" +

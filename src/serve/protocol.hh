@@ -3,11 +3,10 @@
  * The campaign-service wire protocol: line-delimited JSON messages
  * over one TCP connection.  Every message is a single-line JSON
  * object whose first key is "type"; the execution-result payloads
- * (AttackResult / CpuStats) travel as the same schema-derived
- * fragments shard reports and the persistent cache use
- * (tool/report_io.hh), so the protocol tracks the field registry
- * in tool/schema.hh automatically instead of maintaining a second
- * field list.
+ * (AttackResult / CpuStats) travel as the same fragments shard
+ * reports and the persistent cache use (tool/schema.hh), so the
+ * protocol follows their field lists instead of maintaining a
+ * second one.
  *
  * Session shape:
  *
@@ -28,7 +27,7 @@
  * connection survives unless the handshake itself was rejected.
  * Results enter the daemon's shared cache only from its own
  * executions: no message stores a client-supplied result.
- * The handshake pins BOTH tool::wireSchemaTag() (field registry)
+ * The handshake pins BOTH tool::wireSchemaTag() (field lists)
  * and campaign::modelFingerprint() (struct shapes, defaults and
  * extension-slot bindings): two binaries interoperate exactly when
  * they would also share cache files.

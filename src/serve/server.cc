@@ -212,8 +212,8 @@ void
 Server::handleConnection(std::shared_ptr<net::Conn> conn)
 {
     // Handshake first: anything else on a fresh connection is
-    // rejected and the connection dropped, so a client built from
-    // a different field registry can never receive misparsable
+    // rejected and the connection dropped, so a client built with
+    // different field lists can never receive misparsable
     // result frames.
     std::string line;
     if (!conn->readLine(line))

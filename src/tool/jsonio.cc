@@ -1,8 +1,8 @@
 #include "jsonio.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace specsec::tool::json
 {
@@ -59,6 +59,7 @@ Cursor::parseString()
         if (c == '"')
             return out;
         if (c == '\\') {
+            const std::size_t at = pos_ - 1;
             if (pos_ >= text_.size())
                 break;
             const char esc = text_[pos_++];
@@ -91,8 +92,18 @@ Cursor::parseString()
                           return out;
                       }
                   }
-                  // Our writers only escape control characters.
-                  out += static_cast<char>(code & 0xff);
+                  // Our writers only escape control characters;
+                  // one byte holds every code point up to 0x7f.
+                  if (code > 0x7f) {
+                      char buf[56];
+                      std::snprintf(buf, sizeof buf,
+                                    "unsupported \\u escape at "
+                                    "offset %zu",
+                                    at);
+                      fail(buf);
+                      return out;
+                  }
+                  out += static_cast<char>(code);
                   break;
               }
               default:
@@ -124,7 +135,7 @@ Cursor::parseDigits(std::size_t start, std::uint64_t limit)
            text_[pos_] <= '9') {
         const auto digit =
             static_cast<std::uint64_t>(text_[pos_++] - '0');
-        if (value > (limit - digit) / 10)
+        if (digit > limit || value > (limit - digit) / 10)
             overflow = true;
         else
             value = value * 10 + digit;
@@ -156,7 +167,7 @@ Cursor::parseU64()
 }
 
 std::int64_t
-Cursor::parseI64()
+Cursor::parseI64(std::int64_t min, std::int64_t max)
 {
     skipWs();
     const std::size_t start = pos_;
@@ -164,11 +175,12 @@ Cursor::parseI64()
         pos_ < text_.size() && text_[pos_] == '-';
     if (negative)
         ++pos_;
-    // |INT64_MIN| is one more than INT64_MAX.
-    constexpr auto kMax = static_cast<std::uint64_t>(
-        std::numeric_limits<std::int64_t>::max());
-    const std::uint64_t magnitude =
-        parseDigits(start, negative ? kMax + 1 : kMax);
+    // The magnitude's limit on the number's side of zero, computed
+    // in unsigned arithmetic: |INT64_MIN| is one more than
+    // INT64_MAX.
+    const std::uint64_t magnitude = parseDigits(
+        start, negative ? 0 - static_cast<std::uint64_t>(min)
+                        : static_cast<std::uint64_t>(max));
     // Modular conversion (C++20): 0 - 2^63 becomes INT64_MIN.
     return static_cast<std::int64_t>(negative ? 0 - magnitude
                                               : magnitude);
@@ -199,6 +211,14 @@ Cursor::parseDouble()
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') {
         fail("malformed number '" + token + "'");
+        return 0.0;
+    }
+    // 1e999 reads as inf, which no writer can emit back.
+    if (!std::isfinite(value)) {
+        char buf[48];
+        std::snprintf(buf, sizeof buf,
+                      "number out of range at offset %zu", start);
+        fail(buf);
         return 0.0;
     }
     return value;
@@ -243,21 +263,6 @@ parseStringArray(Cursor &cur)
         return out;
     do {
         out.push_back(cur.parseString());
-    } while (!cur.failed() && cur.peekConsume(','));
-    cur.expect(']');
-    return out;
-}
-
-std::vector<std::int64_t>
-parseIntArray(Cursor &cur)
-{
-    std::vector<std::int64_t> out;
-    if (!cur.expect('['))
-        return out;
-    if (cur.peekConsume(']'))
-        return out;
-    do {
-        out.push_back(cur.parseI64());
     } while (!cur.failed() && cur.peekConsume(','));
     cur.expect(']');
     return out;

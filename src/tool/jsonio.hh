@@ -2,19 +2,23 @@
  * @file
  * Shared minimal JSON reading for the tree's persisted artifacts.
  *
- * Every JSON file this repository writes (golden matrices, shard
- * reports, persisted result caches) is emitted by our own writers as
- * a strict subset of JSON: objects with string keys, arrays,
- * strings, numbers, and the true/false literals.  This cursor parses
- * exactly that subset with byte-offset-tagged errors; it is the one
- * parser behind src/regress/golden.cc, src/tool/report_io.cc and
- * src/campaign/persist.cc.
+ * Every JSON file and line this repository writes (golden matrices,
+ * lint and disagreement pins, shard reports, persisted result
+ * caches, serve protocol lines) is emitted by our own writers as a
+ * strict subset of JSON: objects with string keys, arrays, strings
+ * escaping only control characters, numbers, and the true/false
+ * literals.  This cursor is the one parser of that subset, with
+ * byte-offset-tagged errors.  A value it cannot represent — an
+ * integer past its type, a number past a finite double, a \u escape
+ * above 0x7f — fails with a named error instead of reading as some
+ * other value.
  */
 
 #ifndef SPECSEC_TOOL_JSONIO_HH
 #define SPECSEC_TOOL_JSONIO_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,9 @@ class Cursor
 {
   public:
     explicit Cursor(const std::string &text) : text_(text) {}
+    /// The cursor keeps a reference, so a temporary text would
+    /// dangle (a string literal included).
+    Cursor(std::string &&) = delete;
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
@@ -41,6 +48,8 @@ class Cursor
     /** True (and consumed) when the next token is @p c. */
     bool peekConsume(char c);
 
+    /** A string; fails with "unsupported \u escape" on a \u
+     *  escape above 0x7f. */
     std::string parseString();
 
     /** Unsigned decimal; fails on sign, fraction or exponent, and
@@ -48,10 +57,14 @@ class Cursor
     unsigned parseUnsigned();
     std::uint64_t parseU64();
 
-    /** Signed decimal integer; fails outside the int64_t range. */
-    std::int64_t parseI64();
+    /** Signed decimal integer; fails with "integer out of range"
+     *  outside [@p min, @p max], a range that holds 0. */
+    std::int64_t
+    parseI64(std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+             std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
-    /** JSON number including sign/fraction/exponent. */
+    /** JSON number including sign/fraction/exponent; fails with
+     *  "number out of range" when it does not fit a finite double. */
     double parseDouble();
 
     /** The @c true / @c false literals. */
@@ -72,9 +85,6 @@ class Cursor
 
 /** `[ "a", "b" ]` */
 std::vector<std::string> parseStringArray(Cursor &cur);
-
-/** `[ 1, -2, 3 ]` */
-std::vector<std::int64_t> parseIntArray(Cursor &cur);
 
 } // namespace specsec::tool::json
 

@@ -182,49 +182,6 @@ campaignJson(const campaign::CampaignReport &report,
 }
 
 std::string
-outcomeJson(const campaign::ScenarioOutcome &o, bool include_timing)
-{
-    return outcomeSchema().jsonObject(o, include_timing,
-                                      DoubleStyle::Fixed4);
-}
-
-std::string
-campaignCsvHeader(bool include_timing)
-{
-    return outcomeSchema().csvHeader(include_timing);
-}
-
-std::string
-campaignCsvRow(const campaign::ScenarioOutcome &o,
-               bool include_timing)
-{
-    return outcomeSchema().csvRow(o, include_timing,
-                                  DoubleStyle::Fixed4);
-}
-
-std::string
-campaignCsvHeaderMasked(unsigned excludeMask)
-{
-    return outcomeSchema().csvHeader(excludeMask);
-}
-
-std::string
-campaignCsvRowMasked(const campaign::ScenarioOutcome &o,
-                     unsigned excludeMask)
-{
-    return outcomeSchema().csvRow(o, excludeMask,
-                                  DoubleStyle::Fixed4);
-}
-
-std::string
-outcomeJsonMasked(const campaign::ScenarioOutcome &o,
-                  unsigned excludeMask)
-{
-    return outcomeSchema().jsonObject(o, excludeMask,
-                                      DoubleStyle::Fixed4);
-}
-
-std::string
 campaignCsv(const campaign::CampaignReport &report,
             bool include_timing)
 {

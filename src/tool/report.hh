@@ -15,7 +15,6 @@
 namespace specsec::campaign
 {
 struct CampaignReport;
-struct ScenarioOutcome;
 }
 
 namespace specsec::tool
@@ -40,61 +39,22 @@ std::string csvField(const std::string &s);
 /**
  * Serialize a campaign report as JSON: campaign metadata, the
  * success matrix (per-cell run/leak counts) and one record per grid
- * cell.  With @p include_timing false the output is a pure function
- * of the spec (byte-identical across serial/parallel runs and
- * machines); with true it adds wall-clock and throughput fields.
+ * cell (tool::outcomeJson, schema.hh).  With @p include_timing
+ * false the output is a pure function of the spec (byte-identical
+ * across serial/parallel runs and machines); with true it adds
+ * wall-clock and throughput fields.
  */
 std::string campaignJson(const campaign::CampaignReport &report,
                          bool include_timing = true);
 
 /**
- * Serialize a campaign report as CSV, one row per grid cell.  Same
+ * Serialize a campaign report as CSV, one row per grid cell
+ * (tool::campaignCsvHeader/campaignCsvRow, schema.hh).  Same
  * determinism contract as campaignJson: timing columns only appear
  * when @p include_timing is set.
  */
 std::string campaignCsv(const campaign::CampaignReport &report,
                         bool include_timing = false);
-
-/**
- * @name Per-record formatters shared by the batch exporters above
- * and the streaming sinks (stream_export.hh).  One formatter per
- * format keeps "stream then concatenate" byte-identical to "collect
- * then export" by construction.  All three are thin wrappers over
- * tool::outcomeSchema() (schema.hh): the field list, order, types
- * and flags live in one declaration, and these derive JSON and CSV
- * from it by iteration.
- * @{
- */
-
-/** The campaignCsv column header line, with trailing newline. */
-std::string campaignCsvHeader(bool include_timing);
-
-/** One campaignCsv data row for @p outcome, with trailing newline. */
-std::string campaignCsvRow(const campaign::ScenarioOutcome &outcome,
-                           bool include_timing);
-
-/**
- * The one-line JSON object campaignJson() emits for @p outcome (no
- * surrounding indentation, comma or newline).
- */
-std::string outcomeJson(const campaign::ScenarioOutcome &outcome,
-                        bool include_timing);
-
-/**
- * @name Exclude-mask variants (tool::kTiming / tool::kVerdict,
- * schema.hh) for callers that opt in to the verdict-backend
- * annotation fields; the bool surfaces above always exclude
- * kVerdict so existing exports stay byte-identical across backends.
- * @{
- */
-std::string campaignCsvHeaderMasked(unsigned excludeMask);
-std::string campaignCsvRowMasked(
-    const campaign::ScenarioOutcome &outcome, unsigned excludeMask);
-std::string outcomeJsonMasked(
-    const campaign::ScenarioOutcome &outcome, unsigned excludeMask);
-/// @}
-
-/// @}
 
 /** Write @p contents to @p path; @return false on I/O failure. */
 bool writeTextFile(const std::string &path,

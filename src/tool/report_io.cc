@@ -21,32 +21,6 @@ exactNum(double value)
 } // namespace
 
 std::string
-attackResultJson(const attacks::AttackResult &r)
-{
-    return attackResultSchema().jsonObject(r, true,
-                                           DoubleStyle::Exact17);
-}
-
-std::string
-cpuStatsJson(const uarch::CpuStats &s)
-{
-    return cpuStatsSchema().jsonArray(s, DoubleStyle::Exact17);
-}
-
-bool
-parseAttackResultJson(json::Cursor &cur,
-                      attacks::AttackResult &r)
-{
-    return attackResultSchema().parseJsonObject(cur, r);
-}
-
-bool
-parseCpuStatsJson(json::Cursor &cur, uarch::CpuStats &s)
-{
-    return cpuStatsSchema().parseJsonArray(cur, s);
-}
-
-std::string
 shardReportJson(const campaign::CampaignReport &report)
 {
     std::ostringstream os;
@@ -54,7 +28,7 @@ shardReportJson(const campaign::CampaignReport &report)
     // The schema-version tag: which field lists produced this file.
     // A consumer whose schemas differ rejects the file at parse
     // time, so CampaignReport::merge never folds misparsed outcomes
-    // from a binary with a different field registry.
+    // from a binary with different field lists.
     os << "\"schema\": \"" << jsonEscape(wireSchemaTag())
        << "\",\n";
     os << "\"name\": \"" << jsonEscape(report.name) << "\",\n";
@@ -136,9 +110,10 @@ parseShardReportJson(const std::string &text, std::string *error)
                 return failed();
             }
         } else if (key == "schema") {
-            // Absent in files from pre-tag producers, whose field
-            // lists were exactly the current ones; when present it
-            // must match ours or the outcomes would misparse.
+            // Absent in files from pre-tag producers, whose result
+            // and stats fragments are the current ones; when
+            // present it must match ours or the outcomes would
+            // misparse.
             const std::string found = cur.parseString();
             if (!cur.failed() && found != wireSchemaTag()) {
                 cur.fail("schema mismatch: file has '" + found +
@@ -257,6 +232,16 @@ parseShardReportJson(const std::string &text, std::string *error)
     if (!sawOutcomes) {
         cur.fail("shard report has no outcomes");
         return failed();
+    }
+    // Every consumer indexes the report's matrix by (row, col).
+    for (const campaign::ScenarioOutcome &o : report.outcomes) {
+        if (o.row >= report.rowLabels.size() ||
+            o.col >= report.colLabels.size()) {
+            cur.fail("outcome at gridIndex " +
+                     std::to_string(o.gridIndex) +
+                     ": row/col out of range");
+            return failed();
+        }
     }
     report.scenariosPerSecond =
         report.wallMillis > 0.0

@@ -12,15 +12,15 @@
  * format tracks CpuConfig/AttackOptions growth automatically instead
  * of maintaining ~47 named fields in a second schema.
  *
- * The AttackResult/CpuStats fragment helpers are shared with the
- * persistent ResultCache (src/campaign/persist.cc) — one wire
- * encoding for "what a scenario execution produced" everywhere.
- * Both fragments (emit and parse) are derived from the typed field
- * registries in schema.hh, and every shard report carries
- * tool::wireSchemaTag() so a consumer with a different field list
- * rejects the file instead of misparsing it (files from pre-tag
- * producers, whose field lists match the tagless-era schemas,
- * still load).
+ * Each outcome's result and stats travel as the AttackResult/
+ * CpuStats fragments of schema.hh, the same encoding the persistent
+ * ResultCache (src/campaign/persist.cc) and serve result lines use,
+ * and every shard report carries tool::wireSchemaTag() so a consumer
+ * with different field lists rejects the file instead of misparsing
+ * it (a file without the tag line, as pre-tag producers wrote,
+ * still loads).  The verdict annotations (modelVerdict, agreement,
+ * evidence) travel only when set, so simulator shard files stay
+ * byte-identical across backends.
  */
 
 #ifndef SPECSEC_TOOL_REPORT_IO_HH
@@ -30,7 +30,6 @@
 #include <string>
 
 #include "campaign/campaign.hh"
-#include "jsonio.hh"
 
 namespace specsec::tool
 {
@@ -47,27 +46,12 @@ std::string shardReportJson(const campaign::CampaignReport &report);
 /**
  * Parse shardReportJson() output.  @return nullopt (with a message
  * in @p error) on malformed input, an unsupported version, or an
- * outcome whose scenario key does not parse.
+ * outcome whose scenario key does not parse or whose row/col lies
+ * outside the report's labels.
  */
 std::optional<campaign::CampaignReport>
 parseShardReportJson(const std::string &text,
                      std::string *error = nullptr);
-
-/**
- * @name Execution-result JSON fragments.
- * `{"name": ..., "recovered": [...], "expected": [...],
- *   "accuracy": ..., "leaked": ..., "guestCycles": ...,
- *   "transientForwards": ...}` and the 8-element CpuStats array.
- * The accuracy double is printed with %.17g, so a parse/emit
- * round-trip is exact.
- * @{
- */
-std::string attackResultJson(const attacks::AttackResult &result);
-std::string cpuStatsJson(const uarch::CpuStats &stats);
-bool parseAttackResultJson(json::Cursor &cur,
-                           attacks::AttackResult &result);
-bool parseCpuStatsJson(json::Cursor &cur, uarch::CpuStats &stats);
-/// @}
 
 } // namespace specsec::tool
 

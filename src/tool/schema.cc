@@ -1,7 +1,10 @@
 #include "schema.hh"
 
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "campaign/campaign.hh"
 #include "core/catalog.hh"
@@ -9,69 +12,6 @@
 
 namespace specsec::tool
 {
-
-char
-fieldTypeCode(FieldType type)
-{
-    switch (type) {
-      case FieldType::String:
-        return 's';
-      case FieldType::UInt:
-        return 'u';
-      case FieldType::Double:
-        return 'd';
-      case FieldType::Bool:
-        return 'b';
-      case FieldType::IntArray:
-        return 'a';
-    }
-    return '?';
-}
-
-FieldValue
-FieldValue::ofString(std::string v)
-{
-    FieldValue out;
-    out.type = FieldType::String;
-    out.s = std::move(v);
-    return out;
-}
-
-FieldValue
-FieldValue::ofUInt(std::uint64_t v)
-{
-    FieldValue out;
-    out.type = FieldType::UInt;
-    out.u = v;
-    return out;
-}
-
-FieldValue
-FieldValue::ofDouble(double v)
-{
-    FieldValue out;
-    out.type = FieldType::Double;
-    out.d = v;
-    return out;
-}
-
-FieldValue
-FieldValue::ofBool(bool v)
-{
-    FieldValue out;
-    out.type = FieldType::Bool;
-    out.b = v;
-    return out;
-}
-
-FieldValue
-FieldValue::ofIntArray(std::vector<std::int64_t> v)
-{
-    FieldValue out;
-    out.type = FieldType::IntArray;
-    out.a = std::move(v);
-    return out;
-}
 
 std::string
 formatDouble(double value, DoubleStyle style)
@@ -95,92 +35,6 @@ shortestExactDouble(double value)
     return buf;
 }
 
-namespace detail
-{
-
-std::string
-jsonValue(const FieldValue &value, DoubleStyle style)
-{
-    switch (value.type) {
-      case FieldType::String: {
-          std::string out = "\"";
-          out += jsonEscape(value.s);
-          out += '"';
-          return out;
-      }
-      case FieldType::UInt:
-        return std::to_string(value.u);
-      case FieldType::Double:
-        return formatDouble(value.d, style);
-      case FieldType::Bool:
-        return value.b ? "true" : "false";
-      case FieldType::IntArray: {
-          std::string out = "[";
-          for (std::size_t i = 0; i < value.a.size(); ++i) {
-              if (i)
-                  out += ", ";
-              out += std::to_string(value.a[i]);
-          }
-          out += ']';
-          return out;
-      }
-    }
-    return "null";
-}
-
-std::string
-csvValue(const FieldValue &value, DoubleStyle style)
-{
-    switch (value.type) {
-      case FieldType::String:
-        return csvField(value.s);
-      case FieldType::UInt:
-        return std::to_string(value.u);
-      case FieldType::Double:
-        return formatDouble(value.d, style);
-      case FieldType::Bool:
-        return value.b ? "1" : "0";
-      case FieldType::IntArray: {
-          // No CSV surface exports arrays today; ';'-join inside one
-          // quotable field keeps the generic writer total.
-          std::string joined;
-          for (std::size_t i = 0; i < value.a.size(); ++i) {
-              if (i)
-                  joined += ';';
-              joined += std::to_string(value.a[i]);
-          }
-          return csvField(joined);
-      }
-    }
-    return "";
-}
-
-bool
-parseValue(json::Cursor &cur, FieldType type, FieldValue &out)
-{
-    out.type = type;
-    switch (type) {
-      case FieldType::String:
-        out.s = cur.parseString();
-        break;
-      case FieldType::UInt:
-        out.u = cur.parseU64();
-        break;
-      case FieldType::Double:
-        out.d = cur.parseDouble();
-        break;
-      case FieldType::Bool:
-        out.b = cur.parseBool();
-        break;
-      case FieldType::IntArray:
-        out.a = json::parseIntArray(cur);
-        break;
-    }
-    return !cur.failed();
-}
-
-} // namespace detail
-
 std::string
 mitigationSummary(const attacks::AttackOptions &o)
 {
@@ -198,42 +52,6 @@ mitigationSummary(const attacks::AttackOptions &o)
     add(o.addressMasking, "addr-mask");
     add(o.flushL1OnExit, "flush-l1");
     return out.empty() ? "-" : out;
-}
-
-bool
-parseMitigationSummary(const std::string &text,
-                       attacks::AttackOptions &out)
-{
-    attacks::AttackOptions parsed = out;
-    parsed.kpti = parsed.rsbStuffing = parsed.softwareLfence =
-        parsed.addressMasking = parsed.flushL1OnExit = false;
-    if (text != "-") {
-        std::size_t start = 0;
-        while (start <= text.size()) {
-            const std::size_t plus = text.find('+', start);
-            const std::string name =
-                text.substr(start, plus == std::string::npos
-                                       ? std::string::npos
-                                       : plus - start);
-            if (name == "kpti")
-                parsed.kpti = true;
-            else if (name == "rsb-stuff")
-                parsed.rsbStuffing = true;
-            else if (name == "lfence")
-                parsed.softwareLfence = true;
-            else if (name == "addr-mask")
-                parsed.addressMasking = true;
-            else if (name == "flush-l1")
-                parsed.flushL1OnExit = true;
-            else
-                return false;
-            if (plus == std::string::npos)
-                break;
-            start = plus + 1;
-        }
-    }
-    out = parsed;
-    return true;
 }
 
 std::string
@@ -291,418 +109,367 @@ cacheSummary(const uarch::CacheConfig &c)
     return buf;
 }
 
-bool
-parseCacheSummary(const std::string &text, uarch::CacheConfig &out)
-{
-    std::size_t sets = 0, ways = 0, line = 0;
-    unsigned hit = 0, miss = 0;
-    int consumed = 0;
-    if (std::sscanf(text.c_str(), "%zux%zu/%zu@%u:%u%n", &sets,
-                    &ways, &line, &hit, &miss, &consumed) != 5 ||
-        static_cast<std::size_t>(consumed) != text.size())
-        return false;
-    out.sets = sets;
-    out.ways = ways;
-    out.lineSize = line;
-    out.hitLatency = hit;
-    out.missLatency = miss;
-    return true;
-}
-
 namespace
 {
 
 using campaign::ScenarioOutcome;
 
-/** covertChannelName()'s inverse; false on unknown names. */
-bool
-parseChannelName(const std::string &name,
-                 core::CovertChannelKind &out)
+/**
+ * The field lists.  Each calls @p visit(name, value) once per field,
+ * in the record's one wire or export order; every emitter, parser
+ * and the schema tag below iterates them.
+ */
+
+/** AttackResult's wire fragment, by reference (emit and parse). */
+template <typename Result, typename Visit>
+void
+forEachResultField(Result &r, Visit &&visit)
 {
-    for (const auto kind : {core::CovertChannelKind::FlushReload,
-                            core::CovertChannelKind::PrimeProbe}) {
-        if (name == core::covertChannelName(kind)) {
-            out = kind;
-            return true;
-        }
+    visit("name", r.name);
+    visit("recovered", r.recovered);
+    visit("expected", r.expected);
+    visit("accuracy", r.accuracy);
+    visit("leaked", r.leaked);
+    visit("guestCycles", r.guestCycles);
+    visit("transientForwards", r.transientForwards);
+}
+
+/** CpuStats' wire fragment: a positional array in this order. */
+template <typename Stats, typename Visit>
+void
+forEachStatsField(Stats &s, Visit &&visit)
+{
+    visit("cycles", s.cycles);
+    visit("committed", s.committed);
+    visit("squashed", s.squashed);
+    visit("branchMispredicts", s.branchMispredicts);
+    visit("exceptions", s.exceptions);
+    visit("memOrderViolations", s.memOrderViolations);
+    visit("speculativeFills", s.speculativeFills);
+    visit("transientForwards", s.transientForwards);
+}
+
+/**
+ * An outcome's export columns: the 18 deterministic ones, then
+ * wallMillis, the one timing column, only when @p timing is set.
+ * Export-only — the channel and summary columns are computed, and
+ * no reader parses outcomes back (a shard report carries the
+ * configuration as its scenario key).
+ */
+template <typename Visit>
+void
+forEachOutcomeField(const ScenarioOutcome &o, bool timing,
+                    Visit &&visit)
+{
+    visit("gridIndex", o.gridIndex);
+    visit("variant", o.rowLabel);
+    visit("defense", o.colLabel);
+    visit("robSize", o.config.robSize);
+    visit("permCheckLatency", o.config.permCheckLatency);
+    visit("channel",
+          std::string(core::covertChannelName(o.options.channel)));
+    visit("mitigations", mitigationSummary(o.options));
+    visit("vulns", vulnSummary(o.config.vuln));
+    visit("cache", cacheSummary(o.config.cache));
+    visit("leaked", o.result.leaked);
+    visit("accuracy", o.result.accuracy);
+    visit("guestCycles", o.result.guestCycles);
+    visit("transientForwards", o.result.transientForwards);
+    visit("cycles", o.stats.cycles);
+    visit("committed", o.stats.committed);
+    visit("squashed", o.stats.squashed);
+    visit("branchMispredicts", o.stats.branchMispredicts);
+    visit("exceptions", o.stats.exceptions);
+    if (timing)
+        visit("wallMillis", o.wallMillis);
+}
+
+/** @name JSON value writers, one per field type. @{ */
+void
+appendJson(std::string &out, const std::string &v, DoubleStyle)
+{
+    out += '"';
+    out += jsonEscape(v);
+    out += '"';
+}
+
+void
+appendJson(std::string &out, bool v, DoubleStyle)
+{
+    out += v ? "true" : "false";
+}
+
+void
+appendJson(std::string &out, double v, DoubleStyle style)
+{
+    out += formatDouble(v, style);
+}
+
+template <std::integral T>
+void
+appendJson(std::string &out, T v, DoubleStyle)
+{
+    out += std::to_string(v);
+}
+
+template <std::integral T>
+void
+appendJson(std::string &out, const std::vector<T> &v, DoubleStyle)
+{
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i)
+            out += ", ";
+        out += std::to_string(v[i]);
     }
-    return false;
+    out += ']';
+}
+/// @}
+
+/** @name CSV value writers, one per outcome column type. @{ */
+void
+appendCsv(std::string &out, const std::string &v)
+{
+    out += csvField(v);
 }
 
-RecordSchema<ScenarioOutcome>
-makeOutcomeSchema()
+void
+appendCsv(std::string &out, bool v)
 {
-    using F = FieldDescriptor<ScenarioOutcome>;
-    std::vector<F> fields;
-    fields.push_back(
-        {"gridIndex", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.gridIndex);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.gridIndex = static_cast<std::size_t>(v.u);
-             return true;
-         }});
-    fields.push_back(
-        {"variant", FieldType::String, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(o.rowLabel);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.rowLabel = v.s;
-             return true;
-         }});
-    fields.push_back(
-        {"defense", FieldType::String, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(o.colLabel);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.colLabel = v.s;
-             return true;
-         }});
-    fields.push_back(
-        {"robSize", FieldType::UInt, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.config.robSize);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.config.robSize = static_cast<std::size_t>(v.u);
-             return true;
-         }});
-    fields.push_back(
-        {"permCheckLatency", FieldType::UInt, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.config.permCheckLatency);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.config.permCheckLatency =
-                 static_cast<unsigned>(v.u);
-             return true;
-         }});
-    fields.push_back(
-        {"channel", FieldType::String, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(
-                 core::covertChannelName(o.options.channel));
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             return parseChannelName(v.s, o.options.channel);
-         }});
-    fields.push_back(
-        {"mitigations", FieldType::String, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(
-                 mitigationSummary(o.options));
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             return parseMitigationSummary(v.s, o.options);
-         }});
-    fields.push_back(
-        {"vulns", FieldType::String, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(vulnSummary(o.config.vuln));
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             return parseVulnSummary(v.s, o.config.vuln);
-         }});
-    fields.push_back(
-        {"cache", FieldType::String, kKeyComponent,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(
-                 cacheSummary(o.config.cache));
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             return parseCacheSummary(v.s, o.config.cache);
-         }});
-    fields.push_back(
-        {"leaked", FieldType::Bool, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofBool(o.result.leaked);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.result.leaked = v.b;
-             return true;
-         }});
-    fields.push_back(
-        {"accuracy", FieldType::Double, kAccuracy,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofDouble(o.result.accuracy);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.result.accuracy = v.d;
-             return true;
-         }});
-    fields.push_back(
-        {"guestCycles", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.result.guestCycles);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.result.guestCycles = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"transientForwards", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.result.transientForwards);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.result.transientForwards = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"cycles", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.stats.cycles);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.stats.cycles = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"committed", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.stats.committed);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.stats.committed = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"squashed", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.stats.squashed);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.stats.squashed = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"branchMispredicts", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.stats.branchMispredicts);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.stats.branchMispredicts = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"exceptions", FieldType::UInt, 0,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.stats.exceptions);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.stats.exceptions = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"wallMillis", FieldType::Double, kTiming,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofDouble(o.wallMillis);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.wallMillis = v.d;
-             return true;
-         }});
-    fields.push_back(
-        {"model_verdict", FieldType::String, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(o.modelVerdict);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.modelVerdict = v.s;
-             return true;
-         }});
-    fields.push_back(
-        {"agreement", FieldType::String, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(o.agreement);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.agreement = v.s;
-             return true;
-         }});
-    fields.push_back(
-        {"evidence", FieldType::String, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofString(o.evidence);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.evidence = v.s;
-             return true;
-         }});
-    // Static-backend rewrite overhead (zero elsewhere): how many
-    // fences / index masks the in-program mitigation inserted and
-    // the resulting instruction-count growth.
-    fields.push_back(
-        {"fences_inserted", FieldType::UInt, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.fencesInserted);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.fencesInserted = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"masks_inserted", FieldType::UInt, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.masksInserted);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.masksInserted = v.u;
-             return true;
-         }});
-    fields.push_back(
-        {"extra_instructions", FieldType::UInt, kVerdict,
-         [](const ScenarioOutcome &o) {
-             return FieldValue::ofUInt(o.extraInstructions);
-         },
-         [](ScenarioOutcome &o, const FieldValue &v) {
-             o.extraInstructions = v.u;
-             return true;
-         }});
-    return RecordSchema<ScenarioOutcome>("outcome",
-                                         std::move(fields));
+    out += v ? '1' : '0';
 }
 
-RecordSchema<attacks::AttackResult>
-makeAttackResultSchema()
+void
+appendCsv(std::string &out, double v)
 {
-    using R = attacks::AttackResult;
-    using F = FieldDescriptor<R>;
-    std::vector<F> fields;
-    fields.push_back({"name", FieldType::String, 0,
-                      [](const R &r) {
-                          return FieldValue::ofString(r.name);
-                      },
-                      [](R &r, const FieldValue &v) {
-                          r.name = v.s;
-             return true;
-                      }});
-    fields.push_back(
-        {"recovered", FieldType::IntArray, 0,
-         [](const R &r) {
-             std::vector<std::int64_t> a(r.recovered.begin(),
-                                         r.recovered.end());
-             return FieldValue::ofIntArray(std::move(a));
-         },
-         [](R &r, const FieldValue &v) {
-             r.recovered.clear();
-             for (const std::int64_t x : v.a)
-                 r.recovered.push_back(static_cast<int>(x));
-             return true;
-         }});
-    fields.push_back(
-        {"expected", FieldType::IntArray, 0,
-         [](const R &r) {
-             std::vector<std::int64_t> a(r.expected.begin(),
-                                         r.expected.end());
-             return FieldValue::ofIntArray(std::move(a));
-         },
-         [](R &r, const FieldValue &v) {
-             r.expected.clear();
-             for (const std::int64_t x : v.a)
-                 r.expected.push_back(
-                     static_cast<std::uint8_t>(x));
-             return true;
-         }});
-    fields.push_back({"accuracy", FieldType::Double, kAccuracy,
-                      [](const R &r) {
-                          return FieldValue::ofDouble(r.accuracy);
-                      },
-                      [](R &r, const FieldValue &v) {
-                          r.accuracy = v.d;
-             return true;
-                      }});
-    fields.push_back({"leaked", FieldType::Bool, 0,
-                      [](const R &r) {
-                          return FieldValue::ofBool(r.leaked);
-                      },
-                      [](R &r, const FieldValue &v) {
-                          r.leaked = v.b;
-             return true;
-                      }});
-    fields.push_back({"guestCycles", FieldType::UInt, 0,
-                      [](const R &r) {
-                          return FieldValue::ofUInt(r.guestCycles);
-                      },
-                      [](R &r, const FieldValue &v) {
-                          r.guestCycles = v.u;
-             return true;
-                      }});
-    fields.push_back(
-        {"transientForwards", FieldType::UInt, 0,
-         [](const R &r) {
-             return FieldValue::ofUInt(r.transientForwards);
-         },
-         [](R &r, const FieldValue &v) {
-             r.transientForwards = v.u;
-             return true;
-         }});
-    return RecordSchema<R>("result", std::move(fields));
+    out += formatDouble(v, DoubleStyle::Fixed4);
 }
 
-RecordSchema<uarch::CpuStats>
-makeCpuStatsSchema()
+template <std::integral T>
+void
+appendCsv(std::string &out, T v)
 {
-    using S = uarch::CpuStats;
-    using F = FieldDescriptor<S>;
-    const auto u64 = [](const char *name,
-                        std::uint64_t S::*member) {
-        return F{name, FieldType::UInt, 0,
-                 [member](const S &s) {
-                     return FieldValue::ofUInt(s.*member);
-                 },
-                 [member](S &s, const FieldValue &v) {
-                     s.*member = v.u;
-             return true;
-                 }};
-    };
-    std::vector<F> fields{
-        u64("cycles", &S::cycles),
-        u64("committed", &S::committed),
-        u64("squashed", &S::squashed),
-        u64("branchMispredicts", &S::branchMispredicts),
-        u64("exceptions", &S::exceptions),
-        u64("memOrderViolations", &S::memOrderViolations),
-        u64("speculativeFills", &S::speculativeFills),
-        u64("transientForwards", &S::transientForwards),
-    };
-    return RecordSchema<S>("stats", std::move(fields));
+    out += std::to_string(v);
 }
+/// @}
+
+/**
+ * @name Fragment value readers, one per field type; failures stay
+ * on the cursor.  Array elements are range-checked against the
+ * member's element type, so `"expected": [256]` fails instead of
+ * wrapping to 0.
+ * @{
+ */
+void
+readJson(json::Cursor &cur, std::string &v)
+{
+    v = cur.parseString();
+}
+
+void
+readJson(json::Cursor &cur, bool &v)
+{
+    v = cur.parseBool();
+}
+
+void
+readJson(json::Cursor &cur, double &v)
+{
+    v = cur.parseDouble();
+}
+
+void
+readJson(json::Cursor &cur, std::uint64_t &v)
+{
+    v = cur.parseU64();
+}
+
+template <std::integral T>
+void
+readJson(json::Cursor &cur, std::vector<T> &v)
+{
+    v.clear();
+    if (!cur.expect('[') || cur.peekConsume(']'))
+        return;
+    do {
+        v.push_back(static_cast<T>(
+            cur.parseI64(std::numeric_limits<T>::min(),
+                         std::numeric_limits<T>::max())));
+    } while (!cur.failed() && cur.peekConsume(','));
+    cur.expect(']');
+}
+/// @}
+
+/** The schema tag's type code of one field type. */
+template <typename T>
+constexpr char
+typeCode()
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return 's';
+    else if constexpr (std::is_same_v<T, bool>)
+        return 'b';
+    else if constexpr (std::is_floating_point_v<T>)
+        return 'd';
+    else if constexpr (std::is_integral_v<T>)
+        return 'u';
+    else
+        return 'a'; // integer vector
+}
+
+/** Visitor appending `"name": value` members to a JSON object. */
+struct JsonMembers
+{
+    std::string &out;
+    DoubleStyle style;
+
+    template <typename T>
+    void operator()(const char *name, const T &value) const
+    {
+        if (out.back() != '{')
+            out += ", ";
+        out += '"';
+        out += name;
+        out += "\": ";
+        appendJson(out, value, style);
+    }
+};
+
+/** Visitor appending `name:typecode` entries to a schema tag. */
+struct TagEntries
+{
+    std::string &out;
+
+    template <typename T>
+    void operator()(const char *name, const T &) const
+    {
+        if (out.back() != '{')
+            out += ',';
+        out += name;
+        out += ':';
+        out += typeCode<T>();
+    }
+};
 
 } // namespace
 
-const RecordSchema<campaign::ScenarioOutcome> &
-outcomeSchema()
+std::string
+outcomeJson(const ScenarioOutcome &o, bool include_timing)
 {
-    static const RecordSchema<campaign::ScenarioOutcome> schema =
-        makeOutcomeSchema();
-    return schema;
+    std::string out = "{";
+    forEachOutcomeField(o, include_timing,
+                        JsonMembers{out, DoubleStyle::Fixed4});
+    out += '}';
+    return out;
 }
 
-const RecordSchema<attacks::AttackResult> &
-attackResultSchema()
+std::string
+campaignCsvHeader(bool include_timing)
 {
-    static const RecordSchema<attacks::AttackResult> schema =
-        makeAttackResultSchema();
-    return schema;
+    std::string out;
+    forEachOutcomeField(ScenarioOutcome{}, include_timing,
+                        [&out](const char *name, const auto &) {
+                            if (!out.empty())
+                                out += ',';
+                            out += name;
+                        });
+    out += '\n';
+    return out;
 }
 
-const RecordSchema<uarch::CpuStats> &
-cpuStatsSchema()
+std::string
+campaignCsvRow(const ScenarioOutcome &o, bool include_timing)
 {
-    static const RecordSchema<uarch::CpuStats> schema =
-        makeCpuStatsSchema();
-    return schema;
+    std::string out;
+    bool first = true;
+    forEachOutcomeField(o, include_timing,
+                        [&](const char *, const auto &value) {
+                            if (!first)
+                                out += ',';
+                            first = false;
+                            appendCsv(out, value);
+                        });
+    out += '\n';
+    return out;
+}
+
+std::string
+attackResultJson(const attacks::AttackResult &r)
+{
+    std::string out = "{";
+    forEachResultField(r, JsonMembers{out, DoubleStyle::Exact17});
+    out += '}';
+    return out;
+}
+
+std::string
+cpuStatsJson(const uarch::CpuStats &s)
+{
+    std::string out = "[";
+    forEachStatsField(s, [&out](const char *, std::uint64_t value) {
+        if (out.back() != '[')
+            out += ", ";
+        out += std::to_string(value);
+    });
+    out += ']';
+    return out;
+}
+
+bool
+parseAttackResultJson(json::Cursor &cur, attacks::AttackResult &r)
+{
+    // Unknown keys fail (every file we read is one we wrote);
+    // absent fields keep their current value.
+    if (!cur.expect('{'))
+        return false;
+    if (cur.peekConsume('}'))
+        return true;
+    do {
+        const std::string key = cur.parseString();
+        if (cur.failed() || !cur.expect(':'))
+            return false;
+        bool known = false;
+        forEachResultField(r, [&](const char *name, auto &value) {
+            if (!known && key == name) {
+                known = true;
+                readJson(cur, value);
+            }
+        });
+        if (!known)
+            return cur.fail("unknown result key '" + key + "'");
+    } while (!cur.failed() && cur.peekConsume(','));
+    return !cur.failed() && cur.expect('}');
+}
+
+bool
+parseCpuStatsJson(json::Cursor &cur, uarch::CpuStats &s)
+{
+    if (!cur.expect('['))
+        return false;
+    bool first = true;
+    forEachStatsField(s, [&](const char *, std::uint64_t &value) {
+        if (!first)
+            cur.expect(',');
+        first = false;
+        if (!cur.failed())
+            readJson(cur, value);
+    });
+    return !cur.failed() && cur.expect(']');
 }
 
 std::string
 wireSchemaTag()
 {
-    return attackResultSchema().tag() + ";" +
-           cpuStatsSchema().tag() + ";" + outcomeSchema().tag();
+    const attacks::AttackResult result;
+    const uarch::CpuStats stats;
+    std::string tag = "result{";
+    forEachResultField(result, TagEntries{tag});
+    tag += "};stats{";
+    forEachStatsField(stats, TagEntries{tag});
+    tag += "};outcome{";
+    forEachOutcomeField(ScenarioOutcome{}, true, TagEntries{tag});
+    tag += '}';
+    return tag;
 }
 
 std::string

@@ -72,13 +72,6 @@ jsonlHeaderRecord(const campaign::CampaignHeader &h)
 }
 
 std::string
-jsonlOutcomeRecord(const campaign::ScenarioOutcome &o,
-                   bool include_timing)
-{
-    return jsonlOutcomeLine(o, include_timing);
-}
-
-std::string
 campaignJsonl(const campaign::CampaignReport &report,
               bool include_timing)
 {

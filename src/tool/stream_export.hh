@@ -14,7 +14,7 @@
  * predecessors land.  Memory is bounded by the completion-order
  * skew, not the grid size.  The streamed bytes are identical to the
  * batch exporters by construction — both sides share the per-record
- * formatters in report.hh:
+ * formatters in schema.hh:
  *
  *     CsvStreamSink   == tool::campaignCsv(report, timing)
  *     JsonlStreamSink == tool::campaignJsonl(report, timing)
@@ -45,18 +45,12 @@ std::string campaignJsonl(const campaign::CampaignReport &report,
                           bool include_timing = false);
 
 /**
- * @name Single JSONL lines.
- * The exact bytes (trailing '\n' included) JsonlStreamSink and
- * campaignJsonl() write for one header / one outcome — exposed so
- * a resuming client (src/serve/client.hh) can validate a killed
- * run's replayed prefix against what a fresh run would have
- * written, byte for byte.
- * @{
+ * The exact header line (trailing '\n' included) JsonlStreamSink
+ * and campaignJsonl() write — exposed so a resuming client
+ * (src/serve/client.hh) can validate a killed run's replayed prefix
+ * against what a fresh run would have written, byte for byte.
  */
 std::string jsonlHeaderRecord(const campaign::CampaignHeader &h);
-std::string jsonlOutcomeRecord(const campaign::ScenarioOutcome &o,
-                               bool include_timing = false);
-/// @}
 
 /**
  * Grid-order release window shared by the streaming exporters:

@@ -156,10 +156,10 @@ accuracyMatrix(double eps)
     GoldenMatrix m = sampleMatrix();
     m.hasAccuracy = true;
     m.absEps = eps;
-    m.cells[0][0].accuracy = {{"accuracy", {1.0}}};
-    m.cells[0][1].accuracy = {{"accuracy", {0.0}}};
-    m.cells[1][0].accuracy = {{"accuracy", {1.0}}};
-    m.cells[1][1].accuracy = {{"accuracy", {0.75, 0.25}}};
+    m.cells[0][0].accuracy = {1.0};
+    m.cells[0][1].accuracy = {0.0};
+    m.cells[1][0].accuracy = {1.0};
+    m.cells[1][1].accuracy = {0.75, 0.25};
     return m;
 }
 
@@ -185,7 +185,7 @@ TEST(GoldenAccuracy, DriftWithinToleranceIsNotDrift)
 {
     const GoldenMatrix golden = accuracyMatrix(0.01);
     GoldenMatrix actual = golden;
-    actual.cells[1][1].accuracy["accuracy"] = {0.7501, 0.2499};
+    actual.cells[1][1].accuracy = {0.7501, 0.2499};
     EXPECT_TRUE(compareGolden(golden, actual).empty());
 }
 
@@ -196,7 +196,7 @@ TEST(GoldenAccuracy, DriftBeyondToleranceNamesFieldAndDelta)
     // to exactly this.
     const GoldenMatrix golden = accuracyMatrix(0.005);
     GoldenMatrix actual = golden;
-    actual.cells[1][1].accuracy["accuracy"] = {0.75, 0.5};
+    actual.cells[1][1].accuracy = {0.75, 0.5};
 
     const MatrixDiff diff = compareGolden(golden, actual);
     ASSERT_EQ(diff.cells.size(), 1u);
@@ -252,7 +252,7 @@ TEST(GoldenAccuracy, ParserRejectsWrongArity)
     EXPECT_NE(error.find("values for"), std::string::npos) << error;
 }
 
-TEST(GoldenAccuracy, FromReportCapturesSchemaAccuracyFields)
+TEST(GoldenAccuracy, FromReportCapturesAccuracyPerRun)
 {
     campaign::ScenarioSpec spec;
     spec.variants = {AttackVariant::SpectreV1,
@@ -265,11 +265,8 @@ TEST(GoldenAccuracy, FromReportCapturesSchemaAccuracyFields)
     with.absEps = 0.001;
     EXPECT_TRUE(with.hasAccuracy);
     for (const auto &row : with.cells)
-        for (const GoldenCell &cell : row) {
-            ASSERT_EQ(cell.accuracy.count("accuracy"), 1u);
-            EXPECT_EQ(cell.accuracy.at("accuracy").size(),
-                      cell.runs);
-        }
+        for (const GoldenCell &cell : row)
+            EXPECT_EQ(cell.accuracy.size(), cell.runs);
     // Self-comparison under any tolerance is clean, and the
     // accuracy-bearing golden round-trips byte-identically.
     const std::string json = goldenJson(with);

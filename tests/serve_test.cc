@@ -102,20 +102,40 @@ rawHandshaked(const serve::net::Endpoint &endpoint)
     return conn;
 }
 
+/** @p key with its @p index-th ';'-terminated field set to @p value. */
+std::string
+withKeyField(const std::string &key, std::size_t index,
+             const std::string &value)
+{
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < index; ++i)
+        begin = key.find(';', begin) + 1;
+    return key.substr(0, begin) + value +
+           key.substr(key.find(';', begin));
+}
+
 /**
- * Well-formed keys no runner can execute: @p good with variant id
- * 999, and a ROB past std::vector::max_size() (its Cpu throws
- * std::length_error; a merely huge one would throw bad_alloc, but
- * the sanitizer allocators abort on that instead).
+ * Keys a batch must refuse.  Well-formed keys no runner can
+ * execute: @p good with variant id 999, and a ROB past
+ * std::vector::max_size() (its Cpu throws std::length_error; a
+ * merely huge one would throw bad_alloc, but the sanitizer
+ * allocators abort on that instead).  And keys that parse to a
+ * machine without being its canonical key, which would run one cell
+ * and be cached under another key: a robSize of 2^64 + 48, a
+ * permCheckLatency of 2^32 + 30 or 030, and a 2 in a bool field.
  */
 std::vector<std::string>
-unrunnableKeys(const std::string &good)
+refusedKeys(const std::string &good)
 {
     CpuConfig hugeRob;
     hugeRob.robSize = std::numeric_limits<std::size_t>::max();
     return {"999" + good.substr(good.find(';')),
             scenarioKey(AttackVariant::Meltdown, hugeRob,
-                        AttackOptions{})};
+                        AttackOptions{}),
+            withKeyField(good, 1, "18446744073709551664"),
+            withKeyField(good, 4, "4294967326"),
+            withKeyField(good, 4, "030"),
+            withKeyField(good, 18, "2")};
 }
 
 TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
@@ -620,9 +640,10 @@ TEST(Serve, ExecuteKeyBatchNamesTheMalformedKey)
         << error;
     EXPECT_EQ(emitted, 1u);
 
-    // Well-formed keys that cannot run fail the batch too, naming
-    // the key, whether the parser or the runner refuses them.
-    for (const std::string &bad : unrunnableKeys(keys.front())) {
+    // Well-formed keys that cannot run or are not canonical fail
+    // the batch too, naming the key, whether the parser or the
+    // runner refuses them.
+    for (const std::string &bad : refusedKeys(keys.front())) {
         for (const unsigned workers : {1u, 4u}) {
             error.clear();
             EXPECT_FALSE(executeKeyBatch(
@@ -680,9 +701,10 @@ TEST(Serve, ZeroCacheDimensionKeyIsRejectedNotExecuted)
     ASSERT_TRUE(conn.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Stats);
 
-    // Well-formed keys that cannot run are refused the same way,
-    // and the same connection then serves a good key.
-    for (const std::string &key : unrunnableKeys(good)) {
+    // Well-formed keys that cannot run or are not canonical are
+    // refused the same way, and the same connection then serves a
+    // good key.
+    for (const std::string &key : refusedKeys(good)) {
         bad.keys = {key};
         ASSERT_TRUE(conn.writeLine(serve::submitLine(bad)));
         ASSERT_TRUE(conn.readLine(line));

@@ -402,6 +402,16 @@ TEST(Shard, ParseShardReportRejectsMalformedInput)
                   "\"version\": 999");
     EXPECT_FALSE(tool::parseShardReportJson(wrong, &error));
     EXPECT_NE(error.find("version"), std::string::npos);
+    // An outcome outside the report's rows or columns fails instead
+    // of indexing past the matrix (GoldenMatrix::fromReport read out
+    // of bounds on one).
+    for (const std::string field : {"\"row\": ", "\"col\": "}) {
+        std::string stray = wire;
+        stray.insert(stray.find(field) + field.size(), "99");
+        EXPECT_FALSE(tool::parseShardReportJson(stray, &error));
+        EXPECT_NE(error.find("row/col out of range"), std::string::npos)
+            << error;
+    }
 }
 
 } // namespace
