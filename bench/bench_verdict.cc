@@ -66,10 +66,19 @@ main(int argc, char **argv)
     }
 
     // Simulator: the serial engine run, so the per-cell rate is
-    // comparable to the single-threaded judging loop below.
-    const CampaignReport sim =
-        CampaignEngine(serial_opts).run(spec);
-    const double sim_rate = sim.scenariosPerSecond;
+    // comparable to the single-threaded judging loop below.  One run
+    // takes ~10 ms, too short to time, so it repeats until the runs'
+    // own wall clocks add up to the loops' 200 ms below.
+    CampaignReport sim;
+    std::size_t simulated = 0;
+    double sim_ms = 0.0;
+    do {
+        sim = CampaignEngine(serial_opts).run(spec);
+        simulated += sim.executedCount;
+        sim_ms += sim.wallMillis;
+    } while (sim_ms < 200.0);
+    const double sim_rate =
+        1000.0 * static_cast<double>(simulated) / sim_ms;
 
     // Model: judge every unique cell analytically.  Repeat the
     // sweep until the timed region is long enough for a stable

@@ -1,7 +1,5 @@
 #include "attack_kit.hh"
 
-#include <algorithm>
-
 #include "phase.hh"
 
 namespace specsec::attacks
@@ -136,19 +134,21 @@ ChannelHarness::setup()
 int
 ChannelHarness::recover(const std::vector<int> &exclude)
 {
-    const uarch::ChannelRecovery r =
-        kind_ == CovertChannelKind::FlushReload ? fr_.recover()
-                                                : pp_.recover();
-    const auto excluded = [&exclude](std::size_t i) {
-        return std::find(exclude.begin(), exclude.end(),
-                         static_cast<int>(i)) != exclude.end();
-    };
+    const bool fr = kind_ == CovertChannelKind::FlushReload;
+    uarch::ChannelRecovery r = fr ? fr_.recover() : pp_.recover();
+    // Mark each excluded slot once with a latency that cannot win
+    // (Flush+Reload keeps the lowest below its threshold, Prime+
+    // Probe the highest above its floor).
+    const std::uint32_t never = fr ? UINT32_MAX : 0;
+    for (const int slot : exclude) {
+        const auto i = static_cast<std::size_t>(slot);
+        if (slot >= 0 && i < r.latencies.size())
+            r.latencies[i] = never;
+    }
     int best = -1;
-    if (kind_ == CovertChannelKind::FlushReload) {
+    if (fr) {
         std::uint32_t best_lat = fr_.threshold();
         for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (excluded(i))
-                continue;
             if (r.latencies[i] < best_lat) {
                 best_lat = r.latencies[i];
                 best = static_cast<int>(i);
@@ -160,8 +160,6 @@ ChannelHarness::recover(const std::vector<int> &exclude)
             c.ways * c.hitLatency + c.missLatency - c.hitLatency;
         std::uint32_t best_lat = floor - 1;
         for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (excluded(i))
-                continue;
             if (r.latencies[i] > best_lat) {
                 best_lat = r.latencies[i];
                 best = static_cast<int>(i);

@@ -395,7 +395,11 @@ parseScenarioKey(const std::string &key,
         field = static_cast<std::remove_reference_t<decltype(field)>>(
             in.next());
     });
+    // The harness runs any channel other than Flush+Reload as
+    // Prime+Probe, so a channel past the enum would run one cell
+    // under another's key.
     if (!in.done() || uarch::cacheGeometryError(c.cache) != nullptr ||
+        o.channel > core::CovertChannelKind::PrimeProbe ||
         v > std::numeric_limits<
                 std::underlying_type_t<core::AttackVariant>>::max())
         return false;
@@ -763,13 +767,7 @@ executeKeyBatch(
     // Validate the whole batch before executing any of it: a
     // malformed key is a protocol/caller bug, not a per-cell
     // failure, and half-executed batches are hard to reason about.
-    struct Parsed
-    {
-        core::AttackVariant variant{};
-        CpuConfig config;
-        AttackOptions options;
-    };
-    std::vector<Parsed> parsed(keys.size());
+    std::vector<KeyScenario> parsed(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
         if (!parseScenarioKey(keys[i], parsed[i].variant,
                               parsed[i].config,
@@ -784,6 +782,7 @@ executeKeyBatch(
     try {
         runPool(keys.size(), workers, [&](std::size_t i) {
             KeyBatchItem item;
+            item.scenario = &parsed[i];
             if (cache) {
                 if (const auto hit = cache->lookup(keys[i])) {
                     item.result = hit->result;

@@ -204,8 +204,9 @@ std::string scenarioKey(core::AttackVariant variant,
  *         not the canonical key of what it parses to (a field past
  *         its type, a leading zero, a bool field other than 0/1),
  *         names a cache geometry uarch::cacheGeometryError() rejects
- *         (so a hostile key cannot reach the Cache constructor), or
- *         names a variant id the ScenarioCatalog does not know.
+ *         (so a hostile key cannot reach the Cache constructor),
+ *         names a covert channel past PrimeProbe, or names a
+ *         variant id the ScenarioCatalog does not know.
  */
 bool parseScenarioKey(const std::string &key,
                       core::AttackVariant &variant,
@@ -369,9 +370,20 @@ std::string modelFingerprint();
  * @{
  */
 
+/** What a scenario key names, as parseScenarioKey() reads it. */
+struct KeyScenario
+{
+    core::AttackVariant variant{};
+    CpuConfig config;
+    AttackOptions options;
+};
+
 /** One completed key of a batch. */
 struct KeyBatchItem
 {
+    /// The key's scenario, as the batch parsed it to validate it
+    /// (never null in @p emit).
+    const KeyScenario *scenario = nullptr;
     AttackResult result;
     CpuStats stats;
     /// Served from @p cache instead of executed.

@@ -155,26 +155,15 @@ Server::handleSubmit(net::Conn &conn, const SubmitMsg &submit)
             // Judge every served cell with the analytic model and
             // track live agreement against the simulator verdict
             // the client is about to receive (see stats{}).
-            core::AttackVariant variant{};
-            campaign::CpuConfig config;
-            campaign::AttackOptions options;
-            if (campaign::parseScenarioKey(submit.keys[index],
-                                           variant, config,
-                                           options)) {
-                const core::ModelJudgement judged =
-                    verdict::judgeScenario(variant, config,
-                                           options);
-                if (!judged.decided()) {
-                    undecided.fetch_add(
-                        1, std::memory_order_relaxed);
-                } else {
-                    decided.fetch_add(1,
-                                      std::memory_order_relaxed);
-                    if (judged.predictsLeak() !=
-                        item.result.leaked)
-                        disagreed.fetch_add(
-                            1, std::memory_order_relaxed);
-                }
+            const campaign::KeyScenario &s = *item.scenario;
+            const core::ModelJudgement judged =
+                verdict::judgeScenario(s.variant, s.config, s.options);
+            if (!judged.decided()) {
+                undecided.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                decided.fetch_add(1, std::memory_order_relaxed);
+                if (judged.predictsLeak() != item.result.leaked)
+                    disagreed.fetch_add(1, std::memory_order_relaxed);
             }
             // One writer at a time: result lines must not
             // interleave mid-frame.  A failed write means the

@@ -1,5 +1,6 @@
 #include "cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -46,6 +47,46 @@ Cache::flushAll()
     // eviction decisions cannot depend on what ran before the flush.
     useCounter_ = 0;
     ++stats_.flushes;
+}
+
+LineGroup
+Cache::prepareGroup(const std::vector<std::optional<Addr>> &lines) const
+{
+    LineGroup group;
+    // Counting sort by set, so each set's members stay in slot order.
+    std::vector<std::uint32_t> next(config_.sets, 0);
+    for (const std::optional<Addr> &line : lines) {
+        if (line)
+            ++next[setIndex(*line)];
+    }
+    std::uint32_t placed = 0;
+    for (std::size_t set = 0; set < config_.sets; ++set) {
+        const std::uint32_t n = next[set];
+        next[set] = placed;
+        if (n != 0)
+            group.sets_.push_back({set, placed, placed + n});
+        placed += n;
+    }
+    group.members_.resize(placed);
+    std::uint32_t rank = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (const std::optional<Addr> &line = lines[i])
+            group.members_[next[setIndex(*line)]++] = {
+                lineTag(*line), static_cast<std::uint32_t>(i), ++rank};
+    }
+    // A probe array's slots ascend in address, so a set's members
+    // usually ascend in tag already; sort only a set that does not.
+    const auto byTag = [](const LineGroup::Member &a,
+                          const LineGroup::Member &b) {
+        return a.tag != b.tag ? a.tag < b.tag : a.slot < b.slot;
+    };
+    for (const LineGroup::Set &set : group.sets_) {
+        const auto first = group.members_.begin() + set.begin;
+        const auto last = group.members_.begin() + set.end;
+        if (!std::is_sorted(first, last, byTag))
+            std::sort(first, last, byTag);
+    }
+    return group;
 }
 
 } // namespace specsec::uarch

@@ -10,12 +10,22 @@
  * is the hit/miss latency difference, and it keeps squashed
  * speculative state trivially consistent (the paper's point: caches
  * are micro-architectural state that is *not* rolled back).
+ *
+ * Besides the per-line operations, a LineGroup -- a receiver's fixed
+ * list of lines, indexed once by set and tag -- can be flushed or
+ * probed (no-allocate, in slot order) as a whole.  Either visits
+ * only the valid ways of the sets the group's lines fall in, so its
+ * cost tracks what is resident, not how many lines the group names,
+ * and leaves the same state and counters as the per-line loop.
  */
 
 #ifndef SPECSEC_UARCH_CACHE_HH
 #define SPECSEC_UARCH_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "isa.hh"
@@ -58,6 +68,36 @@ struct CacheStats
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t flushes = 0;
+};
+
+/**
+ * An ordered list of slots, each naming one line or none, indexed
+ * for one cache geometry (Cache::prepareGroup).  Cache::flushGroup
+ * and Cache::probeGroup use it to visit only the valid ways of the
+ * sets its lines fall in, instead of one set search per slot.  Two
+ * slots may name the same line.
+ */
+class LineGroup
+{
+    friend class Cache;
+
+    /** A slot that names a line. */
+    struct Member
+    {
+        Addr tag = 0;           ///< the line address (Cache::lineTag)
+        std::uint32_t slot = 0;
+        std::uint32_t rank = 0; ///< 1-based position among members
+    };
+
+    /** The members of one cache set: [begin, end) of members_. */
+    struct Set
+    {
+        std::size_t index = 0;
+        std::uint32_t begin = 0, end = 0;
+    };
+
+    std::vector<Member> members_; ///< by set, then tag, then slot
+    std::vector<Set> sets_;       ///< one per distinct set, ascending
 };
 
 /**
@@ -105,6 +145,33 @@ class Cache
     /** Remove every line. */
     void flushAll();
 
+    /**
+     * Index @p lines (slot i's physical address, or nullopt when
+     * slot i has no line) for this cache's geometry.  The group may
+     * only be used with caches of the same sets and lineSize.
+     */
+    LineGroup prepareGroup(
+        const std::vector<std::optional<Addr>> &lines) const;
+
+    /**
+     * flushLine() every line of @p group: the same lines removed
+     * and the same flush count, visiting only the group's sets.
+     */
+    void flushGroup(const LineGroup &group);
+
+    /**
+     * access(line, @p domain, false) for every slot of @p group
+     * that names a line, in slot order: the LRU stamps, use counter
+     * and hit/miss counts end exactly as that loop leaves them (when
+     * two slots name one line, the later one stamps it).  Writes
+     * hitLatency to @p latencies[slot] (one entry per slot) for
+     * each slot that hits and leaves every other entry as it is, so
+     * the caller fills in the misses beforehand.  Visits only the
+     * valid ways of the group's sets.
+     */
+    void probeGroup(const LineGroup &group, int domain,
+                    std::uint32_t *latencies);
+
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
 
@@ -126,6 +193,11 @@ class Cache
 
     /** Line address (paddr / lineSize) — also the stored tag. */
     Addr lineTag(Addr paddr) const { return paddr >> lineShift_; }
+
+    /** The members of @p set that name @p tag: [first, last). */
+    std::pair<const LineGroup::Member *, const LineGroup::Member *>
+    groupMembers(const LineGroup &group, const LineGroup::Set &set,
+                 Addr tag) const;
 
     /** First way of @p paddr's set in lines_. */
     Line *
@@ -226,6 +298,77 @@ Cache::flushLine(Addr paddr)
         }
     }
     return flushed;
+}
+
+inline std::pair<const LineGroup::Member *, const LineGroup::Member *>
+Cache::groupMembers(const LineGroup &group, const LineGroup::Set &set,
+                    Addr tag) const
+{
+    const LineGroup::Member *end = group.members_.data() + set.end;
+    const LineGroup::Member *first = std::partition_point(
+        group.members_.data() + set.begin, end,
+        [tag](const LineGroup::Member &m) { return m.tag < tag; });
+    const LineGroup::Member *last = first;
+    while (last != end && last->tag == tag)
+        ++last;
+    return {first, last};
+}
+
+inline void
+Cache::flushGroup(const LineGroup &group)
+{
+    for (const LineGroup::Set &set : group.sets_) {
+        Line *ways = &lines_[set.index * config_.ways];
+        for (std::size_t w = 0; w < config_.ways; ++w) {
+            Line &line = ways[w];
+            if (!line.valid)
+                continue;
+            const auto [first, last] =
+                groupMembers(group, set, line.tag);
+            if (first != last) {
+                line.valid = false;
+                ++stats_.flushes;
+            }
+        }
+    }
+}
+
+inline void
+Cache::probeGroup(const LineGroup &group, int domain,
+                  std::uint32_t *latencies)
+{
+    const auto visible = [this, domain](const Line &line) {
+        return line.valid && (!partitioned_ || line.domain == domain);
+    };
+    std::uint64_t hits = 0;
+    for (const LineGroup::Set &set : group.sets_) {
+        Line *ways = &lines_[set.index * config_.ways];
+        for (std::size_t w = 0; w < config_.ways; ++w) {
+            Line &line = ways[w];
+            if (!visible(line))
+                continue;
+            const auto [first, last] =
+                groupMembers(group, set, line.tag);
+            if (first == last)
+                continue;
+            // find() returns the first visible way with the tag; a
+            // later copy (left from a partitioning toggle) is
+            // never hit.
+            bool shadowed = false;
+            for (std::size_t e = 0; e < w && !shadowed; ++e)
+                shadowed = visible(ways[e]) && ways[e].tag == line.tag;
+            if (shadowed)
+                continue;
+            for (const LineGroup::Member *m = first; m != last; ++m)
+                latencies[m->slot] = config_.hitLatency;
+            hits += static_cast<std::uint64_t>(last - first);
+            line.lastUse = useCounter_ + (last - 1)->rank;
+        }
+    }
+    const std::uint64_t probes = group.members_.size();
+    useCounter_ += probes;
+    stats_.hits += hits;
+    stats_.misses += probes - hits;
 }
 
 } // namespace specsec::uarch

@@ -1,6 +1,7 @@
 #include "covert.hh"
 
 #include <algorithm>
+#include <optional>
 
 namespace specsec::uarch
 {
@@ -19,27 +20,66 @@ FlushReloadChannel::threshold() const
 }
 
 void
+FlushReloadChannel::refresh()
+{
+    const PageTable &pt = cpu_.pageTable();
+    if (fresh_ && ptVersion_ == pt.version() &&
+        privilege_ == cpu_.privilege() &&
+        enclaveMode_ == cpu_.enclaveMode())
+        return;
+    fresh_ = true;
+    ptVersion_ = pt.version();
+    privilege_ = cpu_.privilege();
+    enclaveMode_ = cpu_.enclaveMode();
+    const std::uint32_t miss = cpu_.config().cache.missLatency;
+    std::vector<std::optional<Addr>> flush(slots_), probe(slots_);
+    missLatencies_.assign(slots_, miss * 2); // Cpu::timedProbe
+    bool faults = false;
+    for (std::size_t i = 0; i < slots_; ++i) {
+        const Translation t =
+            pt.translate(probeBase_ + i * stride_, AccessType::Read,
+                         privilege_, enclaveMode_);
+        // paddrValid means a PTE exists: flushLineVirt flushes its
+        // line whether or not the access would fault.
+        if (!t.paddrValid)
+            continue;
+        flush[i] = t.paddr;
+        if (t.fault == FaultKind::None) {
+            probe[i] = t.paddr;
+            missLatencies_[i] = miss;
+        } else {
+            faults = true;
+        }
+    }
+    const Cache &cache = cpu_.cache();
+    flushLines_ = cache.prepareGroup(flush);
+    // With no faulting PTE the probed lines are the flushed ones.
+    probeLines_ = faults ? cache.prepareGroup(probe) : flushLines_;
+}
+
+void
 FlushReloadChannel::setup()
 {
-    for (std::size_t i = 0; i < slots_; ++i)
-        cpu_.flushLineVirt(probeBase_ + i * stride_);
+    refresh();
+    cpu_.cache().flushGroup(flushLines_);
 }
 
 ChannelRecovery
 FlushReloadChannel::recover()
 {
+    refresh();
     ChannelRecovery r;
-    r.latencies.resize(slots_);
+    r.latencies = missLatencies_;
+    cpu_.cache().probeGroup(probeLines_, cpu_.context(),
+                            r.latencies.data());
+    // The first slot with the lowest latency, in two passes that
+    // each compile to a straight loop.
     std::uint32_t best = UINT32_MAX;
-    for (std::size_t i = 0; i < slots_; ++i) {
-        const std::uint32_t lat =
-            cpu_.timedProbe(probeBase_ + i * stride_);
-        r.latencies[i] = lat;
-        if (lat < best) {
-            best = lat;
-            r.value = static_cast<int>(i);
-        }
-    }
+    for (const std::uint32_t lat : r.latencies)
+        best = std::min(best, lat);
+    r.value = static_cast<int>(
+        std::find(r.latencies.begin(), r.latencies.end(), best) -
+        r.latencies.begin());
     if (best > threshold())
         r.value = -1; // every slot missed: no signal
     return r;

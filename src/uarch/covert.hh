@@ -9,8 +9,17 @@
  * receiver's own lines, let the sender run, probe and time; a slow
  * set reveals the secret.
  *
- * Both are implemented at harness level using the CPU's committed
- * access helpers, mirroring what the receiver process would do.
+ * Both are implemented at harness level, mirroring what the
+ * receiver process would do.  Prime+Probe goes through the CPU's
+ * committed access helpers line by line.  Flush+Reload gives the
+ * same latencies, LRU stamps and CacheStats as a per-slot
+ * Cpu::flushLineVirt / Cpu::timedProbe loop, but a round costs what
+ * is resident rather than what is probed: the page-strided probe
+ * lines fall into a few cache sets that hold at most sets x ways of
+ * them, so the receiver translates its slots once and then visits
+ * only the valid ways of those sets (Cache::flushGroup /
+ * probeGroup).  The translations are read again only when the page
+ * table's version() or the CPU's privilege or enclave mode changes.
  */
 
 #ifndef SPECSEC_UARCH_COVERT_HH
@@ -35,7 +44,8 @@ struct ChannelRecovery
 /**
  * Flush+Reload over a shared probe array of @p slots lines spaced
  * @p stride bytes apart (page stride per the paper, to avoid
- * prefetch effects).
+ * prefetch effects).  The cache domain (the CPU's context) and
+ * partitioning are read on every call.
  */
 class FlushReloadChannel
 {
@@ -58,10 +68,29 @@ class FlushReloadChannel
     std::uint32_t threshold() const;
 
   private:
+    /**
+     * Re-read every slot's flush address (its PTE's, as
+     * Cpu::flushLineVirt uses) and probe translation (as
+     * Cpu::timedProbe makes it, faults included) when the page
+     * table's version() or the Cpu's privilege or enclave mode
+     * differs from the last read.
+     */
+    void refresh();
+
     Cpu &cpu_;
     Addr probeBase_;
     std::size_t slots_;
     Addr stride_;
+
+    // What refresh() last read, and the state it read it under.
+    bool fresh_ = false;
+    std::uint64_t ptVersion_ = 0;
+    Privilege privilege_ = Privilege::User;
+    bool enclaveMode_ = false;
+    LineGroup flushLines_; ///< slots with a PTE (flushLineVirt)
+    LineGroup probeLines_; ///< slots that translate without a fault
+    /// Each slot's latency if it misses: a miss, or two for a fault.
+    std::vector<std::uint32_t> missLatencies_;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "memory.hh"
 
 #include <stdexcept>
+#include <string>
 
 namespace specsec::uarch
 {
@@ -32,6 +33,7 @@ PageTable::ensureDense(Addr vpn)
 void
 PageTable::map(Addr vaddr, Pte pte)
 {
+    ++version_;
     const Addr vpn = vaddr / kPageSize;
     if (vpn < kDenseVpns) {
         ensureDense(vpn);
@@ -46,6 +48,7 @@ void
 PageTable::mapRange(Addr base, Addr length, PageOwner owner,
                     bool user_accessible, bool writable)
 {
+    ++version_;
     const Addr first = base / kPageSize;
     const Addr last = (base + length + kPageSize - 1) / kPageSize;
     for (Addr vpn = first; vpn < last; ++vpn) {
@@ -67,6 +70,7 @@ PageTable::mapRange(Addr base, Addr length, PageOwner owner,
 void
 PageTable::unmap(Addr vaddr)
 {
+    ++version_;
     const Addr vpn = vaddr / kPageSize;
     if (vpn < slots_.size())
         slots_[vpn].mapped = false;
@@ -83,22 +87,27 @@ PageTable::lookupOverflow(Addr vpn) const
     return it == overflow_.end() ? nullptr : &it->second;
 }
 
+Pte &
+PageTable::mappedPte(Addr vaddr, const char *who)
+{
+    const Pte *pte = lookup(vaddr);
+    if (!pte)
+        throw std::invalid_argument(std::string(who) +
+                                    ": page not mapped");
+    ++version_;
+    return const_cast<Pte &>(*pte);
+}
+
 void
 PageTable::setPresent(Addr vaddr, bool present)
 {
-    Pte *pte = lookup(vaddr);
-    if (!pte)
-        throw std::invalid_argument("setPresent: page not mapped");
-    pte->present = present;
+    mappedPte(vaddr, "setPresent").present = present;
 }
 
 void
 PageTable::setReservedBit(Addr vaddr, bool reserved)
 {
-    Pte *pte = lookup(vaddr);
-    if (!pte)
-        throw std::invalid_argument("setReservedBit: page not mapped");
-    pte->reservedBit = reserved;
+    mappedPte(vaddr, "setReservedBit").reservedBit = reserved;
 }
 
 void

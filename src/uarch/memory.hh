@@ -14,6 +14,10 @@
  * the address bits are architecturally available to the pipeline
  * before the permission check completes, which is exactly the race
  * the paper describes.
+ *
+ * PTEs change only through the PageTable's mutators, and each one
+ * bumps PageTable::version(), so the Flush+Reload receiver can keep
+ * its slots' translations until the version moves.
  */
 
 #ifndef SPECSEC_UARCH_MEMORY_HH
@@ -112,6 +116,11 @@ class PageTable
     /** VPNs below this live in the dense array (256MB of vaddr). */
     static constexpr Addr kDenseVpns = 1u << 16;
 
+    PageTable() = default;
+    PageTable(const PageTable &) = default;
+    /** Not assignable: see version(). */
+    PageTable &operator=(const PageTable &) = delete;
+
     /** Map the page containing @p vaddr with the given PTE. */
     void map(Addr vaddr, Pte pte);
 
@@ -122,7 +131,10 @@ class PageTable
     /** Remove the mapping for the page containing @p vaddr (KPTI). */
     void unmap(Addr vaddr);
 
-    /** @return the PTE for the page of @p vaddr, or nullptr. */
+    /**
+     * @return the PTE for the page of @p vaddr, or nullptr.  Read
+     * only: a PTE changes through the mutators, which bump version().
+     */
     const Pte *
     lookup(Addr vaddr) const
     {
@@ -131,18 +143,22 @@ class PageTable
             return slots_[vpn].mapped ? &slots_[vpn].pte : nullptr;
         return lookupOverflow(vpn);
     }
-    Pte *
-    lookup(Addr vaddr)
-    {
-        return const_cast<Pte *>(
-            static_cast<const PageTable *>(this)->lookup(vaddr));
-    }
 
     /** Clear / set the present bit (Foreshadow setup). */
     void setPresent(Addr vaddr, bool present);
 
     /** Set the reserved bit (Foreshadow-NG setup). */
     void setReservedBit(Addr vaddr, bool reserved);
+
+    /**
+     * Mapping version.  Every mutator -- map, mapRange, unmap,
+     * setPresent, setReservedBit -- bumps it, and nothing else does,
+     * so a caller that kept lookups or translations made at one
+     * version can tell whether any PTE may have changed since.  A
+     * copy starts at its source's version; a table cannot be
+     * assigned, which would replace its PTEs without a bump.
+     */
+    std::uint64_t version() const { return version_; }
 
     /**
      * Translate a virtual address.
@@ -171,8 +187,12 @@ class PageTable
     /** lookup() for a VPN past the dense array. */
     const Pte *lookupOverflow(Addr vpn) const;
 
+    /** The PTE a mutator edits; throws naming @p who if unmapped. */
+    Pte &mappedPte(Addr vaddr, const char *who);
+
     std::vector<Slot> slots_;           ///< dense, indexed by VPN
     std::unordered_map<Addr, Pte> overflow_; ///< VPN >= kDenseVpns
+    std::uint64_t version_ = 0;
 };
 
 inline Translation

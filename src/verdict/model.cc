@@ -1,7 +1,10 @@
 #include "model.hh"
 
 #include <initializer_list>
+#include <map>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "core/attack_graph.hh"
 #include "core/security_dependency.hh"
@@ -208,6 +211,39 @@ timingKnobOffDefault(const CpuConfig &config,
 namespace
 {
 
+/**
+ * @p d's attack graph on @p channel, built once per process per
+ * (variant, channel) and copied per use, the way every scenario
+ * copies the one layout page table: graph builders are pure, and a
+ * variant id names one attack for the life of the process.  Always
+ * a copy, because a judgement edits its graph (applyDefense) and
+ * even a const Tsg fills its successor cache; the shared graph is
+ * only ever copied from.  Judgements run on worker threads (the
+ * differential backend, the daemon), hence the lock.
+ */
+AttackGraph
+attackGraph(AttackVariant variant, const core::AttackDescriptor &d,
+            core::CovertChannelKind channel)
+{
+    static std::mutex mutex;
+    static std::map<std::pair<AttackVariant, core::CovertChannelKind>,
+                    const AttackGraph>
+        built;
+    const AttackGraph *graph = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = built.find({variant, channel});
+        if (it == built.end())
+            it = built.emplace(std::pair{variant, channel},
+                               d.buildGraph(channel))
+                     .first;
+        graph = &it->second;
+    }
+    // A map node never moves and its graph is never written again,
+    // so the copy can run outside the lock.
+    return *graph;
+}
+
 /** One defense mechanism the model understands. */
 struct MechanismRule
 {
@@ -381,7 +417,7 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
     for (const MechanismRule &rule : kRules) {
         if (!rule.active(config, options) || !rule.inScope(variant))
             continue;
-        AttackGraph g = d->buildGraph(options.channel);
+        AttackGraph g = attackGraph(variant, *d, options.channel);
         const std::vector<graph::Edge> inserted =
             core::applyDefense(g, rule.strategy);
         if (inserted.empty())
@@ -410,7 +446,7 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
     }
 
     // 4. Baseline analysis on the undefended graph.
-    const AttackGraph g = d->buildGraph(options.channel);
+    const AttackGraph g = attackGraph(variant, *d, options.channel);
     const core::VulnerabilityWitness w = core::analyzeVulnerability(g);
     ModelJudgement j;
     j.verdict = w.vulnerable ? ModelVerdict::Leak : ModelVerdict::Blocked;

@@ -510,6 +510,35 @@ TEST(Engine, ParallelMatchesSerialByteIdentical)
     }
 }
 
+TEST(Engine, DifferentialOnFourWorkersMatchesSerial)
+{
+    // The model judges cells on the worker threads, which share one
+    // attack graph per (variant, channel) (verdict/model.cc); under
+    // TSan this run is that cache's race check.  The Prime+Probe
+    // graphs are first built here, concurrently.
+    ScenarioSpec spec = ScenarioSpec::defenseMatrix();
+    spec.channels = {CovertChannelKind::PrimeProbe,
+                     CovertChannelKind::FlushReload};
+    CampaignEngine::Options opts;
+    opts.backend = verdict::VerdictBackend::Differential;
+    opts.workers = 4;
+    const CampaignReport parallel = CampaignEngine(opts).run(spec);
+    opts.workers = 1;
+    const CampaignReport serial = CampaignEngine(opts).run(spec);
+
+    EXPECT_EQ(parallel.modelDecided, serial.modelDecided);
+    EXPECT_EQ(parallel.modelUndecided, serial.modelUndecided);
+    EXPECT_EQ(parallel.disagreements, serial.disagreements);
+    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+        const ScenarioOutcome &p = parallel.outcomes[i];
+        const ScenarioOutcome &s = serial.outcomes[i];
+        EXPECT_EQ(p.modelVerdict, s.modelVerdict) << i;
+        EXPECT_EQ(p.agreement, s.agreement) << i;
+        EXPECT_EQ(p.evidence, s.evidence) << i;
+    }
+}
+
 TEST(Engine, HugeWorkerCountMatchesSerial)
 {
     // A worker count far above the work items must not spawn a

@@ -1,9 +1,11 @@
-# campaign_cli's CSV export of the defense matrix on both channels,
-# compared byte for byte with the committed fixture: every column,
-# guestCycles, cycles, committed and squashed included, so a change
-# that moves any cell's guest cycles fails here.
-#   cmake -DCLI=path/to/campaign_cli -DOUT=out.csv -DFIXTURE=f.csv -P <this file>
-execute_process(COMMAND ${CLI} --serial --channels fr,pp --csv ${OUT}
+# A campaign_cli CSV export, compared byte for byte with a committed
+# fixture: every column, guestCycles, cycles, committed and squashed
+# included, so a change that moves any cell's guest cycles fails here.
+# ARGS holds the campaign_cli arguments before --csv, space-separated.
+#   cmake -DCLI=path/to/campaign_cli -DARGS="--serial --channels fr,pp"
+#         -DOUT=out.csv -DFIXTURE=f.csv -P <this file>
+separate_arguments(cli_args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${CLI} ${cli_args} --csv ${OUT}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "campaign_cli exited ${rc}\n${out}")

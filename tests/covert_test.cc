@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "uarch/covert.hh"
 
 namespace
@@ -179,6 +181,243 @@ TEST_F(CovertFixture, PartitionedCacheBlocksCrossDomainFlushReload)
     cpu.timedAccess(0x100000 + 123 * kPageSize); // victim sends
     cpu.contextSwitch(1);
     EXPECT_EQ(ch.recover().value, -1); // attacker sees nothing
+}
+
+/**
+ * The per-slot Flush+Reload loop FlushReloadChannel replaced: one
+ * flushLineVirt per slot to set up, one timedProbe per slot to
+ * recover, value = the first slot with the lowest latency.
+ */
+struct ReferenceFlushReload
+{
+    Cpu &cpu;
+    Addr base;
+    std::size_t slots;
+    Addr stride;
+
+    void
+    setup()
+    {
+        for (std::size_t i = 0; i < slots; ++i)
+            cpu.flushLineVirt(base + i * stride);
+    }
+
+    ChannelRecovery
+    recover()
+    {
+        ChannelRecovery r;
+        std::uint32_t best = UINT32_MAX;
+        for (std::size_t i = 0; i < slots; ++i) {
+            r.latencies.push_back(cpu.timedProbe(base + i * stride));
+            if (r.latencies.back() < best) {
+                best = r.latencies.back();
+                r.value = static_cast<int>(i);
+            }
+        }
+        const CacheConfig &c = cpu.config().cache;
+        if (best > (c.hitLatency + c.missLatency) / 2)
+            r.value = -1;
+        return r;
+    }
+};
+
+/** One machine of a twin pair: same config, same page table edits. */
+struct Machine
+{
+    explicit Machine(const CpuConfig &cfg) : mem(1 << 16), cpu(cfg, mem, pt)
+    {
+    }
+
+    Memory mem;
+    PageTable pt;
+    Cpu cpu;
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b,
+                const std::string &where)
+{
+    EXPECT_EQ(a.hits, b.hits) << where;
+    EXPECT_EQ(a.misses, b.misses) << where;
+    EXPECT_EQ(a.evictions, b.evictions) << where;
+    EXPECT_EQ(a.flushes, b.flushes) << where;
+}
+
+TEST(FlushReloadDifferential, MatchesPerSlotReferenceOnTwinCpus)
+{
+    // Random geometries (miss latency sometimes below the hit
+    // latency), partitioning toggled between context switches,
+    // slots that alias (pages sharing a frame, strides below the
+    // line size), slots that fault (unmapped, not present, reserved,
+    // kernel, enclave in and out of enclave mode), and page-table
+    // edits and privilege changes between calls: every latency,
+    // value and CacheStats must match the per-slot loop, and so
+    // must the hits and evictions of a random access sequence
+    // afterwards, which reads back the LRU order.
+    for (unsigned seed = 1; seed <= 300; ++seed) {
+        std::mt19937_64 rng(seed);
+        const auto pick = [&rng](std::uint64_t n) {
+            return std::uniform_int_distribution<std::uint64_t>(
+                0, n - 1)(rng);
+        };
+        CpuConfig cfg;
+        cfg.cache.sets = std::size_t{16} << pick(6);     // 16..512
+        cfg.cache.ways = 1 + pick(8);                    // 1..8
+        cfg.cache.lineSize = std::size_t{32} << pick(3); // 32..128
+        cfg.cache.hitLatency = static_cast<std::uint32_t>(1 + pick(40));
+        cfg.cache.missLatency = static_cast<std::uint32_t>(1 + pick(300));
+        cfg.defense.partitionedCache = pick(2) == 0;
+        Machine a(cfg), b(cfg);
+
+        const Addr strides[] = {kPageSize, kPageSize, 8, 16, 48,
+                                cfg.cache.lineSize,
+                                cfg.cache.lineSize * cfg.cache.sets};
+        const Addr base = 0x100000 + 8 * pick(512);
+        const Addr stride = strides[pick(std::size(strides))];
+        const std::size_t slots = 1 + pick(256);
+        const std::string where = "seed " + std::to_string(seed);
+
+        // Every page the slots touch maps to one of a few frames,
+        // so slots alias; some pages fault or stay unmapped.
+        const auto randomPte = [&] {
+            Pte pte;
+            pte.physPage = 0x400 + pick(12);
+            pte.present = pick(10) != 0;
+            pte.reservedBit = pick(20) == 0;
+            switch (pick(8)) {
+              case 0:
+                pte.owner = PageOwner::Kernel;
+                pte.userAccessible = false;
+                break;
+              case 1:
+                pte.owner = PageOwner::Enclave;
+                pte.userAccessible = false;
+                break;
+              default:
+                break;
+            }
+            return pte;
+        };
+        const Addr first_page = base / kPageSize;
+        const Addr last_page =
+            (base + (slots - 1) * stride) / kPageSize;
+        for (Addr page = first_page; page <= last_page; ++page) {
+            if (pick(16) == 0)
+                continue;
+            const Pte pte = randomPte();
+            a.pt.map(page * kPageSize, pte);
+            b.pt.map(page * kPageSize, pte);
+        }
+        const auto slotPage = [&] {
+            return (base + pick(slots) * stride) / kPageSize *
+                   kPageSize;
+        };
+        // A slot's page offset on one of the slots' frames (a probe
+        // line) or on another frame (a line competing for its set).
+        const auto nearbyLine = [&] {
+            const Addr frame =
+                pick(2) == 0 ? 0x400 + pick(12) : 0x480 + pick(64);
+            return frame * kPageSize +
+                   (base + pick(slots) * stride) % kPageSize;
+        };
+
+        FlushReloadChannel channel(a.cpu, base, slots, stride);
+        ReferenceFlushReload reference{b.cpu, base, slots, stride};
+        for (int step = 0; step < 40; ++step) {
+            const std::string at = where + " step " + std::to_string(step);
+            switch (pick(9)) {
+              case 0:
+              case 1:
+                channel.setup();
+                reference.setup();
+                break;
+              case 2:
+              case 3: {
+                const ChannelRecovery got = channel.recover();
+                const ChannelRecovery want = reference.recover();
+                EXPECT_EQ(got.latencies, want.latencies) << at;
+                EXPECT_EQ(got.value, want.value) << at;
+                break;
+              }
+              case 4: { // the sender and the victim touch lines
+                for (std::uint64_t n = 1 + pick(4); n > 0; --n) {
+                    const Addr vaddr = base + pick(slots) * stride;
+                    EXPECT_EQ(a.cpu.timedAccess(vaddr),
+                              b.cpu.timedAccess(vaddr))
+                        << at;
+                }
+                const Addr line = nearbyLine();
+                const int domain = static_cast<int>(pick(3));
+                EXPECT_EQ(a.cpu.cache().access(line, domain).latency,
+                          b.cpu.cache().access(line, domain).latency)
+                    << at;
+                break;
+              }
+              case 5: {
+                const int ctx = static_cast<int>(pick(3));
+                a.cpu.contextSwitch(ctx);
+                b.cpu.contextSwitch(ctx);
+                if (pick(4) == 0) {
+                    const bool on = !a.cpu.cache().partitioned();
+                    a.cpu.cache().setPartitioned(on);
+                    b.cpu.cache().setPartitioned(on);
+                }
+                break;
+              }
+              case 6: {
+                const Privilege p = static_cast<Privilege>(pick(3));
+                const bool enclave = pick(2) == 0;
+                for (Machine *m : {&a, &b}) {
+                    m->cpu.setPrivilege(p);
+                    m->cpu.setEnclaveMode(enclave);
+                }
+                break;
+              }
+              case 7: { // a page-table edit
+                const Addr page = slotPage();
+                const int edit = static_cast<int>(pick(4));
+                const Pte pte = randomPte();
+                const bool flag = pick(2) == 0;
+                for (Machine *m : {&a, &b}) {
+                    if (edit == 0) {
+                        m->pt.map(page, pte);
+                    } else if (edit == 1) {
+                        m->pt.unmap(page);
+                    } else if (m->pt.lookup(page) == nullptr) {
+                        continue;
+                    } else if (edit == 2) {
+                        m->pt.setPresent(page, flag);
+                    } else {
+                        m->pt.setReservedBit(page, flag);
+                    }
+                }
+                break;
+              }
+              default:
+                break;
+            }
+            expectSameStats(a.cpu.cache().stats(), b.cpu.cache().stats(),
+                            at);
+        }
+
+        // The LRU order a probe leaves, read back: every later fill
+        // evicts the same line on both machines.
+        EXPECT_EQ(channel.recover().latencies,
+                  reference.recover().latencies)
+            << where;
+        for (int i = 0; i < 64; ++i) {
+            const Addr line = nearbyLine();
+            const int domain = static_cast<int>(pick(3));
+            const CacheAccess x = a.cpu.cache().access(line, domain);
+            const CacheAccess y = b.cpu.cache().access(line, domain);
+            EXPECT_EQ(x.hit, y.hit) << where << " access " << i;
+            EXPECT_EQ(x.evicted, y.evicted) << where << " access " << i;
+            EXPECT_EQ(x.evictedLineAddr, y.evictedLineAddr)
+                << where << " access " << i;
+        }
+        expectSameStats(a.cpu.cache().stats(), b.cpu.cache().stats(),
+                        where);
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -233,6 +234,45 @@ TEST(PageTable, SetPresentOnUnmappedThrows)
     PageTable pt;
     EXPECT_THROW(pt.setPresent(0x1000, false),
                  std::invalid_argument);
+}
+
+TEST(PageTable, EveryMutatorBumpsTheVersionAndNothingElseDoes)
+{
+    // FlushReloadChannel keeps its slots' translations until the
+    // version moves, so no PTE may change without a bump.
+    PageTable pt;
+    std::uint64_t seen = pt.version();
+    const auto bumped = [&pt, &seen] {
+        const bool moved = pt.version() > seen;
+        seen = pt.version();
+        return moved;
+    };
+    const Addr high = PageTable::kDenseVpns * kPageSize; // side map
+    pt.map(0x1000, Pte{});
+    EXPECT_TRUE(bumped());
+    pt.map(high, Pte{});
+    EXPECT_TRUE(bumped());
+    pt.mapRange(0x10000, 0x3000, PageOwner::User, true, true);
+    EXPECT_TRUE(bumped());
+    pt.setPresent(0x10000, false);
+    EXPECT_TRUE(bumped());
+    pt.setReservedBit(high, true);
+    EXPECT_TRUE(bumped());
+    pt.unmap(0x12000);
+    EXPECT_TRUE(bumped());
+    pt.unmap(high);
+    EXPECT_TRUE(bumped());
+
+    // Reads, a refused edit and copying leave it alone.
+    EXPECT_NE(pt.lookup(0x11000), nullptr);
+    pt.translate(0x10000, AccessType::Read, Privilege::User);
+    EXPECT_THROW(pt.setReservedBit(0x90000, true),
+                 std::invalid_argument);
+    const PageTable copy = pt;
+    EXPECT_FALSE(bumped());
+    EXPECT_EQ(copy.version(), pt.version());
+    // Assignment would replace every PTE without a bump.
+    static_assert(!std::is_copy_assignable_v<PageTable>);
 }
 
 TEST(PageTable, FaultKindNames)

@@ -116,22 +116,28 @@ withKeyField(const std::string &key, std::size_t index,
 
 /**
  * Keys a batch must refuse.  Well-formed keys no runner can
- * execute: @p good with variant id 999, and a ROB past
+ * execute: @p good with variant id 999, a ROB past
  * std::vector::max_size() (its Cpu throws std::length_error; a
  * merely huge one would throw bad_alloc, but the sanitizer
- * allocators abort on that instead).  And keys that parse to a
- * machine without being its canonical key, which would run one cell
- * and be cached under another key: a robSize of 2^64 + 48, a
- * permCheckLatency of 2^32 + 30 or 030, and a 2 in a bool field.
+ * allocators abort on that instead), and channel 7 (the harness
+ * would run it as Prime+Probe and export it as "unknown").  And
+ * keys that parse to a machine without being its canonical key,
+ * which would run one cell and be cached under another key: a
+ * robSize of 2^64 + 48, a permCheckLatency of 2^32 + 30 or 030, and
+ * a 2 in a bool field.
  */
 std::vector<std::string>
 refusedKeys(const std::string &good)
 {
     CpuConfig hugeRob;
     hugeRob.robSize = std::numeric_limits<std::size_t>::max();
+    AttackOptions channel7;
+    channel7.channel = static_cast<core::CovertChannelKind>(7);
     return {"999" + good.substr(good.find(';')),
             scenarioKey(AttackVariant::Meltdown, hugeRob,
                         AttackOptions{}),
+            scenarioKey(AttackVariant::Meltdown, CpuConfig{},
+                        channel7),
             withKeyField(good, 1, "18446744073709551664"),
             withKeyField(good, 4, "4294967326"),
             withKeyField(good, 4, "030"),
