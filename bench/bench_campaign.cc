@@ -77,10 +77,10 @@ main(int argc, char **argv)
                 "unique", "wall (ms)", "scenarios/sec");
     std::printf("%-10s %8u %8zu %12.1f %14.1f\n", "serial",
                 serial.workers, serial.uniqueCount,
-                serial.wallMillis, serial.scenariosPerSecond);
+                serial.wallMillis, serial.scenariosPerSecond());
     std::printf("%-10s %8u %8zu %12.1f %14.1f\n", "parallel",
                 parallel.workers, parallel.uniqueCount,
-                parallel.wallMillis, parallel.scenariosPerSecond);
+                parallel.wallMillis, parallel.scenariosPerSecond());
     const double speedup = parallel.wallMillis > 0.0
                                ? serial.wallMillis / parallel.wallMillis
                                : 0.0;
@@ -261,9 +261,9 @@ main(int argc, char **argv)
     out.set("grid_scenarios",
             static_cast<double>(spec.gridSize()));
     out.set("serial_scenarios_per_sec",
-            serial.scenariosPerSecond);
+            serial.scenariosPerSecond());
     out.set("parallel_scenarios_per_sec",
-            parallel.scenariosPerSecond);
+            parallel.scenariosPerSecond());
     out.set("parallel_speedup", speedup);
     out.set("phase_cells", static_cast<double>(phases.cells));
     out.set("phase_build_pct", pct(phases.buildNanos));

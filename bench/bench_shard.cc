@@ -83,7 +83,7 @@ main(int argc, char **argv)
     out.set("grid_scenarios",
             static_cast<double>(spec.gridSize()));
     out.set("full_wall_ms", fullMs);
-    out.set("full_scenarios_per_sec", full.scenariosPerSecond);
+    out.set("full_scenarios_per_sec", full.scenariosPerSecond());
     for (const std::size_t n : {2UL, 4UL, 8UL}) {
         // Run every shard (sequentially; CI runs them as parallel
         // jobs) and round-trip each report through the wire format.

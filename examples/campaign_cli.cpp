@@ -287,7 +287,7 @@ printSummary(const CampaignReport &report)
                 "in %.1f ms (%.1f scenarios/sec, %u workers, "
                 "%zu cache hits)\n",
                 report.executedCount, report.expandedCount,
-                report.wallMillis, report.scenariosPerSecond,
+                report.wallMillis, report.scenariosPerSecond(),
                 report.workers, report.cacheHits);
     if (report.modelDecided + report.modelUndecided > 0)
         std::printf("model verdicts: %zu decided, %zu undecided; "
@@ -777,8 +777,8 @@ main(int argc, char **argv)
         if (!cli::connect(connect_endpoint, client))
             return 1;
         const ExpandedGrid grid = dedupGrid(spec);
-        const CampaignHeader header = serve::headerForGrid(
-            spec, grid, shard, client.serverWorkers());
+        const CampaignHeader header =
+            runHeader(spec, grid, shard, client.serverWorkers());
         std::string existing;
         tool::readTextFile(jsonl_path, existing); // absent = fresh
         serve::ResumePlan plan;

@@ -170,6 +170,8 @@ struct AttackResult
     bool leaked = false;   ///< accuracy >= 0.9
     std::uint64_t guestCycles = 0;
     std::uint64_t transientForwards = 0;
+
+    bool operator==(const AttackResult &) const = default;
 };
 
 /** Score recovered bytes against the planted secret. */

@@ -152,6 +152,35 @@ runPool(std::size_t count, unsigned workers,
         std::rethrow_exception(failure);
 }
 
+/**
+ * The one cache-lookup -> runVariant -> store step of every
+ * simulating path: serve the scenario from @p cache (may be null)
+ * under @p key, or run and time it and memoize the fresh result.
+ * The returned item's scenario is left null.
+ */
+KeyBatchItem
+simulate(ResultCache *cache, const std::string &key,
+         core::AttackVariant variant, const CpuConfig &config,
+         const AttackOptions &options)
+{
+    KeyBatchItem item;
+    if (cache) {
+        if (const auto hit = cache->lookup(key)) {
+            item.result = hit->result;
+            item.stats = hit->stats;
+            item.cached = true;
+            return item;
+        }
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    item.result =
+        attacks::runVariant(variant, config, options, item.stats);
+    item.wallMillis = millisSince(t0);
+    if (cache)
+        cache->store(key, {item.result, item.stats});
+    return item;
+}
+
 std::vector<SoftwareMitigation>
 resolveMitigations(const ScenarioSpec &spec)
 {
@@ -634,8 +663,7 @@ namespace
  * Do two outcomes for the same gridIndex agree on everything except
  * wall time?  Heterogeneous-shard merges accept overlapping cells
  * exactly when this holds.  Configuration is compared through the
- * canonical key (one definition of "the same experiment"); result
- * and stats field-by-field.
+ * canonical key (one definition of "the same experiment").
  */
 bool
 sameTimingFreeOutcome(const ScenarioOutcome &a,
@@ -646,23 +674,7 @@ sameTimingFreeOutcome(const ScenarioOutcome &a,
            a.colLabel == b.colLabel &&
            scenarioKey(a.variant, a.config, a.options) ==
                scenarioKey(b.variant, b.config, b.options) &&
-           a.result.name == b.result.name &&
-           a.result.recovered == b.result.recovered &&
-           a.result.expected == b.result.expected &&
-           a.result.accuracy == b.result.accuracy &&
-           a.result.leaked == b.result.leaked &&
-           a.result.guestCycles == b.result.guestCycles &&
-           a.result.transientForwards ==
-               b.result.transientForwards &&
-           a.stats.cycles == b.stats.cycles &&
-           a.stats.committed == b.stats.committed &&
-           a.stats.squashed == b.stats.squashed &&
-           a.stats.branchMispredicts == b.stats.branchMispredicts &&
-           a.stats.exceptions == b.stats.exceptions &&
-           a.stats.memOrderViolations ==
-               b.stats.memOrderViolations &&
-           a.stats.speculativeFills == b.stats.speculativeFills &&
-           a.stats.transientForwards == b.stats.transientForwards;
+           a.result == b.result && a.stats == b.stats;
 }
 
 } // namespace
@@ -733,21 +745,13 @@ CampaignReport::merge(const CampaignReport &other,
                   return a.gridIndex < b.gridIndex;
               });
     recomputeCells();
-    executedCount += other.executedCount;
-    cacheHits += other.cacheHits;
-    modelDecided += other.modelDecided;
-    modelUndecided += other.modelUndecided;
-    disagreements += other.disagreements;
-    replicatedCells += other.replicatedCells;
-    workers = std::max(workers, other.workers);
-    // Shard wall-clocks add (they model separate processes); the
-    // merged throughput is re-derived from the totals.
-    wallMillis += other.wallMillis;
-    scenariosPerSecond =
-        wallMillis > 0.0
-            ? 1000.0 * static_cast<double>(executedCount) /
-                  wallMillis
-            : 0.0;
+    // Shard wall-clocks add too: they model separate processes.
+    forEachReportScalar([&](const char *, auto field, ScalarFold fold) {
+        if (fold == ScalarFold::Sum)
+            this->*field += other.*field;
+        else if (fold == ScalarFold::Max)
+            this->*field = std::max(this->*field, other.*field);
+    });
     if (!partial()) {
         // Complete again: indistinguishable from a 1-process run.
         shardIndex = 0;
@@ -782,31 +786,17 @@ executeKeyBatch(
     try {
         runPool(keys.size(), workers, [&](std::size_t i) {
             KeyBatchItem item;
+            try {
+                item = simulate(cache, keys[i], parsed[i].variant,
+                                parsed[i].config, parsed[i].options);
+            } catch (const std::exception &e) {
+                // A key can parse yet name a machine the runner
+                // cannot build: fail the batch, not the process.
+                throw std::runtime_error("key at index " +
+                                         std::to_string(i) + ": " +
+                                         e.what());
+            }
             item.scenario = &parsed[i];
-            if (cache) {
-                if (const auto hit = cache->lookup(keys[i])) {
-                    item.result = hit->result;
-                    item.stats = hit->stats;
-                    item.cached = true;
-                }
-            }
-            if (!item.cached) {
-                const auto t0 = std::chrono::steady_clock::now();
-                try {
-                    item.result = attacks::runVariant(
-                        parsed[i].variant, parsed[i].config,
-                        parsed[i].options, item.stats);
-                } catch (const std::exception &e) {
-                    // A key can parse yet name a machine the runner
-                    // cannot build: fail the batch, not the process.
-                    throw std::runtime_error("key at index " +
-                                             std::to_string(i) +
-                                             ": " + e.what());
-                }
-                item.wallMillis = millisSince(t0);
-                if (cache)
-                    cache->store(keys[i], {item.result, item.stats});
-            }
             return emit(i, item);
         });
     } catch (const std::exception &e) {
@@ -826,24 +816,10 @@ CampaignEngine::workers() const
     return hw > 0 ? hw : 1;
 }
 
-void
-CampaignEngine::run(const ScenarioSpec &spec,
-                    const std::vector<OutcomeSink *> &sinks,
-                    ShardRange shard) const
+CampaignHeader
+runHeader(const ScenarioSpec &spec, const ExpandedGrid &grid,
+          ShardRange shard, unsigned workers)
 {
-    const ExpandedGrid grid = dedupGrid(spec);
-    const ShardSelection sel = grid.shard(shard.index, shard.count);
-    const unsigned nworkers = workers();
-
-    // Expanded grid points grouped by the unique-execution position
-    // that backs them, restricted to this shard: the emission list
-    // of each completed execution.
-    std::unordered_map<std::size_t, std::vector<std::size_t>>
-        backedBy;
-    backedBy.reserve(sel.uniquePositions.size());
-    for (const std::size_t e : sel.expandedIndices)
-        backedBy[grid.dupOf[e]].push_back(e);
-
     CampaignHeader header;
     header.name = spec.name;
     for (const core::AttackDescriptor *attack : resolveAttacks(spec))
@@ -852,17 +828,30 @@ CampaignEngine::run(const ScenarioSpec &spec,
         header.colLabels.push_back(d.label);
     header.expandedCount = grid.expanded.size();
     header.uniqueCount = grid.uniqueIndices.size();
-    header.gridIndices = sel.expandedIndices;
-    header.shardUniqueCount = sel.uniquePositions.size();
     header.shardIndex = shard.index;
     header.shardCount = shard.count == 0 ? 1 : shard.count;
-    header.workers = nworkers;
+    header.workers = workers;
+    header.gridIndices = grid.shard(shard.index, shard.count)
+                             .expandedIndices;
+    return header;
+}
+
+void
+CampaignEngine::run(const ScenarioSpec &spec,
+                    const std::vector<OutcomeSink *> &sinks,
+                    ShardRange shard) const
+{
+    const ExpandedGrid grid = dedupGrid(spec);
+    const unsigned nworkers = workers();
+    const CampaignHeader header = runHeader(spec, grid, shard, nworkers);
+    // Work item n is this shard's n-th unique execution.
+    const OutcomeFanOut fanOut(grid, header.gridIndices, sinks);
     for (OutcomeSink *sink : sinks)
         sink->begin(header);
 
     const verdict::VerdictBackend backend = options_.backend;
 
-    // Triage replication classes: unique positions whose (variant,
+    // Triage replication classes: unique executions whose (variant,
     // config, canonical options) coincide are the same experiment to
     // the runner (the descriptor's canonicalOptions hook resets
     // exactly the AttackOptions fields the runner never reads), so
@@ -873,10 +862,9 @@ CampaignEngine::run(const ScenarioSpec &spec,
         const core::ScenarioCatalog &catalog =
             core::ScenarioCatalog::instance();
         std::unordered_map<std::string, std::size_t> classOf;
-        classOf.reserve(sel.uniquePositions.size());
-        for (const std::size_t pos : sel.uniquePositions) {
-            const Scenario &s =
-                grid.expanded[grid.uniqueIndices[pos]];
+        classOf.reserve(fanOut.size());
+        for (std::size_t n = 0; n < fanOut.size(); ++n) {
+            const Scenario &s = fanOut.scenario(n);
             std::string ckey = s.key;
             const core::AttackDescriptor *d =
                 catalog.findAttack(s.variant);
@@ -888,7 +876,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
                 classOf.emplace(std::move(ckey), classes.size());
             if (fresh)
                 classes.emplace_back();
-            classes[it->second].push_back(pos);
+            classes[it->second].push_back(n);
         }
     }
 
@@ -900,37 +888,23 @@ CampaignEngine::run(const ScenarioSpec &spec,
     std::atomic<std::size_t> replicatedCells{0};
     ResultCache *const cache = options_.cache;
 
-    // Stream one outcome per expanded grid point the execution at
-    // @p pos backs, straight from the worker thread.  (.at():
-    // lookups must not mutate the shared map.)
-    const auto emit = [&](std::size_t pos, const AttackResult &result,
+    // Stream execution @p n's result, with its verdict annotations,
+    // straight from the worker thread.
+    const auto emit = [&](std::size_t n, const AttackResult &result,
                           const CpuStats &stats, double wallMillis,
                           const core::ModelJudgement *judgement,
                           const char *agreement) {
-        for (const std::size_t e : backedBy.at(pos)) {
-            const Scenario &dup = grid.expanded[e];
-            ScenarioOutcome o;
-            o.variant = dup.variant;
-            o.row = dup.row;
-            o.col = dup.col;
-            o.gridIndex = dup.gridIndex;
-            o.rowLabel = dup.rowLabel;
-            o.colLabel = dup.colLabel;
-            o.config = dup.config;
-            o.options = dup.options;
-            o.result = result;
-            o.stats = stats;
-            o.wallMillis = wallMillis;
-            if (judgement) {
-                o.modelVerdict =
-                    core::modelVerdictName(judgement->verdict);
-                o.evidence = judgement->evidence;
-            }
-            if (agreement)
-                o.agreement = agreement;
-            for (OutcomeSink *sink : sinks)
-                sink->consume(o);
+        ScenarioOutcome o;
+        o.result = result;
+        o.stats = stats;
+        o.wallMillis = wallMillis;
+        if (judgement) {
+            o.modelVerdict = core::modelVerdictName(judgement->verdict);
+            o.evidence = judgement->evidence;
         }
+        if (agreement)
+            o.agreement = agreement;
+        fanOut.emit(n, std::move(o));
     };
 
     /// Count one judged cell; @return the judgement.  Under the
@@ -949,32 +923,20 @@ CampaignEngine::run(const ScenarioSpec &spec,
         return j;
     };
 
-    // Simulate @p s with the shared cache under the bare key;
-    // @return true when the result was served from the cache.
-    const auto simulate = [&](const Scenario &s, AttackResult &result,
-                              CpuStats &stats, double &wallMillis) {
-        if (cache) {
-            if (const auto hit = cache->lookup(s.key)) {
-                result = hit->result;
-                stats = hit->stats;
-                cacheHits.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-        }
-        const auto s0 = std::chrono::steady_clock::now();
-        result = attacks::runVariant(s.variant, s.config, s.options,
-                                     stats);
-        wallMillis = millisSince(s0);
-        if (cache)
-            cache->store(s.key, {result, stats});
-        return false;
+    // Simulate @p s through the shared cache under its bare key,
+    // counting a hit.
+    const auto simulateCell = [&](const Scenario &s) {
+        KeyBatchItem run =
+            simulate(cache, s.key, s.variant, s.config, s.options);
+        if (run.cached)
+            cacheHits.fetch_add(1, std::memory_order_relaxed);
+        return run;
     };
 
     // Simulator / Model / Differential / Static: one unique
-    // position per work item.
+    // execution per work item.
     const auto cell = [&](std::size_t n) {
-        const std::size_t pos = sel.uniquePositions[n];
-        const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
+        const Scenario &s = fanOut.scenario(n);
 
         if (backend == verdict::VerdictBackend::Model) {
             // Analysis only: never touches the simulator or the
@@ -986,29 +948,28 @@ CampaignEngine::run(const ScenarioSpec &spec,
             AttackResult result;
             result.name = s.rowLabel;
             result.leaked = j.predictsLeak();
-            emit(pos, result, CpuStats{}, 0.0, &j, nullptr);
+            emit(n, result, CpuStats{}, 0.0, &j, nullptr);
             return true;
         }
 
-        AttackResult result;
-        CpuStats stats;
-        double wallMillis = 0.0;
-        simulate(s, result, stats, wallMillis);
+        const KeyBatchItem run = simulateCell(s);
         if (backend == verdict::VerdictBackend::Differential ||
             backend == verdict::VerdictBackend::Static) {
             const core::ModelJudgement j = judged(s);
             const char *agreement = "undecided";
             if (j.decided()) {
-                agreement = j.predictsLeak() == result.leaked
+                agreement = j.predictsLeak() == run.result.leaked
                                 ? "agree"
                                 : "disagree";
-                if (j.predictsLeak() != result.leaked)
+                if (j.predictsLeak() != run.result.leaked)
                     disagreements.fetch_add(1,
                                             std::memory_order_relaxed);
             }
-            emit(pos, result, stats, wallMillis, &j, agreement);
+            emit(n, run.result, run.stats, run.wallMillis, &j,
+                 agreement);
         } else {
-            emit(pos, result, stats, wallMillis, nullptr, nullptr);
+            emit(n, run.result, run.stats, run.wallMillis, nullptr,
+                 nullptr);
         }
         return true;
     };
@@ -1017,17 +978,16 @@ CampaignEngine::run(const ScenarioSpec &spec,
     // judged (the counters below report the model's coverage); the
     // class is served by a cache hit or one simulated representative
     // and the rest replicate that entry verbatim.
-    const auto triageClass = [&](std::size_t n) {
-        const std::vector<std::size_t> &members = classes[n];
+    const auto triageClass = [&](std::size_t c) {
+        const std::vector<std::size_t> &members = classes[c];
 
         std::vector<core::ModelJudgement> judgements;
         judgements.reserve(members.size());
         bool conflict = false;
         bool sawDecided = false;
         bool decidedLeak = false;
-        for (const std::size_t pos : members) {
-            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
-            judgements.push_back(judged(s));
+        for (const std::size_t n : members) {
+            judgements.push_back(judged(fanOut.scenario(n)));
             const core::ModelJudgement &j = judgements.back();
             if (!j.decided())
                 continue;
@@ -1042,12 +1002,12 @@ CampaignEngine::run(const ScenarioSpec &spec,
         std::vector<std::size_t> missing;
         std::optional<ResultCache::Entry> have;
         for (std::size_t m = 0; m < members.size(); ++m) {
-            const std::size_t pos = members[m];
-            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
+            const std::size_t n = members[m];
             bool cached = false;
             if (cache) {
-                if (const auto hit = cache->lookup(s.key)) {
-                    emit(pos, hit->result, hit->stats, 0.0,
+                if (const auto hit =
+                        cache->lookup(fanOut.scenario(n).key)) {
+                    emit(n, hit->result, hit->stats, 0.0,
                          &judgements[m], nullptr);
                     cacheHits.fetch_add(1, std::memory_order_relaxed);
                     if (!have)
@@ -1068,15 +1028,11 @@ CampaignEngine::run(const ScenarioSpec &spec,
             // unreachable; simulate every member individually rather
             // than replicate anything.
             for (const std::size_t m : missing) {
-                const std::size_t pos = members[m];
-                const Scenario &s =
-                    grid.expanded[grid.uniqueIndices[pos]];
-                AttackResult result;
-                CpuStats stats;
-                double wallMillis = 0.0;
-                simulate(s, result, stats, wallMillis);
-                emit(pos, result, stats, wallMillis, &judgements[m],
-                     nullptr);
+                const std::size_t n = members[m];
+                const KeyBatchItem run =
+                    simulateCell(fanOut.scenario(n));
+                emit(n, run.result, run.stats, run.wallMillis,
+                     &judgements[m], nullptr);
             }
             return true;
         }
@@ -1088,15 +1044,11 @@ CampaignEngine::run(const ScenarioSpec &spec,
             // entries are never stored, so the cache stays a record
             // of real executions).
             const std::size_t m = missing.front();
-            const std::size_t pos = members[m];
-            const Scenario &s = grid.expanded[grid.uniqueIndices[pos]];
-            AttackResult result;
-            CpuStats stats;
-            double wallMillis = 0.0;
-            simulate(s, result, stats, wallMillis);
-            emit(pos, result, stats, wallMillis, &judgements[m],
-                 nullptr);
-            have = ResultCache::Entry{result, stats};
+            const KeyBatchItem run =
+                simulateCell(fanOut.scenario(members[m]));
+            emit(members[m], run.result, run.stats, run.wallMillis,
+                 &judgements[m], nullptr);
+            have = ResultCache::Entry{run.result, run.stats};
             first = 1;
         }
         for (std::size_t i = first; i < missing.size(); ++i) {
@@ -1113,15 +1065,14 @@ CampaignEngine::run(const ScenarioSpec &spec,
     if (backend == verdict::VerdictBackend::Triage)
         runPool(classes.size(), nworkers, triageClass);
     else
-        runPool(sel.uniquePositions.size(), nworkers, cell);
+        runPool(fanOut.size(), nworkers, cell);
 
     CampaignFooter footer;
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);
     footer.replicatedCells =
         replicatedCells.load(std::memory_order_relaxed);
-    footer.executedCount = sel.uniquePositions.size() -
-                           footer.cacheHits -
-                           footer.replicatedCells;
+    footer.executedCount =
+        fanOut.size() - footer.cacheHits - footer.replicatedCells;
     footer.modelDecided =
         modelDecided.load(std::memory_order_relaxed);
     footer.modelUndecided =
@@ -1129,20 +1080,8 @@ CampaignEngine::run(const ScenarioSpec &spec,
     footer.disagreements =
         disagreements.load(std::memory_order_relaxed);
     footer.wallMillis = millisSince(t0);
-    footer.scenariosPerSecond =
-        footer.wallMillis > 0.0
-            ? 1000.0 *
-                  static_cast<double>(footer.executedCount) /
-                  footer.wallMillis
-            : 0.0;
     for (OutcomeSink *sink : sinks)
         sink->end(footer);
-}
-
-CampaignReport
-CampaignEngine::run(const ScenarioSpec &spec) const
-{
-    return run(spec, ShardRange{});
 }
 
 CampaignReport

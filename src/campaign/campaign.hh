@@ -457,43 +457,41 @@ struct ScenarioOutcome
     /// @}
 };
 
-/** Aggregated results of a campaign (possibly one shard of one). */
-struct CampaignReport
+/**
+ * What a run is, known before its first cell executes: the spec, its
+ * full-grid shape and which shard of it the run covers.  The streamed
+ * header (CampaignHeader) and the collected report share it.
+ */
+struct RunInfo
 {
     std::string name;
     std::vector<std::string> rowLabels;
     std::vector<std::string> colLabels;
 
-    /// One outcome per grid point this report covers, grid order
-    /// (deduplicated cells share the result of their unique
-    /// execution).  A full report covers every expanded grid point;
-    /// a shard report covers its shard's subset, each outcome still
-    /// carrying its full-grid @c gridIndex so shards merge back
-    /// losslessly.
-    std::vector<ScenarioOutcome> outcomes;
-
-    /// Per (row, col) cell: grid points landing in the cell and how
-    /// many of them leaked.  Knob sweeps put several runs per cell.
-    std::vector<std::vector<unsigned>> cellRuns;
-    std::vector<std::vector<unsigned>> cellLeaks;
-
     /// Full-grid counts, identical across every shard of one spec.
     std::size_t expandedCount = 0;
     std::size_t uniqueCount = 0;
+    /// Which shard this run is (0 of 1 = the whole grid).
+    std::size_t shardIndex = 0;
+    std::size_t shardCount = 1;
+    unsigned workers = 1;
+};
+
+/**
+ * Run provenance, known only after the worker pool drains.  The
+ * streamed footer (CampaignFooter) and the collected report share it.
+ */
+struct RunCounters
+{
     /// Unique cells actually executed this run (this shard's unique
     /// share minus result-cache hits).
     std::size_t executedCount = 0;
     /// Unique cells served from the engine's ResultCache.
     std::size_t cacheHits = 0;
-    /// Which shard this report is (0 of 1 = the whole grid).
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
-    unsigned workers = 1;
     double wallMillis = 0.0;
-    double scenariosPerSecond = 0.0; ///< executed scenarios / wall
 
     /// @name Verdict-backend counters (src/verdict/); all zero under
-    /// the plain simulator backend.  Summed by merge().
+    /// the plain simulator backend.
     /// @{
 
     /// Unique cells the analytic model decided (leak / blocked /
@@ -510,6 +508,32 @@ struct CampaignReport
     /// executing (executedCount excludes them).
     std::size_t replicatedCells = 0;
     /// @}
+
+    /** Executed scenarios per second of wall time (0 without any). */
+    double scenariosPerSecond() const
+    {
+        return wallMillis > 0.0
+                   ? 1000.0 * static_cast<double>(executedCount) /
+                         wallMillis
+                   : 0.0;
+    }
+};
+
+/** Aggregated results of a campaign (possibly one shard of one). */
+struct CampaignReport : RunInfo, RunCounters
+{
+    /// One outcome per grid point this report covers, grid order
+    /// (deduplicated cells share the result of their unique
+    /// execution).  A full report covers every expanded grid point;
+    /// a shard report covers its shard's subset, each outcome still
+    /// carrying its full-grid @c gridIndex so shards merge back
+    /// losslessly.
+    std::vector<ScenarioOutcome> outcomes;
+
+    /// Per (row, col) cell: grid points landing in the cell and how
+    /// many of them leaked.  Knob sweeps put several runs per cell.
+    std::vector<std::vector<unsigned>> cellRuns;
+    std::vector<std::vector<unsigned>> cellLeaks;
 
     /// True while outcomes cover only part of the expanded grid.
     bool partial() const { return outcomes.size() != expandedCount; }
@@ -551,6 +575,43 @@ struct CampaignReport
     /** Deterministic text rendering of the success matrix. */
     std::string successMatrixText() const;
 };
+
+/** How CampaignReport::merge folds one scalar of another shard. */
+enum class ScalarFold
+{
+    Keep, ///< grid shape (checked equal) and shard identity
+    Sum,  ///< provenance counters; shard wall-clocks add up too
+    Max,  ///< workers
+};
+
+/**
+ * The report's scalar fields in shard-wire order: calls
+ * @p visit(name, member pointer, fold) on each.  tool::shardReportJson
+ * writes, tool::parseShardReportJson reads and CampaignReport::merge
+ * folds through this one list.
+ */
+template <typename Visit>
+void
+forEachReportScalar(Visit &&visit)
+{
+    visit("expandedCount", &CampaignReport::expandedCount,
+          ScalarFold::Keep);
+    visit("uniqueCount", &CampaignReport::uniqueCount, ScalarFold::Keep);
+    visit("shardIndex", &CampaignReport::shardIndex, ScalarFold::Keep);
+    visit("shardCount", &CampaignReport::shardCount, ScalarFold::Keep);
+    visit("executedCount", &CampaignReport::executedCount,
+          ScalarFold::Sum);
+    visit("cacheHits", &CampaignReport::cacheHits, ScalarFold::Sum);
+    visit("modelDecided", &CampaignReport::modelDecided, ScalarFold::Sum);
+    visit("modelUndecided", &CampaignReport::modelUndecided,
+          ScalarFold::Sum);
+    visit("disagreements", &CampaignReport::disagreements,
+          ScalarFold::Sum);
+    visit("replicatedCells", &CampaignReport::replicatedCells,
+          ScalarFold::Sum);
+    visit("workers", &CampaignReport::workers, ScalarFold::Max);
+    visit("wallMillis", &CampaignReport::wallMillis, ScalarFold::Sum);
+}
 
 class OutcomeSink; // src/campaign/sink.hh
 
@@ -611,12 +672,10 @@ class CampaignEngine
              const std::vector<OutcomeSink *> &sinks,
              ShardRange shard = {}) const;
 
-    /** Expand, deduplicate and execute @p spec into a report. */
-    CampaignReport run(const ScenarioSpec &spec) const;
-
-    /** Shard-of-a-report convenience over the sink API. */
+    /** Expand, deduplicate and execute shard @p shard of @p spec
+     *  into a report (through a ReportSink). */
     CampaignReport run(const ScenarioSpec &spec,
-                       ShardRange shard) const;
+                       ShardRange shard = {}) const;
 
   private:
     Options options_;

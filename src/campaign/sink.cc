@@ -13,19 +13,45 @@ OutcomeSink::end(const CampaignFooter &)
 {
 }
 
+OutcomeFanOut::OutcomeFanOut(const ExpandedGrid &grid,
+                             const std::vector<std::size_t> &gridIndices,
+                             std::vector<OutcomeSink *> sinks)
+    : grid_(grid), sinks_(std::move(sinks))
+{
+    std::vector<std::vector<std::size_t>> byPosition(
+        grid.uniqueIndices.size());
+    for (const std::size_t e : gridIndices)
+        byPosition[grid.dupOf[e]].push_back(e);
+    for (std::size_t p = 0; p < byPosition.size(); ++p)
+        if (!byPosition[p].empty())
+            executions_.push_back(
+                {grid.uniqueIndices[p], std::move(byPosition[p])});
+}
+
+void
+OutcomeFanOut::emit(std::size_t n, ScenarioOutcome outcome) const
+{
+    for (const std::size_t e : executions_[n].points) {
+        const Scenario &point = grid_.expanded[e];
+        outcome.variant = point.variant;
+        outcome.row = point.row;
+        outcome.col = point.col;
+        outcome.gridIndex = point.gridIndex;
+        outcome.rowLabel = point.rowLabel;
+        outcome.colLabel = point.colLabel;
+        outcome.config = point.config;
+        outcome.options = point.options;
+        for (OutcomeSink *sink : sinks_)
+            sink->consume(outcome);
+    }
+}
+
 void
 ReportSink::begin(const CampaignHeader &header)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     report_ = CampaignReport{};
-    report_.name = header.name;
-    report_.rowLabels = header.rowLabels;
-    report_.colLabels = header.colLabels;
-    report_.expandedCount = header.expandedCount;
-    report_.uniqueCount = header.uniqueCount;
-    report_.shardIndex = header.shardIndex;
-    report_.shardCount = header.shardCount;
-    report_.workers = header.workers;
+    static_cast<RunInfo &>(report_) = header;
     slots_.assign(header.gridIndices.size(), std::nullopt);
     slotOf_.clear();
     slotOf_.reserve(header.gridIndices.size());
@@ -57,14 +83,7 @@ ReportSink::end(const CampaignFooter &footer)
             report_.outcomes.push_back(std::move(*slot));
     slots_.clear();
     slotOf_.clear();
-    report_.executedCount = footer.executedCount;
-    report_.cacheHits = footer.cacheHits;
-    report_.wallMillis = footer.wallMillis;
-    report_.scenariosPerSecond = footer.scenariosPerSecond;
-    report_.modelDecided = footer.modelDecided;
-    report_.modelUndecided = footer.modelUndecided;
-    report_.disagreements = footer.disagreements;
-    report_.replicatedCells = footer.replicatedCells;
+    static_cast<RunCounters &>(report_) = footer;
     report_.recomputeCells();
 }
 

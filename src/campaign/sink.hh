@@ -34,44 +34,32 @@
 namespace specsec::campaign
 {
 
-/** Everything known about a run before the first cell executes. */
-struct CampaignHeader
+/**
+ * Everything known about a run before the first cell executes: a
+ * run record is this header, one outcome per announced grid point,
+ * and a footer.
+ */
+struct CampaignHeader : RunInfo
 {
-    std::string name;
-    std::vector<std::string> rowLabels;
-    std::vector<std::string> colLabels;
-
-    /// Full-grid counts (identical across every shard of one spec).
-    std::size_t expandedCount = 0;
-    std::size_t uniqueCount = 0;
-
     /// The expanded gridIndices this run will emit, ascending (grid
     /// order).  Covers the whole grid when shardCount == 1.
     std::vector<std::size_t> gridIndices;
-
-    /// This run's share of the deduplicated work.
-    std::size_t shardUniqueCount = 0;
-
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
-    unsigned workers = 1;
 };
 
 /** Run provenance, known only after the worker pool drains. */
-struct CampaignFooter
+struct CampaignFooter : RunCounters
 {
-    std::size_t executedCount = 0;
-    std::size_t cacheHits = 0;
-    double wallMillis = 0.0;
-    double scenariosPerSecond = 0.0;
-
-    /// Verdict-backend counters (see CampaignReport for semantics);
-    /// all zero under the plain simulator backend.
-    std::size_t modelDecided = 0;
-    std::size_t modelUndecided = 0;
-    std::size_t disagreements = 0;
-    std::size_t replicatedCells = 0;
 };
+
+/**
+ * The header a run of shard @p shard of @p spec announces, @p grid
+ * being dedupGrid(spec).  The engine, the remote client and a resumed
+ * run all build it here, so their headers are byte-identical.
+ * @p workers is the executing side's pool size.
+ */
+CampaignHeader runHeader(const ScenarioSpec &spec,
+                         const ExpandedGrid &grid, ShardRange shard,
+                         unsigned workers);
 
 /** Receives a run's outcomes as workers complete them. */
 class OutcomeSink
@@ -82,6 +70,50 @@ class OutcomeSink
     virtual void begin(const CampaignHeader &header);
     virtual void consume(const ScenarioOutcome &outcome) = 0;
     virtual void end(const CampaignFooter &footer);
+};
+
+/**
+ * The unique executions behind a run's grid points, and the fan-out
+ * that turns one execution's result into one ScenarioOutcome per
+ * grid point it backs.  The engine and the remote client both stream
+ * their outcomes through it.  @p grid must outlive it.
+ */
+class OutcomeFanOut
+{
+  public:
+    /** Back @p gridIndices (ascending positions into
+     *  @p grid.expanded), streaming into @p sinks. */
+    OutcomeFanOut(const ExpandedGrid &grid,
+                  const std::vector<std::size_t> &gridIndices,
+                  std::vector<OutcomeSink *> sinks);
+
+    /** Unique executions, in ascending unique position. */
+    std::size_t size() const { return executions_.size(); }
+
+    /** The scenario execution @p n runs. */
+    const Scenario &scenario(std::size_t n) const
+    {
+        return grid_.expanded[executions_[n].scenario];
+    }
+
+    /**
+     * Hand every sink one copy of @p outcome (result, stats, wall
+     * time, verdict annotations) per grid point execution @p n
+     * backs, each carrying that point's cell fields.  Safe from
+     * worker threads, as the sinks are.
+     */
+    void emit(std::size_t n, ScenarioOutcome outcome) const;
+
+  private:
+    struct Execution
+    {
+        std::size_t scenario; ///< into expanded: the one it runs
+        std::vector<std::size_t> points; ///< into expanded, ascending
+    };
+
+    const ExpandedGrid &grid_;
+    std::vector<OutcomeSink *> sinks_;
+    std::vector<Execution> executions_;
 };
 
 /**

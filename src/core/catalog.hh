@@ -158,7 +158,7 @@ struct StaticProgramSpec
     /// Registers with known constant values (array bases, bounds).
     std::vector<std::pair<uarch::RegId, uarch::Word>> knownRegs;
 
-    /// array_index_nospec knowledge for the masking transform: the
+    /// array_index_nospec knowledge for the masking rewrite: the
     /// speculated index register and the mask that provably clamps
     /// it into the legal range.  Absent when the shape has no
     /// maskable index (faulting accesses, special-register reads).
@@ -181,31 +181,6 @@ struct StaticProgramSpec
  * Undecided under the static verdict backend.
  */
 using StaticProgramFn = std::function<StaticProgramSpec()>;
-
-/**
- * Outcome of a program-level hardening transform (a
- * MitigationDescriptor realized as an ISA rewrite, not just a
- * simulator toggle): the hardened spec plus the patch overhead the
- * campaign exports, and the post-transform static verification.
- */
-struct TransformResult
-{
-    StaticProgramSpec hardened;
-    std::size_t fencesInserted = 0;
-    std::size_t masksInserted = 0;
-    /// hardened.program.size() - original program size.
-    std::size_t extraInstructions = 0;
-    /// True when re-analyzing the hardened program finds no
-    /// remaining missing security dependency.
-    bool verified = false;
-    /// Races the transform provably cannot close (intra-instruction
-    /// Meltdown-type expansions).
-    std::size_t residualRaces = 0;
-};
-
-/** Apply a hardening transform to one attack's static program. */
-using ProgramTransformFn =
-    std::function<TransformResult(const StaticProgramSpec &)>;
 
 /**
  * First AttackVariant slot the catalog hands to attacks registered
@@ -315,13 +290,6 @@ struct MitigationDescriptor
     std::vector<std::string> aliases;
     std::string description;
     MitigationToggles toggles;
-
-    /// Program-level realization (optional): rewrite the attack's
-    /// static program (fence insertion, index masking) instead of
-    /// only toggling the simulator runner.  The static verdict
-    /// backend analyzes the transformed program and the campaign
-    /// exports the returned patch overhead.
-    ProgramTransformFn transform;
 
     /** OR the toggles into @p options. */
     void applyTo(attacks::AttackOptions &options) const

@@ -10,7 +10,6 @@
  */
 
 #include "core/catalog.hh"
-#include "verdict/static_verdict.hh"
 
 namespace specsec::core::detail
 {
@@ -365,37 +364,28 @@ registerBuiltinMitigations(ScenarioCatalog &catalog)
             "L1 flush on enclave/kernel/VMM exit (Foreshadow)", t,
             {"flush-l1-on-exit"});
     }
-    // Mitigations-as-transforms: same simulator semantics as
-    // "lfence" / "addr-mask" (the toggles), plus a program rewrite
-    // the static backend verifies with the Fig. 9 analyzer and
-    // reports patch overhead for.
+    // The hardened names carry exactly the "lfence" / "addr-mask"
+    // toggles, so every backend runs them as those two (the static
+    // backend applies its own lfence-after-branch and index-clamp
+    // rewrites) and their scenario keys dedup against them.
     {
         MitigationToggles t;
         t.softwareLfence = true;
-        MitigationDescriptor d;
-        d.name = "fence-harden";
-        d.aliases = {"fence-hardened"};
-        d.description =
-            "statically-verified fence insertion: tool::autoPatch "
-            "rewrites the attack's static program until no "
-            "exploitable flow remains";
-        d.toggles = t;
-        d.transform = verdict::fenceHardenTransform;
-        catalog.registerMitigation(std::move(d));
+        registerMitigation(
+            catalog, "fence-harden",
+            "LFENCE after bounds checks: the lfence toggle, which the "
+            "static backend applies as an lfence after every branch",
+            t, {"fence-hardened"});
     }
     {
         MitigationToggles t;
         t.addressMasking = true;
-        MitigationDescriptor d;
-        d.name = "mask-harden";
-        d.aliases = {"mask-hardened"};
-        d.description =
-            "statically-verified index masking: an "
-            "array_index_nospec clamp after the bounds check, "
-            "re-analyzed post-transform";
-        d.toggles = t;
-        d.transform = verdict::maskHardenTransform;
-        catalog.registerMitigation(std::move(d));
+        registerMitigation(
+            catalog, "mask-harden",
+            "index masking after bounds checks: the addr-mask toggle, "
+            "which the static backend applies as an "
+            "array_index_nospec clamp after the first branch",
+            t, {"mask-hardened"});
     }
 }
 

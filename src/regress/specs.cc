@@ -234,11 +234,11 @@ staticHardeningSpec()
 {
     // Hardened-vs-unhardened across the whole catalog: every
     // enum-backed attack with a static program (all but Spoiler)
-    // against the transform-backed mitigations.  The simulator runs
-    // the toggles; `--backend static` re-judges each cell from the
-    // rewritten program, so bounds-family leaks must flip to
-    // blocked under both columns and the divergence pins stay
-    // empty/documented.
+    // against the fence-harden and mask-harden mitigations.  The
+    // simulator runs their toggles; `--backend static` re-judges
+    // each cell from the rewritten program, so bounds-family leaks
+    // must flip to blocked under both columns and the divergence
+    // pins stay empty/documented.
     ScenarioSpec spec;
     spec.name = "static-hardening";
     spec.variants = {
@@ -329,8 +329,8 @@ registeredSpecs()
          "cache-geometry sweeps across both covert channels",
          cacheGeometrySpec()},
         {"static-hardening",
-         "transform-backed mitigations vs. the catalog, verified "
-         "by the static backend",
+         "fence- and mask-hardened mitigations vs. the catalog, "
+         "verified by the static backend",
          staticHardeningSpec()},
     };
     return specs;

@@ -1,7 +1,6 @@
 #include "client.hh"
 
-#include <algorithm>
-#include <map>
+#include <utility>
 
 #include "tool/stream_export.hh"
 
@@ -20,39 +19,6 @@ fail(std::string *error, const std::string &message)
 }
 
 } // namespace
-
-campaign::CampaignHeader
-headerForGrid(const campaign::ScenarioSpec &spec,
-              const campaign::ExpandedGrid &grid,
-              campaign::ShardRange shard, unsigned workers)
-{
-    const std::size_t count = shard.count == 0 ? 1 : shard.count;
-    const campaign::ShardSelection sel =
-        grid.shard(shard.index, count);
-
-    campaign::CampaignHeader header;
-    header.name = spec.name;
-    // Every (row, col) of the grid appears in the expansion, so
-    // the label axes are recoverable without the engine's private
-    // catalog resolvers — a remote header is byte-identical to a
-    // local one.
-    for (const campaign::Scenario &s : grid.expanded) {
-        if (s.row >= header.rowLabels.size())
-            header.rowLabels.resize(s.row + 1);
-        if (s.col >= header.colLabels.size())
-            header.colLabels.resize(s.col + 1);
-        header.rowLabels[s.row] = s.rowLabel;
-        header.colLabels[s.col] = s.colLabel;
-    }
-    header.expandedCount = grid.expanded.size();
-    header.uniqueCount = grid.uniqueIndices.size();
-    header.gridIndices = sel.expandedIndices;
-    header.shardUniqueCount = sel.uniquePositions.size();
-    header.shardIndex = shard.index;
-    header.shardCount = count;
-    header.workers = workers;
-    return header;
-}
 
 bool
 Client::connect(const net::Endpoint &endpoint, std::string *error)
@@ -85,7 +51,7 @@ Client::run(const campaign::ScenarioSpec &spec,
 {
     const campaign::ExpandedGrid grid = campaign::dedupGrid(spec);
     const campaign::CampaignHeader header =
-        headerForGrid(spec, grid, shard, serverWorkers_);
+        campaign::runHeader(spec, grid, shard, serverWorkers_);
     return runSubset(grid, header, header.gridIndices, sinks,
                      error);
 }
@@ -101,20 +67,13 @@ Client::runSubset(
     if (!conn_.valid())
         return fail(error, "not connected");
 
-    // The unique executions backing the wanted grid points, in
-    // first-appearance order; each fans back out to every wanted
-    // duplicate when its result arrives.
-    std::map<std::size_t, std::vector<std::size_t>> backedBy;
-    for (const std::size_t e : expandedIndices)
-        backedBy[grid.dupOf[e]].push_back(e);
+    // The unique executions backing the wanted grid points, in the
+    // order their keys are submitted.
+    const campaign::OutcomeFanOut fanOut(grid, expandedIndices, sinks);
     SubmitMsg submit;
     submit.name = header.name;
-    std::vector<std::size_t> uniquePositions;
-    for (const auto &kv : backedBy) {
-        uniquePositions.push_back(kv.first);
-        submit.keys.push_back(
-            grid.expanded[grid.uniqueIndices[kv.first]].key);
-    }
+    for (std::size_t n = 0; n < fanOut.size(); ++n)
+        submit.keys.push_back(fanOut.scenario(n).key);
 
     for (campaign::OutcomeSink *sink : sinks)
         sink->begin(header);
@@ -140,12 +99,6 @@ Client::runSubset(
             footer.executedCount = msg.done.executed;
             footer.cacheHits = msg.done.cacheHits;
             footer.wallMillis = msg.done.wallMillis;
-            footer.scenariosPerSecond =
-                msg.done.wallMillis > 0.0
-                    ? 1000.0 *
-                          static_cast<double>(msg.done.executed) /
-                          msg.done.wallMillis
-                    : 0.0;
             for (campaign::OutcomeSink *sink : sinks)
                 sink->end(footer);
             return true;
@@ -156,27 +109,14 @@ Client::runSubset(
                             (msg.type == MsgType::Invalid
                                  ? msg.error
                                  : line));
-        if (msg.result.index >= uniquePositions.size())
+        if (msg.result.index >= fanOut.size())
             return fail(error, "result index out of range");
         ++received;
-        const std::size_t pos = uniquePositions[msg.result.index];
-        for (const std::size_t e : backedBy.at(pos)) {
-            const campaign::Scenario &dup = grid.expanded[e];
-            campaign::ScenarioOutcome o;
-            o.variant = dup.variant;
-            o.row = dup.row;
-            o.col = dup.col;
-            o.gridIndex = dup.gridIndex;
-            o.rowLabel = dup.rowLabel;
-            o.colLabel = dup.colLabel;
-            o.config = dup.config;
-            o.options = dup.options;
-            o.result = msg.result.result;
-            o.stats = msg.result.stats;
-            o.wallMillis = msg.result.wallMillis;
-            for (campaign::OutcomeSink *sink : sinks)
-                sink->consume(o);
-        }
+        campaign::ScenarioOutcome o;
+        o.result = msg.result.result;
+        o.stats = msg.result.stats;
+        o.wallMillis = msg.result.wallMillis;
+        fanOut.emit(msg.result.index, std::move(o));
     }
     return fail(error, "connection lost mid-stream");
 }

@@ -33,17 +33,6 @@
 namespace specsec::serve
 {
 
-/**
- * Build the CampaignHeader a run of @p spec restricted to
- * @p shard announces — labels recovered from the expanded grid,
- * so remote runs need none of the engine's private resolvers.
- * @p workers is advisory (the executing side's pool size).
- */
-campaign::CampaignHeader
-headerForGrid(const campaign::ScenarioSpec &spec,
-              const campaign::ExpandedGrid &grid,
-              campaign::ShardRange shard, unsigned workers);
-
 class Client
 {
   public:

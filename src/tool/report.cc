@@ -147,7 +147,7 @@ campaignJson(const campaign::CampaignReport &report,
         os << "  \"wallMillis\": " << num(report.wallMillis)
            << ",\n";
         os << "  \"scenariosPerSecond\": "
-           << num(report.scenariosPerSecond) << ",\n";
+           << num(report.scenariosPerSecond()) << ",\n";
     }
     os << "  \"rows\": [";
     for (std::size_t i = 0; i < report.rowLabels.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "report_io.hh"
 
 #include <sstream>
+#include <type_traits>
 
 #include "report.hh"
 #include "schema.hh"
@@ -16,6 +17,29 @@ std::string
 exactNum(double value)
 {
     return formatDouble(value, DoubleStyle::Exact17);
+}
+
+/** Write one report scalar: doubles round-trip exactly. */
+template <typename T>
+void
+writeScalar(std::ostream &os, T value)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        os << exactNum(value);
+    else
+        os << value;
+}
+
+template <typename T>
+void
+readScalar(json::Cursor &cur, T &value)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        value = cur.parseDouble();
+    else if constexpr (std::is_same_v<T, unsigned>)
+        value = cur.parseUnsigned();
+    else
+        value = cur.parseU64();
 }
 
 } // namespace
@@ -36,20 +60,12 @@ shardReportJson(const campaign::CampaignReport &report)
        << ",\n";
     os << "\"cols\": " << jsonStringArray(report.colLabels)
        << ",\n";
-    os << "\"expandedCount\": " << report.expandedCount << ",\n";
-    os << "\"uniqueCount\": " << report.uniqueCount << ",\n";
-    os << "\"shardIndex\": " << report.shardIndex << ",\n";
-    os << "\"shardCount\": " << report.shardCount << ",\n";
-    os << "\"executedCount\": " << report.executedCount << ",\n";
-    os << "\"cacheHits\": " << report.cacheHits << ",\n";
-    os << "\"modelDecided\": " << report.modelDecided << ",\n";
-    os << "\"modelUndecided\": " << report.modelUndecided << ",\n";
-    os << "\"disagreements\": " << report.disagreements << ",\n";
-    os << "\"replicatedCells\": " << report.replicatedCells
-       << ",\n";
-    os << "\"workers\": " << report.workers << ",\n";
-    os << "\"wallMillis\": " << exactNum(report.wallMillis)
-       << ",\n";
+    campaign::forEachReportScalar(
+        [&](const char *name, auto field, campaign::ScalarFold) {
+            os << '"' << name << "\": ";
+            writeScalar(os, report.*field);
+            os << ",\n";
+        });
     os << "\"outcomes\": [";
     for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
         const campaign::ScenarioOutcome &o = report.outcomes[i];
@@ -127,30 +143,6 @@ parseShardReportJson(const std::string &text, std::string *error)
             report.rowLabels = json::parseStringArray(cur);
         } else if (key == "cols") {
             report.colLabels = json::parseStringArray(cur);
-        } else if (key == "expandedCount") {
-            report.expandedCount = cur.parseU64();
-        } else if (key == "uniqueCount") {
-            report.uniqueCount = cur.parseU64();
-        } else if (key == "shardIndex") {
-            report.shardIndex = cur.parseU64();
-        } else if (key == "shardCount") {
-            report.shardCount = cur.parseU64();
-        } else if (key == "executedCount") {
-            report.executedCount = cur.parseU64();
-        } else if (key == "cacheHits") {
-            report.cacheHits = cur.parseU64();
-        } else if (key == "modelDecided") {
-            report.modelDecided = cur.parseU64();
-        } else if (key == "modelUndecided") {
-            report.modelUndecided = cur.parseU64();
-        } else if (key == "disagreements") {
-            report.disagreements = cur.parseU64();
-        } else if (key == "replicatedCells") {
-            report.replicatedCells = cur.parseU64();
-        } else if (key == "workers") {
-            report.workers = cur.parseUnsigned();
-        } else if (key == "wallMillis") {
-            report.wallMillis = cur.parseDouble();
         } else if (key == "outcomes") {
             sawOutcomes = true;
             if (!cur.expect('['))
@@ -215,8 +207,18 @@ parseShardReportJson(const std::string &text, std::string *error)
                     return failed();
             }
         } else {
-            cur.fail("unknown report key '" + key + "'");
-            return failed();
+            bool scalar = false;
+            campaign::forEachReportScalar(
+                [&](const char *name, auto field, campaign::ScalarFold) {
+                    if (!scalar && key == name) {
+                        scalar = true;
+                        readScalar(cur, report.*field);
+                    }
+                });
+            if (!scalar) {
+                cur.fail("unknown report key '" + key + "'");
+                return failed();
+            }
         }
     } while (!cur.failed() && cur.peekConsume(','));
     if (cur.failed() || !cur.expect('}'))
@@ -233,22 +235,28 @@ parseShardReportJson(const std::string &text, std::string *error)
         cur.fail("shard report has no outcomes");
         return failed();
     }
-    // Every consumer indexes the report's matrix by (row, col).
-    for (const campaign::ScenarioOutcome &o : report.outcomes) {
+    // Every consumer indexes the report's matrix by (row, col), and
+    // a merge takes each outcome as one distinct grid point.
+    for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+        const campaign::ScenarioOutcome &o = report.outcomes[i];
+        const std::string at =
+            "outcome at gridIndex " + std::to_string(o.gridIndex);
         if (o.row >= report.rowLabels.size() ||
             o.col >= report.colLabels.size()) {
-            cur.fail("outcome at gridIndex " +
-                     std::to_string(o.gridIndex) +
-                     ": row/col out of range");
+            cur.fail(at + ": row/col out of range");
+            return failed();
+        }
+        if (o.gridIndex >= report.expandedCount) {
+            cur.fail(at + ": gridIndex out of range (" +
+                     std::to_string(report.expandedCount) +
+                     " expanded)");
+            return failed();
+        }
+        if (i > 0 && o.gridIndex <= report.outcomes[i - 1].gridIndex) {
+            cur.fail(at + ": gridIndex not ascending");
             return failed();
         }
     }
-    report.scenariosPerSecond =
-        report.wallMillis > 0.0
-            ? 1000.0 *
-                  static_cast<double>(report.executedCount) /
-                  report.wallMillis
-            : 0.0;
     report.recomputeCells();
     return report;
 }

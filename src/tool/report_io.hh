@@ -46,8 +46,9 @@ std::string shardReportJson(const campaign::CampaignReport &report);
 /**
  * Parse shardReportJson() output.  @return nullopt (with a message
  * in @p error) on malformed input, an unsupported version, or an
- * outcome whose scenario key does not parse or whose row/col lies
- * outside the report's labels.
+ * outcome whose scenario key does not parse, whose row/col lies
+ * outside the report's labels, or whose gridIndex is not below
+ * expandedCount and above the previous outcome's.
  */
 std::optional<campaign::CampaignReport>
 parseShardReportJson(const std::string &text,

@@ -17,37 +17,17 @@ num(double value)
     return formatDouble(value, DoubleStyle::Fixed4);
 }
 
-/** The JSONL header record, shared by stream and batch writers. */
 std::string
-jsonlHeaderLine(const std::string &name,
-                const std::vector<std::string> &rows,
-                const std::vector<std::string> &cols,
-                std::size_t expandedCount, std::size_t uniqueCount,
-                std::size_t shardIndex, std::size_t shardCount)
-{
-    std::ostringstream os;
-    os << "{\"type\": \"header\", \"name\": \"" << jsonEscape(name)
-       << "\", \"expandedCount\": " << expandedCount
-       << ", \"uniqueCount\": " << uniqueCount
-       << ", \"shardIndex\": " << shardIndex
-       << ", \"shardCount\": " << shardCount
-       << ", \"rows\": " << jsonStringArray(rows)
-       << ", \"cols\": " << jsonStringArray(cols) << "}\n";
-    return os.str();
-}
-
-std::string
-jsonlSummaryLine(std::size_t executedCount, std::size_t cacheHits,
-                 unsigned workers, double wallMillis,
-                 double scenariosPerSecond)
+jsonlSummaryLine(const campaign::RunCounters &counters, unsigned workers)
 {
     std::ostringstream os;
     os << "{\"type\": \"summary\", \"executedCount\": "
-       << executedCount << ", \"cacheHits\": " << cacheHits
+       << counters.executedCount
+       << ", \"cacheHits\": " << counters.cacheHits
        << ", \"workers\": " << workers
-       << ", \"wallMillis\": " << num(wallMillis)
-       << ", \"scenariosPerSecond\": " << num(scenariosPerSecond)
-       << "}\n";
+       << ", \"wallMillis\": " << num(counters.wallMillis)
+       << ", \"scenariosPerSecond\": "
+       << num(counters.scenariosPerSecond()) << "}\n";
     return os.str();
 }
 
@@ -64,28 +44,28 @@ jsonlOutcomeLine(const campaign::ScenarioOutcome &o,
 } // namespace
 
 std::string
-jsonlHeaderRecord(const campaign::CampaignHeader &h)
+jsonlHeaderRecord(const campaign::RunInfo &run)
 {
-    return jsonlHeaderLine(h.name, h.rowLabels, h.colLabels,
-                           h.expandedCount, h.uniqueCount,
-                           h.shardIndex, h.shardCount);
+    std::ostringstream os;
+    os << "{\"type\": \"header\", \"name\": \"" << jsonEscape(run.name)
+       << "\", \"expandedCount\": " << run.expandedCount
+       << ", \"uniqueCount\": " << run.uniqueCount
+       << ", \"shardIndex\": " << run.shardIndex
+       << ", \"shardCount\": " << run.shardCount
+       << ", \"rows\": " << jsonStringArray(run.rowLabels)
+       << ", \"cols\": " << jsonStringArray(run.colLabels) << "}\n";
+    return os.str();
 }
 
 std::string
 campaignJsonl(const campaign::CampaignReport &report,
               bool include_timing)
 {
-    std::string out = jsonlHeaderLine(
-        report.name, report.rowLabels, report.colLabels,
-        report.expandedCount, report.uniqueCount, report.shardIndex,
-        report.shardCount);
+    std::string out = jsonlHeaderRecord(report);
     for (const campaign::ScenarioOutcome &o : report.outcomes)
         out += jsonlOutcomeLine(o, include_timing);
     if (include_timing)
-        out += jsonlSummaryLine(report.executedCount,
-                                report.cacheHits, report.workers,
-                                report.wallMillis,
-                                report.scenariosPerSecond);
+        out += jsonlSummaryLine(report, report.workers);
     return out;
 }
 
@@ -173,9 +153,7 @@ JsonlStreamSink::writeHeader(const campaign::CampaignHeader &h)
 {
     workers_ = h.workers;
     if (!suppress_header_)
-        out_ << jsonlHeaderLine(h.name, h.rowLabels, h.colLabels,
-                                h.expandedCount, h.uniqueCount,
-                                h.shardIndex, h.shardCount);
+        out_ << jsonlHeaderRecord(h);
 }
 
 void
@@ -188,9 +166,7 @@ void
 JsonlStreamSink::writeFooter(const campaign::CampaignFooter &f)
 {
     if (timing_)
-        out_ << jsonlSummaryLine(f.executedCount, f.cacheHits,
-                                 workers_, f.wallMillis,
-                                 f.scenariosPerSecond);
+        out_ << jsonlSummaryLine(f, workers_);
     out_ << std::flush;
 }
 

@@ -50,7 +50,7 @@ std::string campaignJsonl(const campaign::CampaignReport &report,
  * (src/serve/client.hh) can validate a killed run's replayed prefix
  * against what a fresh run would have written, byte for byte.
  */
-std::string jsonlHeaderRecord(const campaign::CampaignHeader &h);
+std::string jsonlHeaderRecord(const campaign::RunInfo &run);
 
 /**
  * Grid-order release window shared by the streaming exporters:

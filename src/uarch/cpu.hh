@@ -202,6 +202,8 @@ struct CpuStats
     std::uint64_t memOrderViolations = 0;
     std::uint64_t speculativeFills = 0;
     std::uint64_t transientForwards = 0; ///< faulty data forwarded
+
+    bool operator==(const CpuStats &) const = default;
 };
 
 /**

@@ -14,7 +14,6 @@ using core::AttackVariant;
 using core::ModelJudgement;
 using core::ModelVerdict;
 using core::StaticProgramSpec;
-using core::TransformResult;
 using uarch::CpuConfig;
 
 namespace
@@ -204,47 +203,6 @@ judgeScenarioStatic(AttackVariant variant, const CpuConfig &config,
     if (d == nullptr)
         return undecided("no attack registered for this variant");
     return staticJudgement(*d, config, options);
-}
-
-TransformResult
-fenceHardenTransform(const StaticProgramSpec &spec)
-{
-    const tool::PatchResult patch =
-        tool::autoPatch(tool::toAnalysisSpec(spec));
-    TransformResult result;
-    result.hardened = spec;
-    result.hardened.program = patch.patched;
-    result.fencesInserted = patch.fencesInserted;
-    result.extraInstructions =
-        patch.patched.size() - spec.program.size();
-    result.verified = patch.verified;
-    result.residualRaces = patch.residualRaces;
-    return result;
-}
-
-TransformResult
-maskHardenTransform(const StaticProgramSpec &spec)
-{
-    TransformResult result;
-    result.hardened = spec;
-    const std::optional<std::size_t> branch =
-        firstBranchPc(spec.program);
-    if (!branch || !spec.maskReg || !spec.maskValue) {
-        const tool::AnalysisResult analysis =
-            tool::analyzeSpec(tool::toAnalysisSpec(spec));
-        result.verified = !analysis.vulnerable;
-        result.residualRaces = analysis.findings.size();
-        return result;
-    }
-    defense::insertMaskAfterBranch(result.hardened.program, *branch,
-                                   *spec.maskReg, *spec.maskValue);
-    result.masksInserted = 1;
-    result.extraInstructions = 1;
-    const tool::AnalysisResult analysis =
-        tool::analyzeSpec(tool::toAnalysisSpec(result.hardened));
-    result.verified = !analysis.vulnerable;
-    result.residualRaces = analysis.findings.size();
-    return result;
 }
 
 } // namespace specsec::verdict

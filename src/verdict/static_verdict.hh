@@ -8,11 +8,6 @@
  * address masking); hardware defenses and out-of-program
  * mitigations (KPTI, RSB stuffing, L1 flush) are outside a
  * program-level analyzer's scope and yield Undecided.
- *
- * Also home of the mitigation-as-transform hooks: fence-harden
- * (tool::autoPatch) and mask-harden (array_index_nospec-style index
- * clamping), each statically verified post-transform with patch
- * overhead reported.
  */
 
 #ifndef SPECSEC_VERDICT_STATIC_VERDICT_HH
@@ -27,7 +22,7 @@ namespace specsec::verdict
 struct StaticJudgement
 {
     core::ModelJudgement judgement;
-    /// Rewrite overhead (zero when no transform applied).
+    /// Rewrite overhead (zero when no rewrite applied).
     std::size_t fencesInserted = 0;
     std::size_t masksInserted = 0;
     std::size_t extraInstructions = 0;
@@ -63,27 +58,6 @@ StaticJudgement
 judgeScenarioStatic(core::AttackVariant variant,
                     const uarch::CpuConfig &config,
                     const attacks::AttackOptions &options);
-
-/**
- * Fence-harden transform: run tool::autoPatch over the spec's
- * program until no exploitable flow remains.  Closes misprediction
- * leaks at the bounds check and fences the exfiltration chain of
- * Meltdown-type shapes (whose intra-instruction races persist as
- * residualRaces — the paper's relaxed strategy-3 success
- * criterion).
- */
-core::TransformResult
-fenceHardenTransform(const core::StaticProgramSpec &spec);
-
-/**
- * Mask-harden transform: insert an `and index, index, mask` clamp
- * (array_index_nospec) after the first conditional branch, using
- * the spec's declared maskReg/maskValue.  Specs without a mask
- * point (no branch or no declared mask register) come back
- * unmodified and unverified.
- */
-core::TransformResult
-maskHardenTransform(const core::StaticProgramSpec &spec);
 
 } // namespace specsec::verdict
 

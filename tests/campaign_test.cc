@@ -515,27 +515,32 @@ TEST(Engine, DifferentialOnFourWorkersMatchesSerial)
     // The model judges cells on the worker threads, which share one
     // attack graph per (variant, channel) (verdict/model.cc); under
     // TSan this run is that cache's race check.  The Prime+Probe
-    // graphs are first built here, concurrently.
+    // graphs are first built here, concurrently.  The static backend
+    // runs the Fig. 9 analyzer on the same threads.
     ScenarioSpec spec = ScenarioSpec::defenseMatrix();
     spec.channels = {CovertChannelKind::PrimeProbe,
                      CovertChannelKind::FlushReload};
-    CampaignEngine::Options opts;
-    opts.backend = verdict::VerdictBackend::Differential;
-    opts.workers = 4;
-    const CampaignReport parallel = CampaignEngine(opts).run(spec);
-    opts.workers = 1;
-    const CampaignReport serial = CampaignEngine(opts).run(spec);
+    for (const verdict::VerdictBackend backend :
+         {verdict::VerdictBackend::Differential,
+          verdict::VerdictBackend::Static}) {
+        CampaignEngine::Options opts;
+        opts.backend = backend;
+        opts.workers = 4;
+        const CampaignReport parallel = CampaignEngine(opts).run(spec);
+        opts.workers = 1;
+        const CampaignReport serial = CampaignEngine(opts).run(spec);
 
-    EXPECT_EQ(parallel.modelDecided, serial.modelDecided);
-    EXPECT_EQ(parallel.modelUndecided, serial.modelUndecided);
-    EXPECT_EQ(parallel.disagreements, serial.disagreements);
-    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
-        const ScenarioOutcome &p = parallel.outcomes[i];
-        const ScenarioOutcome &s = serial.outcomes[i];
-        EXPECT_EQ(p.modelVerdict, s.modelVerdict) << i;
-        EXPECT_EQ(p.agreement, s.agreement) << i;
-        EXPECT_EQ(p.evidence, s.evidence) << i;
+        EXPECT_EQ(parallel.modelDecided, serial.modelDecided);
+        EXPECT_EQ(parallel.modelUndecided, serial.modelUndecided);
+        EXPECT_EQ(parallel.disagreements, serial.disagreements);
+        ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+        for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+            const ScenarioOutcome &p = parallel.outcomes[i];
+            const ScenarioOutcome &s = serial.outcomes[i];
+            EXPECT_EQ(p.modelVerdict, s.modelVerdict) << i;
+            EXPECT_EQ(p.agreement, s.agreement) << i;
+            EXPECT_EQ(p.evidence, s.evidence) << i;
+        }
     }
 }
 
@@ -605,7 +610,7 @@ TEST(Engine, CollectsStatsAndThroughput)
     EXPECT_GT(o.stats.cycles, 0u);
     EXPECT_GT(o.stats.committed, 0u);
     EXPECT_GE(o.wallMillis, 0.0);
-    EXPECT_GT(report.scenariosPerSecond, 0.0);
+    EXPECT_GT(report.scenariosPerSecond(), 0.0);
     EXPECT_EQ(report.expandedCount, 1u);
     EXPECT_EQ(report.uniqueCount, 1u);
 }

@@ -118,7 +118,6 @@ fixtureReport()
     r.shardCount = 1;
     r.workers = 1;
     r.wallMillis = 3.5;
-    r.scenariosPerSecond = 571.428571;
     r.recomputeCells();
     return r;
 }

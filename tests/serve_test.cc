@@ -192,6 +192,14 @@ TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
     EXPECT_EQ(stats.connections, 2u);
     EXPECT_EQ(stats.executed, offline.uniqueCount);
     EXPECT_EQ(stats.cacheHits, warm.uniqueCount);
+
+    // A shard of the grid: the engine's header and outcomes too.
+    const ShardRange shard{1, 2};
+    ReportSink shardSink;
+    ASSERT_TRUE(client.run(spec, {&shardSink}, shard, &error)) << error;
+    EXPECT_EQ(tool::campaignJsonl(shardSink.takeReport(), false),
+              tool::campaignJsonl(CampaignEngine(opts).run(spec, shard),
+                                  false));
 }
 
 TEST(Serve, HandshakeRejectsMismatchedSchemaOrFingerprint)
@@ -522,8 +530,7 @@ TEST(Serve, ResumePlanDisambiguatesTornHeaders)
 {
     const ScenarioSpec spec = sampleSpec();
     const ExpandedGrid grid = dedupGrid(spec);
-    const CampaignHeader header =
-        serve::headerForGrid(spec, grid, {}, 2);
+    const CampaignHeader header = runHeader(spec, grid, {}, 2);
     const std::string headerLine = tool::jsonlHeaderRecord(header);
 
     // A file ending exactly after the header, trailing newline
@@ -561,8 +568,7 @@ TEST(Serve, ResumePlanAcceptsTrimsAndRefuses)
 {
     const ScenarioSpec spec = sampleSpec();
     const ExpandedGrid grid = dedupGrid(spec);
-    const CampaignHeader header =
-        serve::headerForGrid(spec, grid, {}, 2);
+    const CampaignHeader header = runHeader(spec, grid, {}, 2);
 
     // A complete timing-free export of the run, line-addressable.
     CampaignEngine::Options opts;
@@ -607,7 +613,7 @@ TEST(Serve, ResumePlanAcceptsTrimsAndRefuses)
     other.name = "serve-sample-other";
     const ExpandedGrid otherGrid = dedupGrid(other);
     const CampaignHeader otherHeader =
-        serve::headerForGrid(other, otherGrid, {}, 2);
+        runHeader(other, otherGrid, {}, 2);
     EXPECT_FALSE(serve::planJsonlResume(otherHeader, full, plan,
                                         &error));
     EXPECT_NE(error.find("refusing to resume"),

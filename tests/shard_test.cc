@@ -412,6 +412,24 @@ TEST(Shard, ParseShardReportRejectsMalformedInput)
         EXPECT_NE(error.find("row/col out of range"), std::string::npos)
             << error;
     }
+    // The second outcome line replaced by a copy of the first, or
+    // moved past the grid: both used to merge as a complete report
+    // with a bogus row.
+    const std::string open = "{\"gridIndex\": ";
+    const std::size_t one = wire.find(open);
+    const std::size_t two = wire.find(open, one + 1);
+    std::string repeated = wire;
+    repeated.replace(two, wire.find('\n', two) - two,
+                     wire.substr(one, wire.find('\n', one) - one));
+    EXPECT_FALSE(tool::parseShardReportJson(repeated, &error));
+    EXPECT_NE(error.find("gridIndex not ascending"), std::string::npos)
+        << error;
+    const std::size_t digits = two + open.size();
+    std::string past = wire;
+    past.replace(digits, wire.find(',', digits) - digits, "999");
+    EXPECT_FALSE(tool::parseShardReportJson(past, &error));
+    EXPECT_NE(error.find("gridIndex out of range"), std::string::npos)
+        << error;
 }
 
 } // namespace
