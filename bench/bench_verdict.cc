@@ -131,7 +131,7 @@ main(int argc, char **argv)
         const Scenario &s = grid.expanded[u];
         if (verdict::judgeScenarioStatic(s.variant, s.config,
                                          s.options)
-                .judgement.decided())
+                .decided())
             static_cells.push_back(&s);
     }
     const std::size_t static_decided = static_cells.size();
@@ -144,7 +144,7 @@ main(int argc, char **argv)
         for (const Scenario *s : static_cells)
             redecided += verdict::judgeScenarioStatic(
                              s->variant, s->config, s->options)
-                             .judgement.decided();
+                             .decided();
         static_ms = millisSince(s0);
     } while (static_ms < 200.0);
     const double static_rate =

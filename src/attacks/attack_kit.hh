@@ -160,6 +160,104 @@ struct AttackOptions
     bool delayAuthorization = true;
 };
 
+/**
+ * What a machine knob is to the verdict backends, whose attack
+ * graphs and static programs order operations but count no cycles.
+ */
+enum class KnobKind
+{
+    /// A width, size, latency or race-shaping option: off its
+    /// default, the model and static backends answer Undecided.
+    Timing,
+    /// A HwDefenseConfig toggle: a defense in the core.
+    HwDefense,
+    /// A software mitigation that rewrites the attack's program.
+    InProgramMitigation,
+    /// A software mitigation acting outside the program (page
+    /// tables, the RSB, the L1).
+    OutOfProgramMitigation,
+    /// The covert channel and the VulnConfig forwarding paths.
+    Structural,
+};
+
+/**
+ * Every knob of a cell's machine, declared once: calls
+ * visit(name, kind, field) on each of the 46 CpuConfig (nested
+ * CacheConfig / VulnConfig / HwDefenseConfig included) and
+ * AttackOptions fields, in scenario-key order, @p field by
+ * reference.  The name is the spelling evidence lines use.
+ * campaign::scenarioKey() writes and parseScenarioKey() reads
+ * through this list; the verdict backends' timing, hardware and
+ * out-of-program gates and the model's mechanism rules walk it by
+ * kind.  A new machine field is one row here.
+ */
+template <typename Config, typename Options, typename Visit>
+void
+forEachKnob(Config &c, Options &o, Visit &&visit)
+{
+    // Tripwire: the key must cover every field that determines a
+    // run's outcome, or dedup silently folds distinct scenarios.
+    // When either struct grows, add its row below, then update the
+    // expected size.
+#if defined(__x86_64__) && defined(__linux__)
+    static_assert(sizeof(CpuConfig) == 120,
+                  "CpuConfig changed: extend forEachKnob()");
+    static_assert(sizeof(AttackOptions) == 32,
+                  "AttackOptions changed: extend forEachKnob()");
+#endif
+    using enum KnobKind;
+    visit("robSize", Timing, c.robSize);
+    visit("fetchWidth", Timing, c.fetchWidth);
+    visit("commitWidth", Timing, c.commitWidth);
+    visit("permCheckLatency", Timing, c.permCheckLatency);
+    visit("branchResolveLatency", Timing, c.branchResolveLatency);
+    visit("retResolveLatency", Timing, c.retResolveLatency);
+    visit("exceptionDeliveryLatency", Timing, c.exceptionDeliveryLatency);
+    visit("txnAbortDetectLatency", Timing, c.txnAbortDetectLatency);
+    visit("partialAliasPenalty", Timing, c.partialAliasPenalty);
+    visit("physAliasPenalty", Timing, c.physAliasPenalty);
+    visit("rsbDepth", Timing, c.rsbDepth);
+    visit("lfbEntries", Timing, c.lfbEntries);
+    visit("cache.sets", Timing, c.cache.sets);
+    visit("cache.ways", Timing, c.cache.ways);
+    visit("cache.lineSize", Timing, c.cache.lineSize);
+    visit("cache.hitLatency", Timing, c.cache.hitLatency);
+    visit("cache.missLatency", Timing, c.cache.missLatency);
+    visit("vuln.meltdown", Structural, c.vuln.meltdown);
+    visit("vuln.l1tf", Structural, c.vuln.l1tf);
+    visit("vuln.mds", Structural, c.vuln.mds);
+    visit("vuln.lazyFp", Structural, c.vuln.lazyFp);
+    visit("vuln.storeBypass", Structural, c.vuln.storeBypass);
+    visit("vuln.msr", Structural, c.vuln.msr);
+    visit("vuln.taa", Structural, c.vuln.taa);
+    visit("fenceSpeculativeLoads", HwDefense, c.defense.fenceSpeculativeLoads);
+    visit("blockSpeculativeForwarding", HwDefense,
+          c.defense.blockSpeculativeForwarding);
+    visit("blockTaintedTransmit", HwDefense, c.defense.blockTaintedTransmit);
+    visit("invisibleSpeculation", HwDefense, c.defense.invisibleSpeculation);
+    visit("cleanupSpec", HwDefense, c.defense.cleanupSpec);
+    visit("conditionalSpeculation", HwDefense,
+          c.defense.conditionalSpeculation);
+    visit("partitionedCache", HwDefense, c.defense.partitionedCache);
+    visit("flushPredictorOnContextSwitch", HwDefense,
+          c.defense.flushPredictorOnContextSwitch);
+    visit("noIndirectPrediction", HwDefense, c.defense.noIndirectPrediction);
+    visit("noBranchPrediction", HwDefense, c.defense.noBranchPrediction);
+    visit("clearBuffersOnContextSwitch", HwDefense,
+          c.defense.clearBuffersOnContextSwitch);
+    visit("eagerFpuSwitch", HwDefense, c.defense.eagerFpuSwitch);
+    visit("safeStoreBypass", HwDefense, c.defense.safeStoreBypass);
+    visit("channel", Structural, o.channel);
+    visit("secretLen", Timing, o.secretLen);
+    visit("flushL1OnExit", OutOfProgramMitigation, o.flushL1OnExit);
+    visit("kpti", OutOfProgramMitigation, o.kpti);
+    visit("rsbStuffing", OutOfProgramMitigation, o.rsbStuffing);
+    visit("softwareLfence", InProgramMitigation, o.softwareLfence);
+    visit("addressMasking", InProgramMitigation, o.addressMasking);
+    visit("trainingRounds", Timing, o.trainingRounds);
+    visit("delayAuthorization", Timing, o.delayAuthorization);
+}
+
 /** Outcome of one attack experiment. */
 struct AttackResult
 {

@@ -288,75 +288,6 @@ namespace
 {
 
 /**
- * The scenario key's field list: calls @p visit on every CpuConfig
- * (nested CacheConfig / VulnConfig / HwDefenseConfig included) and
- * AttackOptions field, in key order.  scenarioKey() writes and
- * parseScenarioKey() reads through this one list, so the two cannot
- * disagree on which machine a key names.
- */
-template <typename Config, typename Options, typename Visit>
-void
-forEachKeyField(Config &c, Options &o, Visit &&visit)
-{
-    // Tripwire: the key must cover every field that determines a
-    // run's outcome, or dedup silently folds distinct scenarios.
-    // When either struct grows, extend the list below, then update
-    // the expected size.
-#if defined(__x86_64__) && defined(__linux__)
-    static_assert(sizeof(CpuConfig) == 120,
-                  "CpuConfig changed: extend forEachKeyField()");
-    static_assert(sizeof(AttackOptions) == 32,
-                  "AttackOptions changed: extend forEachKeyField()");
-#endif
-    visit(c.robSize);
-    visit(c.fetchWidth);
-    visit(c.commitWidth);
-    visit(c.permCheckLatency);
-    visit(c.branchResolveLatency);
-    visit(c.retResolveLatency);
-    visit(c.exceptionDeliveryLatency);
-    visit(c.txnAbortDetectLatency);
-    visit(c.partialAliasPenalty);
-    visit(c.physAliasPenalty);
-    visit(c.rsbDepth);
-    visit(c.lfbEntries);
-    visit(c.cache.sets);
-    visit(c.cache.ways);
-    visit(c.cache.lineSize);
-    visit(c.cache.hitLatency);
-    visit(c.cache.missLatency);
-    visit(c.vuln.meltdown);
-    visit(c.vuln.l1tf);
-    visit(c.vuln.mds);
-    visit(c.vuln.lazyFp);
-    visit(c.vuln.storeBypass);
-    visit(c.vuln.msr);
-    visit(c.vuln.taa);
-    visit(c.defense.fenceSpeculativeLoads);
-    visit(c.defense.blockSpeculativeForwarding);
-    visit(c.defense.blockTaintedTransmit);
-    visit(c.defense.invisibleSpeculation);
-    visit(c.defense.cleanupSpec);
-    visit(c.defense.conditionalSpeculation);
-    visit(c.defense.partitionedCache);
-    visit(c.defense.flushPredictorOnContextSwitch);
-    visit(c.defense.noIndirectPrediction);
-    visit(c.defense.noBranchPrediction);
-    visit(c.defense.clearBuffersOnContextSwitch);
-    visit(c.defense.eagerFpuSwitch);
-    visit(c.defense.safeStoreBypass);
-    visit(o.channel);
-    visit(o.secretLen);
-    visit(o.flushL1OnExit);
-    visit(o.kpti);
-    visit(o.rsbStuffing);
-    visit(o.softwareLfence);
-    visit(o.addressMasking);
-    visit(o.trainingRounds);
-    visit(o.delayAuthorization);
-}
-
-/**
  * Field-by-field consumer for parseScenarioKey: pops the next
  * ';'-terminated decimal field of the key.
  */
@@ -407,9 +338,10 @@ scenarioKey(core::AttackVariant variant, const CpuConfig &c,
     std::string key;
     key.reserve(160);
     appendField(key, static_cast<std::uint64_t>(variant));
-    forEachKeyField(c, o, [&key](const auto &field) {
-        appendField(key, static_cast<std::uint64_t>(field));
-    });
+    attacks::forEachKnob(
+        c, o, [&key](const char *, attacks::KnobKind, const auto &field) {
+            appendField(key, static_cast<std::uint64_t>(field));
+        });
     return key;
 }
 
@@ -420,10 +352,11 @@ parseScenarioKey(const std::string &key,
 {
     KeyReader in(key);
     const std::uint64_t v = in.next();
-    forEachKeyField(c, o, [&in](auto &field) {
-        field = static_cast<std::remove_reference_t<decltype(field)>>(
-            in.next());
-    });
+    attacks::forEachKnob(
+        c, o, [&in](const char *, attacks::KnobKind, auto &field) {
+            field = static_cast<std::remove_reference_t<decltype(field)>>(
+                in.next());
+        });
     // The harness runs any channel other than Flush+Reload as
     // Prime+Probe, so a channel past the enum would run one cell
     // under another's key.
@@ -498,24 +431,19 @@ expandGrid(const ScenarioSpec &spec)
     return grid;
 }
 
-ShardSelection
+std::vector<std::size_t>
 ExpandedGrid::shard(std::size_t index, std::size_t count) const
 {
     if (count == 0)
         count = 1;
-    ShardSelection sel;
-    if (index >= count)
-        return sel;
     // Round-robin over the deduplicated executions: unique position
     // j belongs to shard j % count.  Duplicates follow dupOf, so a
     // cell and the execution backing it always share a shard.
-    for (std::size_t j = index; j < uniqueIndices.size();
-         j += count)
-        sel.uniquePositions.push_back(j);
+    std::vector<std::size_t> indices;
     for (std::size_t i = 0; i < expanded.size(); ++i)
         if (dupOf[i] % count == index)
-            sel.expandedIndices.push_back(i);
-    return sel;
+            indices.push_back(i);
+    return indices;
 }
 
 ExpandedGrid
@@ -831,8 +759,7 @@ runHeader(const ScenarioSpec &spec, const ExpandedGrid &grid,
     header.shardIndex = shard.index;
     header.shardCount = shard.count == 0 ? 1 : shard.count;
     header.workers = workers;
-    header.gridIndices = grid.shard(shard.index, shard.count)
-                             .expandedIndices;
+    header.gridIndices = grid.shard(shard.index, shard.count);
     return header;
 }
 
@@ -915,7 +842,6 @@ CampaignEngine::run(const ScenarioSpec &spec,
             backend == verdict::VerdictBackend::Static
                 ? verdict::judgeScenarioStatic(s.variant, s.config,
                                                s.options)
-                      .judgement
                 : verdict::judgeScenario(s.variant, s.config,
                                          s.options);
         (j.decided() ? modelDecided : modelUndecided)

@@ -184,10 +184,10 @@ struct Scenario
 /**
  * Canonical serialization of everything that determines a run's
  * outcome.  Two grid points with equal keys are the same experiment
- * and are executed once.  Covers every field of CpuConfig (including
- * nested CacheConfig / VulnConfig / HwDefenseConfig) and
- * AttackOptions through the one field list in campaign.cc, which a
- * sizeof tripwire makes grow with those structs.
+ * and are executed once.  The variant, then every field of CpuConfig
+ * (including nested CacheConfig / VulnConfig / HwDefenseConfig) and
+ * AttackOptions in attacks::forEachKnob order: the one knob list,
+ * which a sizeof tripwire makes grow with those structs.
  */
 std::string scenarioKey(core::AttackVariant variant,
                         const CpuConfig &config,
@@ -197,8 +197,8 @@ std::string scenarioKey(core::AttackVariant variant,
  * Invert scenarioKey(): reconstruct the (variant, config, options)
  * triple from its canonical key.  The key is the wire encoding of a
  * scenario's configuration in shard report files (src/tool/
- * report_io) — one string instead of ~47 named fields.  It reads the
- * same field list scenarioKey() writes.
+ * report_io) — one string instead of 47 named fields.  It reads the
+ * same knob list scenarioKey() writes.
  *
  * @return false when @p key is not a well-formed scenario key, is
  *         not the canonical key of what it parses to (a field past
@@ -230,20 +230,6 @@ struct ShardRange
     std::size_t count = 1;
 };
 
-/**
- * The slice of an ExpandedGrid owned by one shard: which unique
- * executions it runs and which expanded grid points those back.
- */
-struct ShardSelection
-{
-    /// Positions into ExpandedGrid::uniqueIndices, ascending.
-    std::vector<std::size_t> uniquePositions;
-
-    /// Indices into ExpandedGrid::expanded whose results this shard
-    /// produces, ascending (grid order).
-    std::vector<std::size_t> expandedIndices;
-};
-
 /** Grid expansion with duplicate cells folded onto one execution. */
 struct ExpandedGrid
 {
@@ -266,8 +252,13 @@ struct ExpandedGrid
      * from the execution that produces its result.  The union of all
      * shards is the whole grid; shards are pairwise disjoint;
      * shard(0, 1) selects everything.
+     *
+     * @return the indices into @c expanded whose results shard
+     *         @p index of @p count produces, ascending (grid order);
+     *         none when @p index >= @p count.
      */
-    ShardSelection shard(std::size_t index, std::size_t count) const;
+    std::vector<std::size_t> shard(std::size_t index,
+                                   std::size_t count) const;
 };
 
 ExpandedGrid dedupGrid(const ScenarioSpec &spec);

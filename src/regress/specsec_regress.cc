@@ -292,13 +292,12 @@ freshDisagreements(const NamedSpec &named,
         d.simulator = o.result.leaked ? "leak" : "blocked";
         d.evidence = o.evidence;
         d.rationale =
-            backend == verdict::VerdictBackend::Static
-                ? verdict::judgeScenarioStatic(o.variant, o.config,
-                                               o.options)
-                      .judgement.rationale
-                : verdict::judgeScenario(o.variant, o.config,
-                                         o.options)
-                      .rationale;
+            (backend == verdict::VerdictBackend::Static
+                 ? verdict::judgeScenarioStatic(o.variant, o.config,
+                                                o.options)
+                 : verdict::judgeScenario(o.variant, o.config,
+                                          o.options))
+                .rationale;
         set.disagreements.push_back(std::move(d));
     }
     return set;

@@ -81,6 +81,9 @@ Client::runSubset(
     if (!conn_.writeLine(submitLine(submit)))
         return fail(error, "connection lost sending submit");
 
+    // One result per submitted key: a repeated index would stand in
+    // for a key the server never answered.
+    std::vector<bool> answered(fanOut.size(), false);
     std::size_t received = 0;
     std::string line;
     while (conn_.readLine(line)) {
@@ -111,6 +114,10 @@ Client::runSubset(
                                  : line));
         if (msg.result.index >= fanOut.size())
             return fail(error, "result index out of range");
+        if (answered[msg.result.index])
+            return fail(error, "duplicate result index " +
+                                   std::to_string(msg.result.index));
+        answered[msg.result.index] = true;
         ++received;
         campaign::ScenarioOutcome o;
         o.result = msg.result.result;

@@ -1,10 +1,14 @@
 #include "model.hh"
 
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/attack_graph.hh"
 #include "core/security_dependency.hh"
@@ -13,6 +17,7 @@ namespace specsec::verdict
 {
 
 using attacks::AttackOptions;
+using attacks::KnobKind;
 using core::AttackGraph;
 using core::AttackVariant;
 using core::DefenseStrategy;
@@ -131,86 +136,6 @@ undecided(std::string why)
     return j;
 }
 
-} // anonymous namespace
-
-namespace detail
-{
-
-/**
- * Timing gate: the attack graph orders operations but counts no
- * cycles, so any off-default timing quantity makes the cell's
- * outcome simulation-only.  Defense toggles, vulnerability ablations
- * and the covert-channel choice are structural, not timing, and are
- * never gated here.
- */
-bool
-timingKnobOffDefault(const CpuConfig &config,
-                     const AttackOptions &options, std::string &knob)
-{
-    static const CpuConfig kDefaultConfig;
-    static const AttackOptions kDefaultOptions;
-    const auto check = [&](bool offDefault, const char *name) {
-        if (offDefault && knob.empty())
-            knob = name;
-        return offDefault;
-    };
-    bool off = false;
-    off |= check(config.robSize != kDefaultConfig.robSize, "robSize");
-    off |= check(config.fetchWidth != kDefaultConfig.fetchWidth,
-                 "fetchWidth");
-    off |= check(config.commitWidth != kDefaultConfig.commitWidth,
-                 "commitWidth");
-    off |= check(config.permCheckLatency !=
-                     kDefaultConfig.permCheckLatency,
-                 "permCheckLatency");
-    off |= check(config.branchResolveLatency !=
-                     kDefaultConfig.branchResolveLatency,
-                 "branchResolveLatency");
-    off |= check(config.retResolveLatency !=
-                     kDefaultConfig.retResolveLatency,
-                 "retResolveLatency");
-    off |= check(config.exceptionDeliveryLatency !=
-                     kDefaultConfig.exceptionDeliveryLatency,
-                 "exceptionDeliveryLatency");
-    off |= check(config.txnAbortDetectLatency !=
-                     kDefaultConfig.txnAbortDetectLatency,
-                 "txnAbortDetectLatency");
-    off |= check(config.partialAliasPenalty !=
-                     kDefaultConfig.partialAliasPenalty,
-                 "partialAliasPenalty");
-    off |= check(config.physAliasPenalty !=
-                     kDefaultConfig.physAliasPenalty,
-                 "physAliasPenalty");
-    off |= check(config.rsbDepth != kDefaultConfig.rsbDepth, "rsbDepth");
-    off |= check(config.lfbEntries != kDefaultConfig.lfbEntries,
-                 "lfbEntries");
-    off |= check(config.cache.sets != kDefaultConfig.cache.sets,
-                 "cache.sets");
-    off |= check(config.cache.ways != kDefaultConfig.cache.ways,
-                 "cache.ways");
-    off |= check(config.cache.lineSize != kDefaultConfig.cache.lineSize,
-                 "cache.lineSize");
-    off |= check(config.cache.hitLatency !=
-                     kDefaultConfig.cache.hitLatency,
-                 "cache.hitLatency");
-    off |= check(config.cache.missLatency !=
-                     kDefaultConfig.cache.missLatency,
-                 "cache.missLatency");
-    off |= check(options.secretLen != kDefaultOptions.secretLen,
-                 "secretLen");
-    off |= check(options.trainingRounds != kDefaultOptions.trainingRounds,
-                 "trainingRounds");
-    off |= check(options.delayAuthorization !=
-                     kDefaultOptions.delayAuthorization,
-                 "delayAuthorization");
-    return off;
-}
-
-} // namespace detail
-
-namespace
-{
-
 /**
  * @p d's attack graph on @p channel, built once per process per
  * (variant, channel) and copied per use, the way every scenario
@@ -244,18 +169,19 @@ attackGraph(AttackVariant variant, const core::AttackDescriptor &d,
     return *graph;
 }
 
-/** One defense mechanism the model understands. */
+/**
+ * One defense mechanism the model understands, switched on by the
+ * defense or mitigation knob of the same name.
+ */
 struct MechanismRule
 {
-    /// Human label for evidence lines ("fenceSpeculativeLoads",
-    /// "kpti", ...): the knob, not the marketing name.
-    const char *label;
+    /// The attacks::forEachKnob name of the knob that switches the
+    /// mechanism on ("fenceSpeculativeLoads", "kpti", ...), which
+    /// evidence lines cite: the knob, not the marketing name.
+    const char *knob;
 
     /// Paper strategy the mechanism realizes.
     DefenseStrategy strategy;
-
-    /// Is the knob set in this cell?
-    bool (*active)(const CpuConfig &, const AttackOptions &);
 
     /// Does the mechanism's security dependency land in this
     /// variant's graph at all?  (kpti guards the kernel mapping only
@@ -268,6 +194,12 @@ struct MechanismRule
     const char *(*divergence)(AttackVariant);
 };
 
+bool
+everyVariant(AttackVariant)
+{
+    return true;
+}
+
 const char *
 noBranchPredictionDivergence(AttackVariant v)
 {
@@ -279,108 +211,146 @@ noBranchPredictionDivergence(AttackVariant v)
            "steers the transient path";
 }
 
+/// The rules, one per knob they read; a judgement tries them in the
+/// knobs' key order, whatever the order here.
 constexpr MechanismRule kRules[] = {
-    // HwDefenseConfig, field order.
     {"fenceSpeculativeLoads", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.fenceSpeculativeLoads;
-     },
-     [](AttackVariant) { return true; }, nullptr},
+     everyVariant, nullptr},
     {"blockSpeculativeForwarding", DefenseStrategy::PreventUse,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.blockSpeculativeForwarding;
-     },
-     [](AttackVariant) { return true; }, nullptr},
-    {"blockTaintedTransmit", DefenseStrategy::PreventSend,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.blockTaintedTransmit;
-     },
-     [](AttackVariant) { return true; }, nullptr},
-    {"invisibleSpeculation", DefenseStrategy::PreventSend,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.invisibleSpeculation;
-     },
-     [](AttackVariant) { return true; }, nullptr},
-    {"cleanupSpec", DefenseStrategy::PreventSend,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.cleanupSpec;
-     },
-     [](AttackVariant) { return true; }, nullptr},
+     everyVariant, nullptr},
+    {"blockTaintedTransmit", DefenseStrategy::PreventSend, everyVariant,
+     nullptr},
+    {"invisibleSpeculation", DefenseStrategy::PreventSend, everyVariant,
+     nullptr},
+    {"cleanupSpec", DefenseStrategy::PreventSend, everyVariant, nullptr},
     {"conditionalSpeculation", DefenseStrategy::PreventSend,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.conditionalSpeculation;
-     },
-     [](AttackVariant) { return true; }, nullptr},
+     everyVariant, nullptr},
     // DAWG partitions the cache between protection domains: it cuts
     // the transmit only when sender and receiver sit in different
     // domains, i.e. the cross-context predictor attacks.
     {"partitionedCache", DefenseStrategy::PreventSend,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.partitionedCache;
-     },
      inCrossContextPredictorFamily, nullptr},
     // IBPB-style flush kills training that crosses the context
     // switch; same-context mistraining (v1 family) retrains after.
     {"flushPredictorOnContextSwitch", DefenseStrategy::ClearPredictions,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.flushPredictorOnContextSwitch;
-     },
      inCrossContextPredictorFamily, nullptr},
     {"noIndirectPrediction", DefenseStrategy::ClearPredictions,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.noIndirectPrediction;
-     },
      inCrossContextPredictorFamily, nullptr},
     {"noBranchPrediction", DefenseStrategy::ClearPredictions,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.noBranchPrediction;
-     },
      inPredictionFamily, noBranchPredictionDivergence},
     {"clearBuffersOnContextSwitch", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.clearBuffersOnContextSwitch;
-     },
      inMdsFamily, nullptr},
     {"eagerFpuSwitch", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.eagerFpuSwitch;
-     },
      [](AttackVariant v) { return v == AttackVariant::LazyFp; }, nullptr},
     {"safeStoreBypass", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &c, const AttackOptions &) {
-         return c.defense.safeStoreBypass;
-     },
      [](AttackVariant v) { return v == AttackVariant::SpectreV4; },
      nullptr},
-    // Software mitigations (AttackOptions), declaration order.
-    {"flushL1OnExit", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &, const AttackOptions &o) {
-         return o.flushL1OnExit;
-     },
-     inForeshadowFamily, nullptr},
+    {"flushL1OnExit", DefenseStrategy::PreventAccess, inForeshadowFamily,
+     nullptr},
     {"kpti", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &, const AttackOptions &o) { return o.kpti; },
      [](AttackVariant v) { return v == AttackVariant::Meltdown; },
      nullptr},
     {"rsbStuffing", DefenseStrategy::ClearPredictions,
-     [](const CpuConfig &, const AttackOptions &o) {
-         return o.rsbStuffing;
-     },
      [](AttackVariant v) { return v == AttackVariant::SpectreRsb; },
      nullptr},
-    {"softwareLfence", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &, const AttackOptions &o) {
-         return o.softwareLfence;
-     },
-     inBoundsFamily, nullptr},
-    {"addressMasking", DefenseStrategy::PreventAccess,
-     [](const CpuConfig &, const AttackOptions &o) {
-         return o.addressMasking;
-     },
-     inBoundsFamily, nullptr},
+    {"softwareLfence", DefenseStrategy::PreventAccess, inBoundsFamily,
+     nullptr},
+    {"addressMasking", DefenseStrategy::PreventAccess, inBoundsFamily,
+     nullptr},
 };
 
+/** One knob of attacks::forEachKnob, as the gates and rules read it. */
+struct KnobSlot
+{
+    /// The knob's default value, as the scenario key writes it.
+    std::uint64_t defaultValue;
+    /// The rule the knob switches on, or null.
+    const MechanismRule *rule;
+};
+
+/**
+ * Every knob's slot, in key order, resolved once per process: a
+ * judgement compares values by position and searches no names.
+ */
+const std::vector<KnobSlot> &
+knobSlots()
+{
+    static const std::vector<KnobSlot> slots = [] {
+        const CpuConfig config;
+        const AttackOptions options;
+        std::vector<KnobSlot> built;
+        attacks::forEachKnob(
+            config, options,
+            [&built](const char *name, KnobKind, const auto &field) {
+                const MechanismRule *rule = nullptr;
+                for (const MechanismRule &r : kRules)
+                    if (std::string_view(r.knob) == name)
+                        rule = &r;
+                built.push_back(
+                    {static_cast<std::uint64_t>(field), rule});
+            });
+        return built;
+    }();
+    return slots;
+}
+
+/**
+ * Apply @p rule's strategy to @p variant's graph: Blocked with the
+ * inserted dependency as evidence when it kills every escaping
+ * flow, nothing when the strategy has no target in the graph or
+ * leaves a flow.
+ */
+std::optional<ModelJudgement>
+ruleJudgement(const MechanismRule &rule, AttackVariant variant,
+              const core::AttackDescriptor &d,
+              core::CovertChannelKind channel)
+{
+    AttackGraph g = attackGraph(variant, d, channel);
+    const std::vector<graph::Edge> inserted =
+        core::applyDefense(g, rule.strategy);
+    if (inserted.empty() || g.isVulnerable())
+        return std::nullopt;
+    ModelJudgement j;
+    j.verdict = ModelVerdict::Blocked;
+    if (rule.strategy == DefenseStrategy::ClearPredictions) {
+        j.evidence = std::string("PredictorFlush spliced into every "
+                                 "mistrain->trigger influence "
+                                 "(strategy 4, ") +
+                     rule.knob + ")";
+    } else {
+        j.evidence =
+            "security dependency " +
+            core::describeEdge(g, inserted.front()) + " (strategy " +
+            std::to_string(static_cast<int>(rule.strategy)) + ", " +
+            rule.knob + ") cuts every escaping flow";
+    }
+    if (rule.divergence) {
+        if (const char *why = rule.divergence(variant))
+            j.rationale = why;
+    }
+    return j;
+}
+
 } // anonymous namespace
+
+const char *
+detail::firstOffDefaultKnob(KnobKind kind, const CpuConfig &config,
+                            const AttackOptions &options)
+{
+    const std::vector<KnobSlot> &slots = knobSlots();
+    const char *first = nullptr;
+    std::size_t i = 0;
+    attacks::forEachKnob(
+        config, options,
+        [&](const char *name, KnobKind k, const auto &field) {
+            if (!first && k == kind &&
+                static_cast<std::uint64_t>(field) !=
+                    slots[i].defaultValue)
+                first = name;
+            ++i;
+        });
+    return first;
+}
 
 ModelJudgement
 modelJudgement(AttackVariant variant, const CpuConfig &config,
@@ -400,9 +370,10 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
     }
 
     // 2. Timing gate.
-    std::string knob;
-    if (detail::timingKnobOffDefault(config, options, knob)) {
-        return undecided("off-default timing knob '" + knob +
+    if (const char *knob = detail::firstOffDefaultKnob(
+            KnobKind::Timing, config, options)) {
+        return undecided(std::string("off-default timing knob '") +
+                         knob +
                          "'; the graph orders operations but counts "
                          "no cycles");
     }
@@ -412,38 +383,24 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
     if (!d || !d->buildGraph)
         return undecided("no attack graph registered for this variant");
 
-    // 3. Mechanism rules: first active in-scope mechanism whose
-    //    security dependencies kill every escaping flow wins.
-    for (const MechanismRule &rule : kRules) {
-        if (!rule.active(config, options) || !rule.inScope(variant))
-            continue;
-        AttackGraph g = attackGraph(variant, *d, options.channel);
-        const std::vector<graph::Edge> inserted =
-            core::applyDefense(g, rule.strategy);
-        if (inserted.empty())
-            continue; // strategy has no target in this graph
-        if (g.isVulnerable())
-            continue; // applied but insufficient
-        ModelJudgement j;
-        j.verdict = ModelVerdict::Blocked;
-        if (rule.strategy == DefenseStrategy::ClearPredictions) {
-            j.evidence = std::string("PredictorFlush spliced into every "
-                                     "mistrain->trigger influence "
-                                     "(strategy 4, ") +
-                         rule.label + ")";
-        } else {
-            j.evidence =
-                "security dependency " +
-                core::describeEdge(g, inserted.front()) + " (strategy " +
-                std::to_string(static_cast<int>(rule.strategy)) + ", " +
-                rule.label + ") cuts every escaping flow";
-        }
-        if (rule.divergence) {
-            if (const char *why = rule.divergence(variant))
-                j.rationale = why;
-        }
-        return j;
-    }
+    // 3. Mechanism rules: the set knobs with a rule, in key order;
+    //    the first in-scope rule whose security dependencies kill
+    //    every escaping flow wins.
+    const std::vector<KnobSlot> &slots = knobSlots();
+    std::optional<ModelJudgement> blocked;
+    std::size_t i = 0;
+    attacks::forEachKnob(
+        config, options,
+        [&](const char *, KnobKind, const auto &field) {
+            const KnobSlot &slot = slots[i++];
+            if (!blocked && slot.rule &&
+                static_cast<std::uint64_t>(field) != slot.defaultValue &&
+                slot.rule->inScope(variant))
+                blocked =
+                    ruleJudgement(*slot.rule, variant, *d, options.channel);
+        });
+    if (blocked)
+        return *blocked;
 
     // 4. Baseline analysis on the undefended graph.
     const AttackGraph g = attackGraph(variant, *d, options.channel);

@@ -27,14 +27,14 @@ namespace specsec::verdict
  *
  *  1. Required-vulnerability gate: if the core ablates a forwarding
  *     path the attack transmits through -> Inapplicable.
- *  2. Timing gate: any off-default timing quantity (CPU latency /
- *     width knob, cache geometry, secret length, training rounds,
- *     authorization-delay ablation) -> Undecided naming the knob;
+ *  2. Timing gate: any timing knob off its default
+ *     (detail::firstOffDefaultKnob) -> Undecided naming the knob;
  *     the graph has no notion of cycle counts.
- *  3. Mechanism rules: each active defense toggle / mitigation
- *     option in scope applies its paper strategy to a fresh copy of
- *     the variant's attack graph; the first one whose inserted
- *     security dependencies kill every escaping flow -> Blocked.
+ *  3. Mechanism rules: each set defense toggle / mitigation option
+ *     with a rule in scope, in attacks::forEachKnob order, applies
+ *     its paper strategy to a fresh copy of the variant's attack
+ *     graph; the first one whose inserted security dependencies kill
+ *     every escaping flow -> Blocked.
  *  4. Otherwise the baseline analysis runs: a surviving secret flow
  *     -> Leak.
  */
@@ -81,15 +81,18 @@ const char *requiredVulnPath(core::AttackVariant variant,
                              bool &present);
 
 /**
- * Timing gate shared by the model and static backends: true when
- * any off-default timing quantity (CPU latency / width knob, cache
- * geometry, secret length, training rounds, authorization-delay
- * ablation) makes the cell's outcome simulation-only; names the
- * first such knob in @p knob.
+ * The name of the first knob of @p kind, in attacks::forEachKnob
+ * order, whose value differs from its default, or nullptr.  The
+ * toggles default to off, so for the defense and mitigation kinds
+ * this is the first set toggle.  The timing gate of the model and
+ * static backends asks for KnobKind::Timing (a CPU latency or width,
+ * the cache geometry, the secret length, the training rounds, the
+ * authorization-delay ablation); the static backend's hardware and
+ * out-of-program gates ask for their kinds.
  */
-bool timingKnobOffDefault(const uarch::CpuConfig &config,
-                          const attacks::AttackOptions &options,
-                          std::string &knob);
+const char *firstOffDefaultKnob(attacks::KnobKind kind,
+                                const uarch::CpuConfig &config,
+                                const attacks::AttackOptions &options);
 
 } // namespace detail
 

@@ -10,6 +10,7 @@ namespace specsec::verdict
 {
 
 using attacks::AttackOptions;
+using attacks::KnobKind;
 using core::AttackVariant;
 using core::ModelJudgement;
 using core::ModelVerdict;
@@ -19,59 +20,13 @@ using uarch::CpuConfig;
 namespace
 {
 
-StaticJudgement
+ModelJudgement
 undecided(std::string why)
 {
-    StaticJudgement j;
-    j.judgement.verdict = ModelVerdict::Undecided;
-    j.judgement.evidence = std::move(why);
+    ModelJudgement j;
+    j.verdict = ModelVerdict::Undecided;
+    j.evidence = std::move(why);
     return j;
-}
-
-/** Name of the first set hardware defense knob, or nullptr. */
-const char *
-firstHwDefenseKnob(const uarch::HwDefenseConfig &d)
-{
-    if (d.fenceSpeculativeLoads)
-        return "fenceSpeculativeLoads";
-    if (d.blockSpeculativeForwarding)
-        return "blockSpeculativeForwarding";
-    if (d.blockTaintedTransmit)
-        return "blockTaintedTransmit";
-    if (d.invisibleSpeculation)
-        return "invisibleSpeculation";
-    if (d.cleanupSpec)
-        return "cleanupSpec";
-    if (d.conditionalSpeculation)
-        return "conditionalSpeculation";
-    if (d.partitionedCache)
-        return "partitionedCache";
-    if (d.flushPredictorOnContextSwitch)
-        return "flushPredictorOnContextSwitch";
-    if (d.noIndirectPrediction)
-        return "noIndirectPrediction";
-    if (d.noBranchPrediction)
-        return "noBranchPrediction";
-    if (d.clearBuffersOnContextSwitch)
-        return "clearBuffersOnContextSwitch";
-    if (d.eagerFpuSwitch)
-        return "eagerFpuSwitch";
-    if (d.safeStoreBypass)
-        return "safeStoreBypass";
-    return nullptr;
-}
-
-/** First out-of-program software mitigation set, or nullptr. */
-const char *
-firstOutOfProgramToggle(const AttackOptions &options)
-{
-    if (options.kpti)
-        return "kpti";
-    if (options.rsbStuffing)
-        return "rsbStuffing";
-    if (options.flushL1OnExit)
-        return "flushL1OnExit";
-    return nullptr;
 }
 
 std::optional<std::size_t>
@@ -85,7 +40,7 @@ firstBranchPc(const uarch::Program &program)
 
 } // namespace
 
-StaticJudgement
+ModelJudgement
 staticJudgement(const core::AttackDescriptor &attack,
                 const CpuConfig &config, const AttackOptions &options)
 {
@@ -106,32 +61,34 @@ staticJudgement(const core::AttackDescriptor &attack,
     if (const char *path = detail::requiredVulnPath(
             attack.id, config.vuln, present);
         path && !present) {
-        StaticJudgement j;
-        j.judgement.verdict = ModelVerdict::Inapplicable;
-        j.judgement.evidence =
-            std::string("core ablates the '") + path +
-            "' forwarding path this attack transmits through";
+        ModelJudgement j;
+        j.verdict = ModelVerdict::Inapplicable;
+        j.evidence = std::string("core ablates the '") + path +
+                     "' forwarding path this attack transmits through";
         return j;
     }
 
     // 3. Timing gate (shared).  Canonical options: a timing option
     //    the runner never reads cannot make the cell timing-bound.
-    std::string knob;
-    if (detail::timingKnobOffDefault(config, canonical, knob)) {
-        return undecided("off-default timing knob '" + knob +
+    if (const char *knob = detail::firstOffDefaultKnob(
+            KnobKind::Timing, config, canonical)) {
+        return undecided(std::string("off-default timing knob '") +
+                         knob +
                          "'; static analysis orders operations but "
                          "counts no cycles");
     }
 
     // 4. Hardware defenses act in the core, not the program text.
-    if (const char *hw = firstHwDefenseKnob(config.defense)) {
+    if (const char *hw = detail::firstOffDefaultKnob(
+            KnobKind::HwDefense, config, canonical)) {
         return undecided(std::string("hardware defense '") + hw +
                          "' is outside the program-level analyzer's "
                          "scope");
     }
 
     // 5. Out-of-program software mitigations.
-    if (const char *sw = firstOutOfProgramToggle(canonical)) {
+    if (const char *sw = detail::firstOffDefaultKnob(
+            KnobKind::OutOfProgramMitigation, config, canonical)) {
         return undecided(std::string("mitigation '") + sw +
                          "' acts outside the program (page tables / "
                          "RSB / L1), which the analyzer does not "
@@ -140,14 +97,12 @@ staticJudgement(const core::AttackDescriptor &attack,
 
     // 5b. In-program mitigations become program rewrites.
     StaticProgramSpec spec = attack.staticProgram();
-    StaticJudgement j;
     std::string rewrite;
     if (canonical.softwareLfence) {
-        j.fencesInserted =
-            defense::insertLfenceAfterBranches(spec.program);
-        j.extraInstructions += j.fencesInserted;
         rewrite = "lfence-after-branch rewrite (" +
-                  std::to_string(j.fencesInserted) + " fences)";
+                  std::to_string(defense::insertLfenceAfterBranches(
+                      spec.program)) +
+                  " fences)";
     }
     if (canonical.addressMasking) {
         const std::optional<std::size_t> branch =
@@ -159,8 +114,6 @@ staticJudgement(const core::AttackDescriptor &attack,
         }
         defense::insertMaskAfterBranch(spec.program, *branch,
                                        *spec.maskReg, *spec.maskValue);
-        j.masksInserted = 1;
-        j.extraInstructions += 1;
         rewrite += rewrite.empty() ? "" : " + ";
         rewrite += "array_index_nospec index clamp";
     }
@@ -168,9 +121,10 @@ staticJudgement(const core::AttackDescriptor &attack,
     // 6. Analyze the (possibly rewritten) program.
     const tool::AnalysisResult analysis =
         tool::analyzeSpec(tool::toAnalysisSpec(spec));
+    ModelJudgement j;
     if (analysis.vulnerable) {
-        j.judgement.verdict = ModelVerdict::Leak;
-        j.judgement.evidence =
+        j.verdict = ModelVerdict::Leak;
+        j.evidence =
             "static analysis finds " +
             std::to_string(analysis.findings.size()) +
             " missing security dependencies" +
@@ -179,8 +133,8 @@ staticJudgement(const core::AttackDescriptor &attack,
                  ? std::string("(no finding detail)")
                  : analysis.findings.front().description);
     } else {
-        j.judgement.verdict = ModelVerdict::Blocked;
-        j.judgement.evidence =
+        j.verdict = ModelVerdict::Blocked;
+        j.evidence =
             rewrite.empty()
                 ? std::string(
                       "static analysis finds no exploitable flow")
@@ -188,13 +142,13 @@ staticJudgement(const core::AttackDescriptor &attack,
                       std::to_string(analysis.findings.size()) +
                       " residual races)";
     }
-    j.judgement.rationale =
+    j.rationale =
         "program-level Fig. 9 analysis: exploitable flows in the "
         "attack's static program, not simulated timing";
     return j;
 }
 
-StaticJudgement
+ModelJudgement
 judgeScenarioStatic(AttackVariant variant, const CpuConfig &config,
                     const AttackOptions &options)
 {

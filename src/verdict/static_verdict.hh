@@ -18,16 +18,6 @@
 namespace specsec::verdict
 {
 
-/** A static verdict plus the applied rewrite's overhead. */
-struct StaticJudgement
-{
-    core::ModelJudgement judgement;
-    /// Rewrite overhead (zero when no rewrite applied).
-    std::size_t fencesInserted = 0;
-    std::size_t masksInserted = 0;
-    std::size_t extraInstructions = 0;
-};
-
 /**
  * Judge one cell statically for a cataloged attack:
  *
@@ -38,23 +28,28 @@ struct StaticJudgement
  *  2. Required-vulnerability gate (shared with the model backend):
  *     ablated forwarding path -> Inapplicable.
  *  3. Timing gate (shared): off-default timing knob -> Undecided.
- *  4. Any hardware defense knob -> Undecided (the analyzer sees the
- *     program, not the core).
- *  5. Out-of-program mitigations (kpti, rsbStuffing, flushL1OnExit)
- *     -> Undecided; softwareLfence / addressMasking are applied as
- *     program rewrites.
+ *  4. Any set hardware defense knob -> Undecided naming the first
+ *     (the analyzer sees the program, not the core).
+ *  5. Any set out-of-program mitigation (flushL1OnExit, kpti,
+ *     rsbStuffing) -> Undecided naming the first; the in-program
+ *     ones (softwareLfence / addressMasking) are applied as program
+ *     rewrites, which the evidence line names.
  *  6. The (possibly rewritten) program goes through
  *     tool::analyzeSpec: an exploitable flow -> Leak, else Blocked.
+ *
+ * Gates 3-5 walk attacks::forEachKnob by kind
+ * (detail::firstOffDefaultKnob), in its key order.
  */
-StaticJudgement staticJudgement(const core::AttackDescriptor &attack,
-                                const uarch::CpuConfig &config,
-                                const attacks::AttackOptions &options);
+core::ModelJudgement
+staticJudgement(const core::AttackDescriptor &attack,
+                const uarch::CpuConfig &config,
+                const attacks::AttackOptions &options);
 
 /**
  * Judge a cell through the catalog: dispatch on @p variant, or
  * return Undecided when the attack exposes no static program.
  */
-StaticJudgement
+core::ModelJudgement
 judgeScenarioStatic(core::AttackVariant variant,
                     const uarch::CpuConfig &config,
                     const attacks::AttackOptions &options);

@@ -38,8 +38,7 @@ judgeStatic(AttackVariant variant, Setter set)
     CpuConfig config;
     AttackOptions options;
     set(config, options);
-    return verdict::judgeScenarioStatic(variant, config, options)
-        .judgement;
+    return verdict::judgeScenarioStatic(variant, config, options);
 }
 
 core::ModelJudgement

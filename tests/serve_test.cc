@@ -202,6 +202,43 @@ TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
                                   false));
 }
 
+TEST(Serve, RepeatedResultIndexFailsTheRun)
+{
+    // A stand-in daemon that answers index 0 for every submitted
+    // key, then reports done: the second answer for index 0 must
+    // fail the run, not stand in for the other key's result.
+    serve::net::Listener listener;
+    std::string error;
+    ASSERT_TRUE(listener.listenOn({"127.0.0.1", 0}, &error)) << error;
+    std::thread standIn([&listener] {
+        serve::net::Conn conn = listener.acceptOne(5000);
+        std::string line;
+        if (!conn.valid() || !conn.readLine(line)) // hello
+            return;
+        serve::HelloMsg hello = serve::localHello();
+        hello.workers = 1;
+        conn.writeLine(serve::helloLine(hello, true));
+        if (!conn.readLine(line)) // submit
+            return;
+        const serve::ParsedMsg submit = serve::parseLine(line);
+        for (std::size_t k = 0; k < submit.submit.keys.size(); ++k)
+            conn.writeLine(serve::resultLine(serve::ResultMsg{}));
+        conn.writeLine(serve::doneLine(serve::DoneMsg{}));
+    });
+
+    ScenarioSpec spec;
+    spec.name = "two-keys";
+    spec.variants = {AttackVariant::SpectreV1};
+    spec.permCheckLatencies = {10, 30};
+    serve::Client client;
+    ASSERT_TRUE(client.connect({"127.0.0.1", listener.port()}, &error))
+        << error;
+    ReportSink sink;
+    EXPECT_FALSE(client.run(spec, {&sink}, {}, &error));
+    EXPECT_EQ(error, "duplicate result index 0");
+    standIn.join();
+}
+
 TEST(Serve, HandshakeRejectsMismatchedSchemaOrFingerprint)
 {
     TestServer daemon;
