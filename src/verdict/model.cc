@@ -333,8 +333,9 @@ ruleJudgement(const MechanismRule &rule, AttackVariant variant,
 
 } // anonymous namespace
 
+template <KnobKind Kind>
 const char *
-detail::firstOffDefaultKnob(KnobKind kind, const CpuConfig &config,
+detail::firstOffDefaultKnob(const CpuConfig &config,
                             const AttackOptions &options)
 {
     const std::vector<KnobSlot> &slots = knobSlots();
@@ -342,8 +343,8 @@ detail::firstOffDefaultKnob(KnobKind kind, const CpuConfig &config,
     std::size_t i = 0;
     attacks::forEachKnob(
         config, options,
-        [&](const char *name, KnobKind k, const auto &field) {
-            if (!first && k == kind &&
+        [&](const char *name, KnobKind kind, const auto &field) {
+            if (!first && kind == Kind &&
                 static_cast<std::uint64_t>(field) !=
                     slots[i].defaultValue)
                 first = name;
@@ -351,6 +352,14 @@ detail::firstOffDefaultKnob(KnobKind kind, const CpuConfig &config,
         });
     return first;
 }
+
+template const char *detail::firstOffDefaultKnob<KnobKind::Timing>(
+    const CpuConfig &, const AttackOptions &);
+template const char *detail::firstOffDefaultKnob<KnobKind::HwDefense>(
+    const CpuConfig &, const AttackOptions &);
+template const char *
+detail::firstOffDefaultKnob<KnobKind::OutOfProgramMitigation>(
+    const CpuConfig &, const AttackOptions &);
 
 ModelJudgement
 modelJudgement(AttackVariant variant, const CpuConfig &config,
@@ -370,8 +379,8 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
     }
 
     // 2. Timing gate.
-    if (const char *knob = detail::firstOffDefaultKnob(
-            KnobKind::Timing, config, options)) {
+    if (const char *knob = detail::firstOffDefaultKnob<KnobKind::Timing>(
+            config, options)) {
         return undecided(std::string("off-default timing knob '") +
                          knob +
                          "'; the graph orders operations but counts "
@@ -400,7 +409,7 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
                     ruleJudgement(*slot.rule, variant, *d, options.channel);
         });
     if (blocked)
-        return *blocked;
+        return std::move(*blocked);
 
     // 4. Baseline analysis on the undefended graph.
     const AttackGraph g = attackGraph(variant, *d, options.channel);

@@ -81,17 +81,18 @@ const char *requiredVulnPath(core::AttackVariant variant,
                              bool &present);
 
 /**
- * The name of the first knob of @p kind, in attacks::forEachKnob
+ * The name of the first knob of kind @p Kind, in attacks::forEachKnob
  * order, whose value differs from its default, or nullptr.  The
  * toggles default to off, so for the defense and mitigation kinds
  * this is the first set toggle.  The timing gate of the model and
  * static backends asks for KnobKind::Timing (a CPU latency or width,
  * the cache geometry, the secret length, the training rounds, the
  * authorization-delay ablation); the static backend's hardware and
- * out-of-program gates ask for their kinds.
+ * out-of-program gates ask for their kinds.  A template so that each
+ * gate compares only its own knobs; model.cc instantiates the three.
  */
-const char *firstOffDefaultKnob(attacks::KnobKind kind,
-                                const uarch::CpuConfig &config,
+template <attacks::KnobKind Kind>
+const char *firstOffDefaultKnob(const uarch::CpuConfig &config,
                                 const attacks::AttackOptions &options);
 
 } // namespace detail

@@ -70,8 +70,8 @@ staticJudgement(const core::AttackDescriptor &attack,
 
     // 3. Timing gate (shared).  Canonical options: a timing option
     //    the runner never reads cannot make the cell timing-bound.
-    if (const char *knob = detail::firstOffDefaultKnob(
-            KnobKind::Timing, config, canonical)) {
+    if (const char *knob = detail::firstOffDefaultKnob<KnobKind::Timing>(
+            config, canonical)) {
         return undecided(std::string("off-default timing knob '") +
                          knob +
                          "'; static analysis orders operations but "
@@ -79,16 +79,16 @@ staticJudgement(const core::AttackDescriptor &attack,
     }
 
     // 4. Hardware defenses act in the core, not the program text.
-    if (const char *hw = detail::firstOffDefaultKnob(
-            KnobKind::HwDefense, config, canonical)) {
+    if (const char *hw = detail::firstOffDefaultKnob<KnobKind::HwDefense>(
+            config, canonical)) {
         return undecided(std::string("hardware defense '") + hw +
                          "' is outside the program-level analyzer's "
                          "scope");
     }
 
     // 5. Out-of-program software mitigations.
-    if (const char *sw = detail::firstOffDefaultKnob(
-            KnobKind::OutOfProgramMitigation, config, canonical)) {
+    if (const char *sw = detail::firstOffDefaultKnob<
+            KnobKind::OutOfProgramMitigation>(config, canonical)) {
         return undecided(std::string("mitigation '") + sw +
                          "' acts outside the program (page tables / "
                          "RSB / L1), which the analyzer does not "
