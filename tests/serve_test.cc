@@ -231,11 +231,15 @@ TEST(Serve, RepeatedResultIndexFailsTheRun)
     spec.variants = {AttackVariant::SpectreV1};
     spec.permCheckLatencies = {10, 30};
     serve::Client client;
-    ASSERT_TRUE(client.connect({"127.0.0.1", listener.port()}, &error))
-        << error;
-    ReportSink sink;
-    EXPECT_FALSE(client.run(spec, {&sink}, {}, &error));
-    EXPECT_EQ(error, "duplicate result index 0");
+    const bool connected =
+        client.connect({"127.0.0.1", listener.port()}, &error);
+    EXPECT_TRUE(connected) << error;
+    if (connected) {
+        ReportSink sink;
+        EXPECT_FALSE(client.run(spec, {&sink}, {}, &error));
+        EXPECT_EQ(error, "duplicate result index 0");
+    }
+    client.close();
     standIn.join();
 }
 
