@@ -1,5 +1,7 @@
 #include "attack_kit.hh"
 
+#include <algorithm>
+
 #include "phase.hh"
 
 namespace specsec::attacks
@@ -132,25 +134,24 @@ ChannelHarness::setup()
 }
 
 int
-ChannelHarness::recover(const std::vector<int> &exclude)
+ChannelHarness::recover(std::initializer_list<int> exclude)
 {
     const bool fr = kind_ == CovertChannelKind::FlushReload;
-    uarch::ChannelRecovery r = fr ? fr_.recover() : pp_.recover();
-    // Mark each excluded slot once with a latency that cannot win
-    // (Flush+Reload keeps the lowest below its threshold, Prime+
-    // Probe the highest above its floor).
-    const std::uint32_t never = fr ? UINT32_MAX : 0;
-    for (const int slot : exclude) {
-        const auto i = static_cast<std::size_t>(slot);
-        if (slot >= 0 && i < r.latencies.size())
-            r.latencies[i] = never;
-    }
+    const std::vector<std::uint32_t> &lat =
+        (fr ? fr_.recover() : pp_.recover()).latencies;
+    // An excluded slot never wins; it is looked up only for a slot
+    // whose latency would (Flush+Reload keeps the lowest below its
+    // threshold, Prime+Probe the highest above its floor).
+    const auto excluded = [exclude](std::size_t i) {
+        return std::find(exclude.begin(), exclude.end(),
+                         static_cast<int>(i)) != exclude.end();
+    };
     int best = -1;
     if (fr) {
         std::uint32_t best_lat = fr_.threshold();
-        for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (r.latencies[i] < best_lat) {
-                best_lat = r.latencies[i];
+        for (std::size_t i = 0; i < lat.size(); ++i) {
+            if (lat[i] < best_lat && !excluded(i)) {
+                best_lat = lat[i];
                 best = static_cast<int>(i);
             }
         }
@@ -159,9 +160,9 @@ ChannelHarness::recover(const std::vector<int> &exclude)
         const std::uint32_t floor =
             c.ways * c.hitLatency + c.missLatency - c.hitLatency;
         std::uint32_t best_lat = floor - 1;
-        for (std::size_t i = 0; i < r.latencies.size(); ++i) {
-            if (r.latencies[i] > best_lat) {
-                best_lat = r.latencies[i];
+        for (std::size_t i = 0; i < lat.size(); ++i) {
+            if (lat[i] > best_lat && !excluded(i)) {
+                best_lat = lat[i];
                 best = static_cast<int>(i);
             }
         }

@@ -15,6 +15,7 @@
 #define SPECSEC_ATTACKS_ATTACK_KIT_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,9 +61,13 @@ struct Layout
  *
  * Every scenario is built fresh: the Memory allocates pages only as
  * the attack writes them, the PageTable is a copy of the canonical
- * Layout mapping, and the Cpu takes the cell's config.  Nothing is
- * shared between scenarios, so cells on different worker threads
- * cannot see each other's state.
+ * Layout mapping (and so keeps its version() stamp), and the Cpu
+ * takes the cell's config.  No mutable state is shared between
+ * scenarios, so cells on different worker threads cannot see each
+ * other's state.  What is shared is immutable and per thread: the
+ * Flush+Reload receiver's preparation (uarch/covert.hh), the probe
+ * slots' lines and miss latencies read from the layout's stamp,
+ * which every cell that leaves its page table alone reuses.
  */
 class Scenario
 {
@@ -108,7 +113,7 @@ class ChannelHarness
      *        a real attacker calibrates away by profiling runs with
      *        known-absent secrets.
      */
-    int recover(const std::vector<int> &exclude = {});
+    int recover(std::initializer_list<int> exclude = {});
 
     /**
      * The cache set a victim access at @p vaddr disturbs: a noise

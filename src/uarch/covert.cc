@@ -1,10 +1,41 @@
 #include "covert.hh"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <utility>
 
 namespace specsec::uarch
 {
+
+struct FlushReloadChannel::Preparation
+{
+    LineGroup flushLines; ///< slots with a PTE (flushLineVirt)
+    LineGroup probeLines; ///< slots that translate without a fault
+    /// Each slot's latency if it misses: a miss, or two for a fault.
+    std::vector<std::uint32_t> missLatencies;
+};
+
+namespace
+{
+
+/** Everything a Flush+Reload preparation is read from. */
+struct PreparationKey
+{
+    std::uint64_t ptVersion;
+    Privilege privilege;
+    bool enclaveMode;
+    Addr probeBase;
+    std::size_t slots;
+    Addr stride;
+    std::size_t sets;
+    std::size_t lineSize;
+    std::uint32_t missLatency;
+
+    bool operator==(const PreparationKey &) const = default;
+};
+
+} // namespace
 
 FlushReloadChannel::FlushReloadChannel(Cpu &cpu, Addr probe_base,
                                        std::size_t slots, Addr stride)
@@ -23,17 +54,36 @@ void
 FlushReloadChannel::refresh()
 {
     const PageTable &pt = cpu_.pageTable();
-    if (fresh_ && ptVersion_ == pt.version() &&
+    if (prep_ && ptVersion_ == pt.version() &&
         privilege_ == cpu_.privilege() &&
         enclaveMode_ == cpu_.enclaveMode())
         return;
-    fresh_ = true;
     ptVersion_ = pt.version();
     privilege_ = cpu_.privilege();
     enclaveMode_ = cpu_.enclaveMode();
-    const std::uint32_t miss = cpu_.config().cache.missLatency;
+    const CacheConfig &c = cpu_.config().cache;
+    const PreparationKey key{ptVersion_, privilege_, enclaveMode_,
+                             probeBase_, slots_, stride_,
+                             c.sets, c.lineSize, c.missLatency};
+
+    // The thread's last few preparations, most recent first.  A cell
+    // that edits its page table takes a stamp no other cell has, so
+    // its preparation ages out behind the canonical layout's.
+    using Entry =
+        std::pair<PreparationKey, std::shared_ptr<const Preparation>>;
+    thread_local std::array<Entry, 8> recent;
+    const auto hit =
+        std::find_if(recent.begin(), recent.end(),
+                     [&key](const Entry &e) { return e.first == key; });
+    if (hit != recent.end() && hit->second) {
+        std::rotate(recent.begin(), hit, hit + 1);
+        prep_ = recent.front().second;
+        return;
+    }
+
+    auto prep = std::make_shared<Preparation>();
     std::vector<std::optional<Addr>> flush(slots_), probe(slots_);
-    missLatencies_.assign(slots_, miss * 2); // Cpu::timedProbe
+    prep->missLatencies.assign(slots_, c.missLatency * 2); // timedProbe
     bool faults = false;
     for (std::size_t i = 0; i < slots_; ++i) {
         const Translation t =
@@ -46,31 +96,36 @@ FlushReloadChannel::refresh()
         flush[i] = t.paddr;
         if (t.fault == FaultKind::None) {
             probe[i] = t.paddr;
-            missLatencies_[i] = miss;
+            prep->missLatencies[i] = c.missLatency;
         } else {
             faults = true;
         }
     }
     const Cache &cache = cpu_.cache();
-    flushLines_ = cache.prepareGroup(flush);
+    prep->flushLines = cache.prepareGroup(flush);
     // With no faulting PTE the probed lines are the flushed ones.
-    probeLines_ = faults ? cache.prepareGroup(probe) : flushLines_;
+    prep->probeLines =
+        faults ? cache.prepareGroup(probe) : prep->flushLines;
+    std::rotate(recent.begin(), recent.end() - 1, recent.end());
+    recent.front() = {key, prep};
+    prep_ = std::move(prep);
 }
 
 void
 FlushReloadChannel::setup()
 {
     refresh();
-    cpu_.cache().flushGroup(flushLines_);
+    cpu_.cache().flushGroup(prep_->flushLines);
 }
 
-ChannelRecovery
+const ChannelRecovery &
 FlushReloadChannel::recover()
 {
     refresh();
-    ChannelRecovery r;
-    r.latencies = missLatencies_;
-    cpu_.cache().probeGroup(probeLines_, cpu_.context(),
+    ChannelRecovery &r = recovery_;
+    r.latencies.assign(prep_->missLatencies.begin(),
+                       prep_->missLatencies.end());
+    cpu_.cache().probeGroup(prep_->probeLines, cpu_.context(),
                             r.latencies.data());
     // The first slot with the lowest latency, in two passes that
     // each compile to a straight loop.
@@ -104,12 +159,13 @@ PrimeProbeChannel::prime()
     }
 }
 
-ChannelRecovery
+const ChannelRecovery &
 PrimeProbeChannel::recover()
 {
     const CacheConfig &c = cpu_.config().cache;
     const Addr way_stride = c.sets * c.lineSize;
-    ChannelRecovery r;
+    ChannelRecovery &r = recovery_;
+    r.value = -1;
     r.latencies.resize(slots_);
     std::uint32_t best = 0;
     for (std::size_t s = 0; s < slots_; ++s) {

@@ -16,10 +16,25 @@
  * Cpu::flushLineVirt / Cpu::timedProbe loop, but a round costs what
  * is resident rather than what is probed: the page-strided probe
  * lines fall into a few cache sets that hold at most sets x ways of
- * them, so the receiver translates its slots once and then visits
- * only the valid ways of those sets (Cache::flushGroup /
- * probeGroup).  The translations are read again only when the page
- * table's version() or the CPU's privilege or enclave mode changes.
+ * them, so the receiver visits only the valid ways of those sets
+ * (Cache::flushGroup / probeGroup).
+ *
+ * What a Flush+Reload receiver needs besides the cache's state --
+ * each slot's flush and probe line, indexed for the cache geometry
+ * (LineGroup), and each slot's latency if it misses -- is its
+ * preparation.  It is read from the page table and the cache
+ * geometry and never changes, so receivers share it: each thread
+ * keeps its last few preparations, keyed by everything they read
+ * (the page table's process-unique version() stamp, the CPU's
+ * privilege and enclave mode, the probe base, slot count and
+ * stride, and the cache's sets, line size and miss latency).  Every
+ * scenario's page table is a copy of one canonical layout, so every
+ * cell that leaves its page table alone reuses one preparation
+ * instead of re-translating its 256 slots.  A receiver looks again
+ * only when the stamp, the privilege or the enclave mode changes.
+ *
+ * A channel owns the ChannelRecovery its recover() returns and
+ * refills it every round, so a round allocates nothing.
  */
 
 #ifndef SPECSEC_UARCH_COVERT_HH
@@ -27,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "cpu.hh"
@@ -57,8 +73,11 @@ class FlushReloadChannel
     /** Step 1(a): flush every probe line. */
     void setup();
 
-    /** Step 5: reload every probe line and time it. */
-    ChannelRecovery recover();
+    /**
+     * Step 5: reload every probe line and time it.  The result is
+     * the channel's own and is overwritten by the next call.
+     */
+    const ChannelRecovery &recover();
 
     Addr probeBase() const { return probeBase_; }
     Addr stride() const { return stride_; }
@@ -68,12 +87,16 @@ class FlushReloadChannel
     std::uint32_t threshold() const;
 
   private:
+    /** Every slot's flush and probe line and miss latency. */
+    struct Preparation;
+
     /**
-     * Re-read every slot's flush address (its PTE's, as
-     * Cpu::flushLineVirt uses) and probe translation (as
-     * Cpu::timedProbe makes it, faults included) when the page
-     * table's version() or the Cpu's privilege or enclave mode
-     * differs from the last read.
+     * Take the preparation for the page table's version() and the
+     * Cpu's privilege and enclave mode, when they differ from the
+     * ones prep_ was read under: the thread's shared one for the
+     * same inputs, or a new one that reads every slot's flush
+     * address (its PTE's, as Cpu::flushLineVirt uses) and probe
+     * translation (as Cpu::timedProbe makes it, faults included).
      */
     void refresh();
 
@@ -82,15 +105,13 @@ class FlushReloadChannel
     std::size_t slots_;
     Addr stride_;
 
-    // What refresh() last read, and the state it read it under.
-    bool fresh_ = false;
+    // The preparation in use, and the state it was read under.
+    std::shared_ptr<const Preparation> prep_;
     std::uint64_t ptVersion_ = 0;
     Privilege privilege_ = Privilege::User;
     bool enclaveMode_ = false;
-    LineGroup flushLines_; ///< slots with a PTE (flushLineVirt)
-    LineGroup probeLines_; ///< slots that translate without a fault
-    /// Each slot's latency if it misses: a miss, or two for a fault.
-    std::vector<std::uint32_t> missLatencies_;
+
+    ChannelRecovery recovery_; ///< what recover() returns
 };
 
 /**
@@ -111,8 +132,12 @@ class PrimeProbeChannel
     /** Step 1(a): prime every monitored set with receiver lines. */
     void prime();
 
-    /** Step 5: probe every set; the slow one carries the value. */
-    ChannelRecovery recover();
+    /**
+     * Step 5: probe every set; the slow one carries the value.  The
+     * result is the channel's own and is overwritten by the next
+     * call.
+     */
+    const ChannelRecovery &recover();
 
     std::size_t slots() const { return slots_; }
 
@@ -120,6 +145,7 @@ class PrimeProbeChannel
     Cpu &cpu_;
     Addr evictBase_;
     std::size_t slots_;
+    ChannelRecovery recovery_; ///< what recover() returns
 };
 
 /**

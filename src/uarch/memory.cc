@@ -1,10 +1,25 @@
 #include "memory.hh"
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
 namespace specsec::uarch
 {
+
+namespace
+{
+
+/// The last stamp a PageTable mutator took, process-wide.
+std::atomic<std::uint64_t> lastStamp{0};
+
+} // namespace
+
+void
+PageTable::stamp()
+{
+    version_ = lastStamp.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 const char *
 faultKindName(FaultKind fault)
@@ -33,7 +48,7 @@ PageTable::ensureDense(Addr vpn)
 void
 PageTable::map(Addr vaddr, Pte pte)
 {
-    ++version_;
+    stamp();
     const Addr vpn = vaddr / kPageSize;
     if (vpn < kDenseVpns) {
         ensureDense(vpn);
@@ -48,7 +63,7 @@ void
 PageTable::mapRange(Addr base, Addr length, PageOwner owner,
                     bool user_accessible, bool writable)
 {
-    ++version_;
+    stamp();
     const Addr first = base / kPageSize;
     const Addr last = (base + length + kPageSize - 1) / kPageSize;
     for (Addr vpn = first; vpn < last; ++vpn) {
@@ -70,7 +85,7 @@ PageTable::mapRange(Addr base, Addr length, PageOwner owner,
 void
 PageTable::unmap(Addr vaddr)
 {
-    ++version_;
+    stamp();
     const Addr vpn = vaddr / kPageSize;
     if (vpn < slots_.size())
         slots_[vpn].mapped = false;
@@ -94,7 +109,7 @@ PageTable::mappedPte(Addr vaddr, const char *who)
     if (!pte)
         throw std::invalid_argument(std::string(who) +
                                     ": page not mapped");
-    ++version_;
+    stamp();
     return const_cast<Pte &>(*pte);
 }
 

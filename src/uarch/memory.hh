@@ -16,8 +16,9 @@
  * the paper describes.
  *
  * PTEs change only through the PageTable's mutators, and each one
- * bumps PageTable::version(), so the Flush+Reload receiver can keep
- * its slots' translations until the version moves.
+ * gives the table a new process-unique PageTable::version() stamp,
+ * so Flush+Reload receivers can share their slots' translations
+ * between tables with the same stamp.
  */
 
 #ifndef SPECSEC_UARCH_MEMORY_HH
@@ -133,7 +134,7 @@ class PageTable
 
     /**
      * @return the PTE for the page of @p vaddr, or nullptr.  Read
-     * only: a PTE changes through the mutators, which bump version().
+     * only: a PTE changes through the mutators, which stamp version().
      */
     const Pte *
     lookup(Addr vaddr) const
@@ -151,12 +152,15 @@ class PageTable
     void setReservedBit(Addr vaddr, bool reserved);
 
     /**
-     * Mapping version.  Every mutator -- map, mapRange, unmap,
-     * setPresent, setReservedBit -- bumps it, and nothing else does,
-     * so a caller that kept lookups or translations made at one
-     * version can tell whether any PTE may have changed since.  A
-     * copy starts at its source's version; a table cannot be
-     * assigned, which would replace its PTEs without a bump.
+     * Mapping stamp, unique in the process.  Every mutator -- map,
+     * mapRange, unmap, setPresent, setReservedBit -- takes the next
+     * value of one process-wide counter, and nothing else changes
+     * it; a copy keeps its source's stamp, and an empty table reads
+     * 0.  So two tables with equal stamps hold equal PTEs, whichever
+     * tables they are: a caller that kept lookups or translations
+     * made at one stamp may reuse them for any table that reads it.
+     * A table cannot be assigned, which would replace its PTEs
+     * without a new stamp.
      */
     std::uint64_t version() const { return version_; }
 
@@ -189,6 +193,9 @@ class PageTable
 
     /** The PTE a mutator edits; throws naming @p who if unmapped. */
     Pte &mappedPte(Addr vaddr, const char *who);
+
+    /** Take the next process-wide stamp (every mutator does). */
+    void stamp();
 
     std::vector<Slot> slots_;           ///< dense, indexed by VPN
     std::unordered_map<Addr, Pte> overflow_; ///< VPN >= kDenseVpns

@@ -2,11 +2,10 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -80,11 +79,11 @@ inForeshadowFamily(AttackVariant v)
                      AttackVariant::ForeshadowVmm});
 }
 
-} // anonymous namespace
-
-namespace detail
-{
-
+/**
+ * The forwarding path (VulnConfig flag) the attack transmits
+ * through, or nullptr when it needs none that can be ablated.
+ * Sets @p present to whether the core still has the path.
+ */
 const char *
 requiredVulnPath(AttackVariant v, const uarch::VulnConfig &vuln,
                  bool &present)
@@ -122,13 +121,10 @@ requiredVulnPath(AttackVariant v, const uarch::VulnConfig &vuln,
     }
 }
 
-} // namespace detail
-
-namespace
-{
+} // anonymous namespace
 
 ModelJudgement
-undecided(std::string why)
+detail::undecided(std::string why)
 {
     ModelJudgement j;
     j.verdict = ModelVerdict::Undecided;
@@ -136,38 +132,23 @@ undecided(std::string why)
     return j;
 }
 
-/**
- * @p d's attack graph on @p channel, built once per process per
- * (variant, channel) and copied per use, the way every scenario
- * copies the one layout page table: graph builders are pure, and a
- * variant id names one attack for the life of the process.  Always
- * a copy, because a judgement edits its graph (applyDefense) and
- * even a const Tsg fills its successor cache; the shared graph is
- * only ever copied from.  Judgements run on worker threads (the
- * differential backend, the daemon), hence the lock.
- */
-AttackGraph
-attackGraph(AttackVariant variant, const core::AttackDescriptor &d,
-            core::CovertChannelKind channel)
+std::optional<ModelJudgement>
+detail::ablatedPathJudgement(AttackVariant variant,
+                             const uarch::VulnConfig &vuln)
 {
-    static std::mutex mutex;
-    static std::map<std::pair<AttackVariant, core::CovertChannelKind>,
-                    const AttackGraph>
-        built;
-    const AttackGraph *graph = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = built.find({variant, channel});
-        if (it == built.end())
-            it = built.emplace(std::pair{variant, channel},
-                               d.buildGraph(channel))
-                     .first;
-        graph = &it->second;
-    }
-    // A map node never moves and its graph is never written again,
-    // so the copy can run outside the lock.
-    return *graph;
+    bool present = true;
+    const char *path = requiredVulnPath(variant, vuln, present);
+    if (!path || present)
+        return std::nullopt;
+    ModelJudgement j;
+    j.verdict = ModelVerdict::Inapplicable;
+    j.evidence = std::string("core ablates the '") + path +
+                 "' forwarding path this attack transmits through";
+    return j;
 }
+
+namespace
+{
 
 /**
  * One defense mechanism the model understands, switched on by the
@@ -305,7 +286,7 @@ ruleJudgement(const MechanismRule &rule, AttackVariant variant,
               const core::AttackDescriptor &d,
               core::CovertChannelKind channel)
 {
-    AttackGraph g = attackGraph(variant, d, channel);
+    AttackGraph g = d.buildGraph(channel);
     const std::vector<graph::Edge> inserted =
         core::applyDefense(g, rule.strategy);
     if (inserted.empty() || g.isVulnerable())
@@ -367,57 +348,74 @@ modelJudgement(AttackVariant variant, const CpuConfig &config,
 {
     // 1. Required-vulnerability gate (decidable whatever the timing
     //    knobs say: an ablated forwarding path never forwards).
-    bool present = true;
-    if (const char *path =
-            detail::requiredVulnPath(variant, config.vuln, present);
-        path && !present) {
-        ModelJudgement j;
-        j.verdict = ModelVerdict::Inapplicable;
-        j.evidence = std::string("core ablates the '") + path +
-                     "' forwarding path this attack transmits through";
-        return j;
-    }
+    if (std::optional<ModelJudgement> j =
+            detail::ablatedPathJudgement(variant, config.vuln))
+        return std::move(*j);
 
     // 2. Timing gate.
     if (const char *knob = detail::firstOffDefaultKnob<KnobKind::Timing>(
             config, options)) {
-        return undecided(std::string("off-default timing knob '") +
-                         knob +
-                         "'; the graph orders operations but counts "
-                         "no cycles");
+        return detail::undecided(std::string("off-default timing knob '") +
+                                 knob +
+                                 "'; the graph orders operations but "
+                                 "counts no cycles");
     }
 
     const core::AttackDescriptor *d =
         core::ScenarioCatalog::instance().findAttack(variant);
-    if (!d || !d->buildGraph)
-        return undecided("no attack graph registered for this variant");
+    if (!d || !d->buildGraph) {
+        return detail::undecided(
+            "no attack graph registered for this variant");
+    }
+
+    // Steps 3 and 4 read only the rule, the variant and the channel.
+    static detail::Memo<std::tuple<std::size_t, AttackVariant,
+                                   core::CovertChannelKind>,
+                        std::optional<ModelJudgement>>
+        ruleJudgements;
+    static detail::Memo<std::pair<AttackVariant, core::CovertChannelKind>,
+                        ModelJudgement>
+        baselineJudgements;
+    const core::CovertChannelKind channel = options.channel;
 
     // 3. Mechanism rules: the set knobs with a rule, in key order;
     //    the first in-scope rule whose security dependencies kill
     //    every escaping flow wins.
     const std::vector<KnobSlot> &slots = knobSlots();
-    std::optional<ModelJudgement> blocked;
+    const ModelJudgement *blocked = nullptr;
     std::size_t i = 0;
     attacks::forEachKnob(
         config, options,
         [&](const char *, KnobKind, const auto &field) {
             const KnobSlot &slot = slots[i++];
-            if (!blocked && slot.rule &&
+            if (blocked == nullptr && slot.rule &&
                 static_cast<std::uint64_t>(field) != slot.defaultValue &&
-                slot.rule->inScope(variant))
-                blocked =
-                    ruleJudgement(*slot.rule, variant, *d, options.channel);
+                slot.rule->inScope(variant)) {
+                const std::optional<ModelJudgement> &j =
+                    ruleJudgements.get(
+                        {static_cast<std::size_t>(slot.rule - kRules),
+                         variant, channel},
+                        [&] {
+                            return ruleJudgement(*slot.rule, variant, *d,
+                                                 channel);
+                        });
+                if (j)
+                    blocked = &*j;
+            }
         });
     if (blocked)
-        return std::move(*blocked);
+        return *blocked;
 
     // 4. Baseline analysis on the undefended graph.
-    const AttackGraph g = attackGraph(variant, *d, options.channel);
-    const core::VulnerabilityWitness w = core::analyzeVulnerability(g);
-    ModelJudgement j;
-    j.verdict = w.vulnerable ? ModelVerdict::Leak : ModelVerdict::Blocked;
-    j.evidence = w.summary;
-    return j;
+    return baselineJudgements.get({variant, channel}, [&] {
+        const core::VulnerabilityWitness w =
+            core::analyzeVulnerability(d->buildGraph(channel));
+        ModelJudgement j;
+        j.verdict =
+            w.vulnerable ? ModelVerdict::Leak : ModelVerdict::Blocked;
+        j.evidence = w.summary;
+        return j;
+    });
 }
 
 ModelJudgement
@@ -427,7 +425,7 @@ judgeScenario(AttackVariant variant, const CpuConfig &config,
     const core::AttackDescriptor *d =
         core::ScenarioCatalog::instance().findAttack(variant);
     if (!d || !d->modelVerdict) {
-        return undecided(
+        return detail::undecided(
             "no model-verdict hook registered for this attack");
     }
     return d->modelVerdict(config, options);

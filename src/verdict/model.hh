@@ -17,6 +17,11 @@
 #ifndef SPECSEC_VERDICT_MODEL_HH
 #define SPECSEC_VERDICT_MODEL_HH
 
+#include <map>
+#include <mutex>
+#include <optional>
+#include <string>
+
 #include "core/catalog.hh"
 
 namespace specsec::verdict
@@ -32,11 +37,18 @@ namespace specsec::verdict
  *     the graph has no notion of cycle counts.
  *  3. Mechanism rules: each set defense toggle / mitigation option
  *     with a rule in scope, in attacks::forEachKnob order, applies
- *     its paper strategy to a fresh copy of the variant's attack
- *     graph; the first one whose inserted security dependencies kill
- *     every escaping flow -> Blocked.
+ *     its paper strategy to the variant's attack graph on the cell's
+ *     channel; the first one whose inserted security dependencies
+ *     kill every escaping flow -> Blocked.
  *  4. Otherwise the baseline analysis runs: a surviving secret flow
  *     -> Leak.
+ *
+ * Steps 3 and 4 read only the variant, the channel and the rule, so
+ * each rule's judgement and the baseline's are made once per process
+ * per (rule, variant, channel) and (variant, channel)
+ * (detail::Memo): a variant id names one attack, and its graph
+ * builder is pure, for the life of the process.  The graph is built
+ * only on the first request.
  */
 core::ModelJudgement modelJudgement(core::AttackVariant variant,
                                     const uarch::CpuConfig &config,
@@ -71,14 +83,50 @@ namespace detail
 {
 
 /**
- * The forwarding path (VulnConfig flag) the attack transmits
- * through, or nullptr when it needs none that can be ablated.
- * Sets @p present to whether the core still has the path.  Shared
- * by the model and static backends (gate 1 of both).
+ * A process-wide table of judgements, each computed once: get()
+ * returns the value stored under @p key, running @p compute on the
+ * key's first request.  The model keeps each mechanism rule's
+ * judgement per (rule, variant, channel) and the baseline's per
+ * (variant, channel) here, the static backend each program analysis
+ * per (variant, lfence, mask).  Keys hold the variant id, never a
+ * descriptor's address (a caller may judge a copy of a catalog
+ * descriptor): a variant id names one attack, with one graph per
+ * channel and one static program, for the life of the process.
+ * Judgements run on worker threads (the differential backend, the
+ * daemon), hence the lock; a stored value never changes or moves,
+ * so the reference stays valid.
  */
-const char *requiredVulnPath(core::AttackVariant variant,
-                             const uarch::VulnConfig &vuln,
-                             bool &present);
+template <typename Key, typename Value>
+class Memo
+{
+  public:
+    template <typename Compute>
+    const Value &
+    get(const Key &key, Compute &&compute)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = values_.find(key);
+        if (it == values_.end())
+            it = values_.emplace(key, compute()).first;
+        return it->second;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::map<Key, const Value> values_;
+};
+
+/** An Undecided judgement with @p why as its evidence. */
+core::ModelJudgement undecided(std::string why);
+
+/**
+ * Gate 1 of the model and static backends: Inapplicable, naming the
+ * path, when the core ablates the forwarding path (VulnConfig flag)
+ * the attack transmits through; nothing otherwise.
+ */
+std::optional<core::ModelJudgement>
+ablatedPathJudgement(core::AttackVariant variant,
+                     const uarch::VulnConfig &vuln);
 
 /**
  * The name of the first knob of kind @p Kind, in attacks::forEachKnob

@@ -1,6 +1,8 @@
 #include "static_verdict.hh"
 
+#include <optional>
 #include <string>
+#include <tuple>
 
 #include "defense/mitigations.hh"
 #include "model.hh"
@@ -20,15 +22,6 @@ using uarch::CpuConfig;
 namespace
 {
 
-ModelJudgement
-undecided(std::string why)
-{
-    ModelJudgement j;
-    j.verdict = ModelVerdict::Undecided;
-    j.evidence = std::move(why);
-    return j;
-}
-
 std::optional<std::size_t>
 firstBranchPc(const uarch::Program &program)
 {
@@ -38,77 +31,29 @@ firstBranchPc(const uarch::Program &program)
     return std::nullopt;
 }
 
-} // namespace
-
+/**
+ * Steps 5b and 6: @p attack's static program, rewritten for the
+ * in-program mitigations @p lfence and @p mask, through the Fig. 9
+ * analyzer.
+ */
 ModelJudgement
-staticJudgement(const core::AttackDescriptor &attack,
-                const CpuConfig &config, const AttackOptions &options)
+analyzeProgram(const core::AttackDescriptor &attack, bool lfence,
+               bool mask)
 {
-    if (!attack.staticProgram) {
-        return undecided("no static program registered for '" +
-                         attack.name + "'");
-    }
-
-    // 1. Canonicalize: drop toggles this attack's runner ignores, so
-    //    e.g. a fence-harden column over Meltdown judges the same
-    //    cell the simulator runs (the toggle is a no-op there).
-    const AttackOptions canonical =
-        attack.canonicalOptions ? attack.canonicalOptions(options)
-                                : options;
-
-    // 2. Required-vulnerability gate (shared with the model).
-    bool present = true;
-    if (const char *path = detail::requiredVulnPath(
-            attack.id, config.vuln, present);
-        path && !present) {
-        ModelJudgement j;
-        j.verdict = ModelVerdict::Inapplicable;
-        j.evidence = std::string("core ablates the '") + path +
-                     "' forwarding path this attack transmits through";
-        return j;
-    }
-
-    // 3. Timing gate (shared).  Canonical options: a timing option
-    //    the runner never reads cannot make the cell timing-bound.
-    if (const char *knob = detail::firstOffDefaultKnob<KnobKind::Timing>(
-            config, canonical)) {
-        return undecided(std::string("off-default timing knob '") +
-                         knob +
-                         "'; static analysis orders operations but "
-                         "counts no cycles");
-    }
-
-    // 4. Hardware defenses act in the core, not the program text.
-    if (const char *hw = detail::firstOffDefaultKnob<KnobKind::HwDefense>(
-            config, canonical)) {
-        return undecided(std::string("hardware defense '") + hw +
-                         "' is outside the program-level analyzer's "
-                         "scope");
-    }
-
-    // 5. Out-of-program software mitigations.
-    if (const char *sw = detail::firstOffDefaultKnob<
-            KnobKind::OutOfProgramMitigation>(config, canonical)) {
-        return undecided(std::string("mitigation '") + sw +
-                         "' acts outside the program (page tables / "
-                         "RSB / L1), which the analyzer does not "
-                         "model");
-    }
-
     // 5b. In-program mitigations become program rewrites.
     StaticProgramSpec spec = attack.staticProgram();
     std::string rewrite;
-    if (canonical.softwareLfence) {
+    if (lfence) {
         rewrite = "lfence-after-branch rewrite (" +
                   std::to_string(defense::insertLfenceAfterBranches(
                       spec.program)) +
                   " fences)";
     }
-    if (canonical.addressMasking) {
+    if (mask) {
         const std::optional<std::size_t> branch =
             firstBranchPc(spec.program);
         if (!branch || !spec.maskReg || !spec.maskValue) {
-            return undecided(
+            return detail::undecided(
                 "addressMasking set but the static program declares "
                 "no mask point (branch + maskReg/maskValue)");
         }
@@ -148,6 +93,68 @@ staticJudgement(const core::AttackDescriptor &attack,
     return j;
 }
 
+} // namespace
+
+ModelJudgement
+staticJudgement(const core::AttackDescriptor &attack,
+                const CpuConfig &config, const AttackOptions &options)
+{
+    if (!attack.staticProgram) {
+        return detail::undecided("no static program registered for '" +
+                                 attack.name + "'");
+    }
+
+    // 1. Canonicalize: drop toggles this attack's runner ignores, so
+    //    e.g. a fence-harden column over Meltdown judges the same
+    //    cell the simulator runs (the toggle is a no-op there).
+    const AttackOptions canonical =
+        attack.canonicalOptions ? attack.canonicalOptions(options)
+                                : options;
+
+    // 2. Required-vulnerability gate (shared with the model).
+    if (std::optional<ModelJudgement> j =
+            detail::ablatedPathJudgement(attack.id, config.vuln))
+        return std::move(*j);
+
+    // 3. Timing gate (shared).  Canonical options: a timing option
+    //    the runner never reads cannot make the cell timing-bound.
+    if (const char *knob = detail::firstOffDefaultKnob<KnobKind::Timing>(
+            config, canonical)) {
+        return detail::undecided(std::string("off-default timing knob '") +
+                                 knob +
+                                 "'; static analysis orders operations "
+                                 "but counts no cycles");
+    }
+
+    // 4. Hardware defenses act in the core, not the program text.
+    if (const char *hw = detail::firstOffDefaultKnob<KnobKind::HwDefense>(
+            config, canonical)) {
+        return detail::undecided(std::string("hardware defense '") + hw +
+                                 "' is outside the program-level "
+                                 "analyzer's scope");
+    }
+
+    // 5. Out-of-program software mitigations.
+    if (const char *sw = detail::firstOffDefaultKnob<
+            KnobKind::OutOfProgramMitigation>(config, canonical)) {
+        return detail::undecided(std::string("mitigation '") + sw +
+                                 "' acts outside the program (page "
+                                 "tables / RSB / L1), which the "
+                                 "analyzer does not model");
+    }
+
+    // 5b-6 read only the static program and the two in-program
+    // toggles: once per process per (variant, lfence, mask).
+    static detail::Memo<std::tuple<AttackVariant, bool, bool>,
+                        ModelJudgement>
+        analyzed;
+    const bool lfence = canonical.softwareLfence;
+    const bool mask = canonical.addressMasking;
+    return analyzed.get({attack.id, lfence, mask}, [&] {
+        return analyzeProgram(attack, lfence, mask);
+    });
+}
+
 ModelJudgement
 judgeScenarioStatic(AttackVariant variant, const CpuConfig &config,
                     const AttackOptions &options)
@@ -155,7 +162,7 @@ judgeScenarioStatic(AttackVariant variant, const CpuConfig &config,
     const core::AttackDescriptor *d =
         core::ScenarioCatalog::instance().findAttack(variant);
     if (d == nullptr)
-        return undecided("no attack registered for this variant");
+        return detail::undecided("no attack registered for this variant");
     return staticJudgement(*d, config, options);
 }
 

@@ -38,7 +38,12 @@ namespace specsec::verdict
  *     tool::analyzeSpec: an exploitable flow -> Leak, else Blocked.
  *
  * Gates 3-5 walk attacks::forEachKnob by kind
- * (detail::firstOffDefaultKnob), in its key order.
+ * (detail::firstOffDefaultKnob), in its key order.  Steps 5b-6 read
+ * only the static program and the canonical softwareLfence and
+ * addressMasking, so they run once per process per (variant id,
+ * softwareLfence, addressMasking) and later cells copy the judgement
+ * (detail::Memo): a variant id names one attack and one static
+ * program for the life of the process.
  */
 core::ModelJudgement
 staticJudgement(const core::AttackDescriptor &attack,

@@ -14,6 +14,7 @@
 
 #include "attacks/runner.hh"
 #include "campaign/campaign.hh"
+#include "regress/specs.hh"
 #include "tool/report.hh"
 #include "verdict/verdict.hh"
 
@@ -512,34 +513,43 @@ TEST(Engine, ParallelMatchesSerialByteIdentical)
 
 TEST(Engine, DifferentialOnFourWorkersMatchesSerial)
 {
-    // The model judges cells on the worker threads, which share one
-    // attack graph per (variant, channel) (verdict/model.cc); under
-    // TSan this run is that cache's race check.  The Prime+Probe
-    // graphs are first built here, concurrently.  The static backend
-    // runs the Fig. 9 analyzer on the same threads.
-    ScenarioSpec spec = ScenarioSpec::defenseMatrix();
-    spec.channels = {CovertChannelKind::PrimeProbe,
-                     CovertChannelKind::FlushReload};
-    for (const verdict::VerdictBackend backend :
-         {verdict::VerdictBackend::Differential,
-          verdict::VerdictBackend::Static}) {
-        CampaignEngine::Options opts;
-        opts.backend = backend;
-        opts.workers = 4;
-        const CampaignReport parallel = CampaignEngine(opts).run(spec);
-        opts.workers = 1;
-        const CampaignReport serial = CampaignEngine(opts).run(spec);
+    // The model and the static backend judge cells on the worker
+    // threads, which share their process-wide judgement memos
+    // (verdict::detail::Memo); under TSan this run is their race
+    // check, and the Prime+Probe judgements are first made here,
+    // concurrently.  The cache-geometry spec's four geometries on
+    // both channels also give each worker's Flush+Reload receivers
+    // several preparations to keep (uarch/covert.hh).
+    ScenarioSpec matrix = ScenarioSpec::defenseMatrix();
+    matrix.channels = {CovertChannelKind::PrimeProbe,
+                       CovertChannelKind::FlushReload};
+    const regress::NamedSpec *geometry =
+        regress::findSpec("cache-geometry");
+    ASSERT_NE(geometry, nullptr);
+    for (const ScenarioSpec &spec : {matrix, geometry->spec}) {
+        for (const verdict::VerdictBackend backend :
+             {verdict::VerdictBackend::Differential,
+              verdict::VerdictBackend::Static}) {
+            CampaignEngine::Options opts;
+            opts.backend = backend;
+            opts.workers = 4;
+            const CampaignReport parallel = CampaignEngine(opts).run(spec);
+            opts.workers = 1;
+            const CampaignReport serial = CampaignEngine(opts).run(spec);
 
-        EXPECT_EQ(parallel.modelDecided, serial.modelDecided);
-        EXPECT_EQ(parallel.modelUndecided, serial.modelUndecided);
-        EXPECT_EQ(parallel.disagreements, serial.disagreements);
-        ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-        for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
-            const ScenarioOutcome &p = parallel.outcomes[i];
-            const ScenarioOutcome &s = serial.outcomes[i];
-            EXPECT_EQ(p.modelVerdict, s.modelVerdict) << i;
-            EXPECT_EQ(p.agreement, s.agreement) << i;
-            EXPECT_EQ(p.evidence, s.evidence) << i;
+            EXPECT_EQ(parallel.modelDecided, serial.modelDecided);
+            EXPECT_EQ(parallel.modelUndecided, serial.modelUndecided);
+            EXPECT_EQ(parallel.disagreements, serial.disagreements);
+            ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+            for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+                const ScenarioOutcome &p = parallel.outcomes[i];
+                const ScenarioOutcome &s = serial.outcomes[i];
+                EXPECT_EQ(p.modelVerdict, s.modelVerdict) << i;
+                EXPECT_EQ(p.agreement, s.agreement) << i;
+                EXPECT_EQ(p.evidence, s.evidence) << i;
+                EXPECT_EQ(p.result, s.result) << i;
+                EXPECT_EQ(p.stats, s.stats) << i;
+            }
         }
     }
 }

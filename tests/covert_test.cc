@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "uarch/covert.hh"
 
@@ -228,6 +229,12 @@ struct Machine
     {
     }
 
+    /** A machine on a copy of @p table, which keeps its stamp. */
+    Machine(const CpuConfig &cfg, const PageTable &table)
+        : mem(1 << 16), pt(table), cpu(cfg, mem, pt)
+    {
+    }
+
     Memory mem;
     PageTable pt;
     Cpu cpu;
@@ -417,6 +424,114 @@ TEST(FlushReloadDifferential, MatchesPerSlotReferenceOnTwinCpus)
         }
         expectSameStats(a.cpu.cache().stats(), b.cpu.cache().stats(),
                         where);
+    }
+}
+
+TEST(FlushReloadSharing, TablesDifferingInOneProbeSlotKeepTheirOwnReads)
+{
+    // Receivers on one thread share a preparation between tables
+    // with the same version() stamp.  Two tables that took the same
+    // number of edits and differ only in one probe slot's PTE (User
+    // in one, Kernel in the other) must each be read for itself:
+    // the Kernel slot faults (twice the miss latency, never a hit),
+    // the User slot carries the sender's line.
+    constexpr Addr base = 0x100000;
+    constexpr std::size_t slot = 77;
+    const auto build = [](Machine &m, PageOwner owner) {
+        m.pt.mapRange(base, 256 * kPageSize, PageOwner::User, true, true);
+        Pte pte;
+        pte.physPage = base / kPageSize + slot;
+        pte.owner = owner;
+        pte.userAccessible = owner == PageOwner::User;
+        m.pt.map(base + slot * kPageSize, pte);
+    };
+    const CpuConfig cfg;
+    Machine user(cfg), userTwin(cfg), kernel(cfg), kernelTwin(cfg);
+    build(user, PageOwner::User);
+    build(userTwin, PageOwner::User);
+    build(kernel, PageOwner::Kernel);
+    build(kernelTwin, PageOwner::Kernel);
+
+    FlushReloadChannel userChannel(user.cpu, base);
+    FlushReloadChannel kernelChannel(kernel.cpu, base);
+    ReferenceFlushReload userReference{userTwin.cpu, base, 256,
+                                       kPageSize};
+    ReferenceFlushReload kernelReference{kernelTwin.cpu, base, 256,
+                                         kPageSize};
+    for (int round = 0; round < 3; ++round) {
+        const std::string at = "round " + std::to_string(round);
+        // The User table's receiver prepares first, so the Kernel
+        // one would find its preparation if the stamps collided.
+        userChannel.setup();
+        userReference.setup();
+        kernelChannel.setup();
+        kernelReference.setup();
+        for (Machine *m : {&user, &userTwin, &kernel, &kernelTwin})
+            m->cpu.timedAccess(base + slot * kPageSize); // the sender
+        const ChannelRecovery gotUser = userChannel.recover();
+        const ChannelRecovery wantUser = userReference.recover();
+        const ChannelRecovery gotKernel = kernelChannel.recover();
+        const ChannelRecovery wantKernel = kernelReference.recover();
+        EXPECT_EQ(gotUser.latencies, wantUser.latencies) << at;
+        EXPECT_EQ(gotUser.value, wantUser.value) << at;
+        EXPECT_EQ(gotKernel.latencies, wantKernel.latencies) << at;
+        EXPECT_EQ(gotKernel.value, wantKernel.value) << at;
+        EXPECT_EQ(gotUser.value, static_cast<int>(slot)) << at;
+        EXPECT_EQ(gotKernel.value, -1) << at;
+        EXPECT_EQ(gotKernel.latencies[slot],
+                  2 * cfg.cache.missLatency)
+            << at;
+        expectSameStats(user.cpu.cache().stats(),
+                        userTwin.cpu.cache().stats(), "user " + at);
+        expectSameStats(kernel.cpu.cache().stats(),
+                        kernelTwin.cpu.cache().stats(), "kernel " + at);
+    }
+}
+
+TEST(FlushReloadSharing, OneStampUnderEachGeometryAndPrivilege)
+{
+    // Copies of one table share its stamp, as every scenario's copy
+    // of the layout does, so receivers on caches of another
+    // geometry or miss latency, or at another privilege, must not
+    // take each other's preparations.  Slot 16 is a kernel page: a
+    // fault at user privilege, a line the sender fills at kernel.
+    constexpr Addr base = 0x100000;
+    PageTable layout;
+    layout.mapRange(base, 256 * kPageSize, PageOwner::User, true, true);
+    layout.mapRange(base + 16 * kPageSize, kPageSize, PageOwner::Kernel,
+                    false, true);
+    CpuConfig small, fastMiss;
+    small.cache.sets = 64;
+    small.cache.lineSize = 32;
+    fastMiss.cache.missLatency = 20;
+    const struct
+    {
+        const char *name;
+        CpuConfig cfg;
+        Privilege privilege;
+    } cases[] = {{"default", CpuConfig{}, Privilege::User},
+                 {"64 sets x 32 B", small, Privilege::User},
+                 {"miss 20", fastMiss, Privilege::User},
+                 {"kernel", CpuConfig{}, Privilege::Kernel}};
+    for (const auto &c : cases) {
+        Machine m(c.cfg, layout), twin(c.cfg, layout);
+        ASSERT_EQ(m.pt.version(), layout.version());
+        m.cpu.setPrivilege(c.privilege);
+        twin.cpu.setPrivilege(c.privilege);
+        FlushReloadChannel channel(m.cpu, base);
+        ReferenceFlushReload reference{twin.cpu, base, 256, kPageSize};
+        channel.setup();
+        reference.setup();
+        for (Machine *x : {&m, &twin}) {
+            x->cpu.timedAccess(base + 5 * kPageSize);
+            x->cpu.timedAccess(base + 16 * kPageSize);
+        }
+        const ChannelRecovery got = channel.recover();
+        const ChannelRecovery want = reference.recover();
+        EXPECT_EQ(got.latencies, want.latencies) << c.name;
+        EXPECT_EQ(got.value, want.value) << c.name;
+        expectSameStats(m.cpu.cache().stats(), twin.cpu.cache().stats(),
+                        c.name);
     }
 }
 

@@ -275,6 +275,25 @@ TEST(PageTable, EveryMutatorBumpsTheVersionAndNothingElseDoes)
     static_assert(!std::is_copy_assignable_v<PageTable>);
 }
 
+TEST(PageTable, VersionIsAStampUniqueInTheProcess)
+{
+    // Flush+Reload receivers share what they read from a table with
+    // every table of the same stamp, so two tables given different
+    // edits must never read one stamp, even after as many edits.
+    PageTable user, kernel;
+    EXPECT_EQ(user.version(), kernel.version()); // both empty
+    user.mapRange(0x10000, kPageSize, PageOwner::User, true, true);
+    kernel.mapRange(0x10000, kPageSize, PageOwner::Kernel, false, true);
+    EXPECT_NE(user.version(), kernel.version());
+
+    // A copy keeps its source's stamp until its own next edit.
+    PageTable copy = user;
+    EXPECT_EQ(copy.version(), user.version());
+    copy.setPresent(0x10000, true);
+    EXPECT_NE(copy.version(), user.version());
+    EXPECT_NE(copy.version(), kernel.version());
+}
+
 TEST(PageTable, FaultKindNames)
 {
     EXPECT_STREQ(faultKindName(FaultKind::None), "none");

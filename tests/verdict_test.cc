@@ -256,6 +256,33 @@ TEST(VerdictModel, SpotChecksMatchThePaperTable)
         << undecided.evidence;
 }
 
+TEST(VerdictModel, JudgementsAreKeptPerChannel)
+{
+    // The model makes each rule's and the baseline's judgement once
+    // per (variant, channel) and copies it afterwards.  The covert
+    // send is a node of the channel's graph, so the evidence judged
+    // on one channel must never answer for the other, whichever
+    // channel is judged first.
+    CpuConfig stt;
+    stt.defense.blockTaintedTransmit = true;
+    AttackOptions flushReload, primeProbe;
+    primeProbe.channel = core::CovertChannelKind::PrimeProbe;
+    for (const CpuConfig &config : {CpuConfig{}, stt}) {
+        for (int pass = 0; pass < 2; ++pass) {
+            const auto pp = verdict::modelJudgement(
+                AttackVariant::SpectreV1, config, primeProbe);
+            const auto fr = verdict::modelJudgement(
+                AttackVariant::SpectreV1, config, flushReload);
+            EXPECT_NE(pp.evidence.find("Load R: evict attacker line"),
+                      std::string::npos)
+                << pp.evidence;
+            EXPECT_NE(fr.evidence.find("Load R to cache"),
+                      std::string::npos)
+                << fr.evidence;
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // The result cache holds simulations only.
 
