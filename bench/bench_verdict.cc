@@ -3,7 +3,9 @@
  * Verdict-backend throughput: the analytic model (verdict/model.hh)
  * judging the full variant x defense matrix vs. the cycle-accurate
  * simulator executing it, plus the triage backend's simulate
- * fraction (the share of unique cells the model could not settle).
+ * fraction (the share of unique cells it still runs: one per class
+ * of cells with equal canonicalOptions keys, whatever the model
+ * says).
  * The model-vs-simulator speedup is the number the CI perf gate
  * pins: the whole point of an analysis-only backend is that judging
  * a cell is at least an order of magnitude cheaper than simulating
@@ -169,8 +171,8 @@ main(int argc, char **argv)
                 static_speedup, static_decided, static_undecided);
 
     // Triage: how much of the grid still needs the simulator once
-    // the model has judged it, and whether the export stays
-    // byte-identical to the simulator backend's.
+    // options-canonical classmates share one run, and whether the
+    // export stays byte-identical to the simulator backend's.
     bench::header("triage backend: simulate fraction");
     CampaignEngine::Options triage_opts;
     triage_opts.workers = 1;
@@ -185,7 +187,7 @@ main(int argc, char **argv)
     const bool identical = triage.successMatrixText() ==
                            sim.successMatrixText();
     std::printf("simulated %zu of %zu unique cells (%.0f%%), "
-                "%zu replicated from model-equivalent runs\n",
+                "%zu replicated from options-canonical classmates\n",
                 triage.executedCount, triage.uniqueCount,
                 100.0 * simulate_fraction, triage.replicatedCells);
     std::printf("success matrices identical: %s\n",

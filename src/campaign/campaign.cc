@@ -9,11 +9,12 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "attacks/runner.hh"
 #include "core/catalog.hh"
@@ -153,10 +154,9 @@ runPool(std::size_t count, unsigned workers,
 }
 
 /**
- * The one cache-lookup -> runVariant -> store step of every
- * simulating path: serve the scenario from @p cache (may be null)
- * under @p key, or run and time it and memoize the fresh result.
- * The returned item's scenario is left null.
+ * Run and time the scenario, and memoize the fresh result in
+ * @p cache (may be null) under @p key.  Callers look the key up
+ * first.  The returned item's scenario is left null.
  */
 KeyBatchItem
 simulate(ResultCache *cache, const std::string &key,
@@ -164,14 +164,6 @@ simulate(ResultCache *cache, const std::string &key,
          const AttackOptions &options)
 {
     KeyBatchItem item;
-    if (cache) {
-        if (const auto hit = cache->lookup(key)) {
-            item.result = hit->result;
-            item.stats = hit->stats;
-            item.cached = true;
-            return item;
-        }
-    }
     const auto t0 = std::chrono::steady_clock::now();
     item.result =
         attacks::runVariant(variant, config, options, item.stats);
@@ -714,15 +706,21 @@ executeKeyBatch(
     try {
         runPool(keys.size(), workers, [&](std::size_t i) {
             KeyBatchItem item;
-            try {
-                item = simulate(cache, keys[i], parsed[i].variant,
-                                parsed[i].config, parsed[i].options);
-            } catch (const std::exception &e) {
-                // A key can parse yet name a machine the runner
-                // cannot build: fail the batch, not the process.
-                throw std::runtime_error("key at index " +
-                                         std::to_string(i) + ": " +
-                                         e.what());
+            if (auto hit = cache ? cache->lookup(keys[i]) : std::nullopt) {
+                item.result = std::move(hit->result);
+                item.stats = hit->stats;
+                item.cached = true;
+            } else {
+                try {
+                    item = simulate(cache, keys[i], parsed[i].variant,
+                                    parsed[i].config, parsed[i].options);
+                } catch (const std::exception &e) {
+                    // A key can parse yet name a machine the runner
+                    // cannot build: fail the batch, not the process.
+                    throw std::runtime_error("key at index " +
+                                             std::to_string(i) + ": " +
+                                             e.what());
+                }
             }
             item.scenario = &parsed[i];
             return emit(i, item);
@@ -771,40 +769,51 @@ CampaignEngine::run(const ScenarioSpec &spec,
     const ExpandedGrid grid = dedupGrid(spec);
     const unsigned nworkers = workers();
     const CampaignHeader header = runHeader(spec, grid, shard, nworkers);
-    // Work item n is this shard's n-th unique execution.
+    // Execution n is this shard's n-th unique execution.
     const OutcomeFanOut fanOut(grid, header.gridIndices, sinks);
     for (OutcomeSink *sink : sinks)
         sink->begin(header);
 
-    const verdict::VerdictBackend backend = options_.backend;
+    using verdict::VerdictBackend;
+    const VerdictBackend backend = options_.backend;
+    const bool triage = backend == VerdictBackend::Triage;
 
-    // Triage replication classes: unique executions whose (variant,
-    // config, canonical options) coincide are the same experiment to
-    // the runner (the descriptor's canonicalOptions hook resets
-    // exactly the AttackOptions fields the runner never reads), so
-    // one member's simulation serves the whole class byte-for-byte.
-    // Attacks without the hook form singleton classes.
-    std::vector<std::vector<std::size_t>> classes;
-    if (backend == verdict::VerdictBackend::Triage) {
+    // Replication classes, one per work item.  Under Triage, unique
+    // executions whose (variant, config, canonical options) coincide
+    // are the same experiment to the runner (the descriptor's
+    // canonicalOptions hook resets exactly the AttackOptions fields
+    // the runner never reads), so one member's result serves the
+    // whole class byte for byte; class c is members[first[c] ..
+    // first[c + 1]), in execution order.  Every other backend leaves
+    // both empty: class c is execution c alone.
+    std::vector<std::size_t> members, first;
+    if (triage) {
         const core::ScenarioCatalog &catalog =
             core::ScenarioCatalog::instance();
         std::unordered_map<std::string, std::size_t> classOf;
         classOf.reserve(fanOut.size());
+        std::vector<std::size_t> classIds(fanOut.size());
         for (std::size_t n = 0; n < fanOut.size(); ++n) {
             const Scenario &s = fanOut.scenario(n);
-            std::string ckey = s.key;
             const core::AttackDescriptor *d =
                 catalog.findAttack(s.variant);
-            if (d && d->canonicalOptions) {
-                ckey = scenarioKey(s.variant, s.config,
-                                   d->canonicalOptions(s.options));
-            }
-            const auto [it, fresh] =
-                classOf.emplace(std::move(ckey), classes.size());
-            if (fresh)
-                classes.emplace_back();
-            classes[it->second].push_back(n);
+            std::string ckey =
+                d && d->canonicalOptions
+                    ? scenarioKey(s.variant, s.config,
+                                  d->canonicalOptions(s.options))
+                    : s.key;
+            classIds[n] =
+                classOf.emplace(std::move(ckey), classOf.size())
+                    .first->second;
         }
+        first.assign(classOf.size() + 1, 0);
+        for (const std::size_t c : classIds)
+            ++first[c + 1];
+        std::partial_sum(first.begin(), first.end(), first.begin());
+        members.resize(classIds.size());
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        for (std::size_t n = 0; n < classIds.size(); ++n)
+            members[next[classIds[n]]++] = n;
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -814,184 +823,135 @@ CampaignEngine::run(const ScenarioSpec &spec,
     std::atomic<std::size_t> disagreements{0};
     std::atomic<std::size_t> replicatedCells{0};
     ResultCache *const cache = options_.cache;
+    const bool checksAgreement = backend == VerdictBackend::Differential ||
+                                 backend == VerdictBackend::Static;
 
-    // Stream execution @p n's result, with its verdict annotations,
-    // straight from the worker thread.
-    const auto emit = [&](std::size_t n, const AttackResult &result,
-                          const CpuStats &stats, double wallMillis,
-                          const core::ModelJudgement *judgement,
-                          const char *agreement) {
-        ScenarioOutcome o;
-        o.result = result;
-        o.stats = stats;
-        o.wallMillis = wallMillis;
-        if (judgement) {
-            o.modelVerdict = core::modelVerdictName(judgement->verdict);
-            o.evidence = judgement->evidence;
+    // Stream @p o as execution @p n's outcome, straight from the
+    // worker thread, annotated with the member's judgement @p j (null
+    // under the plain simulator; its evidence is moved out) and,
+    // under Differential and Static, whether @p j agrees with the
+    // emitted leak bit.
+    const auto emit = [&](std::size_t n, ScenarioOutcome &o,
+                          core::ModelJudgement *j) {
+        if (j) {
+            o.modelVerdict = core::modelVerdictName(j->verdict);
+            o.evidence = std::move(j->evidence);
         }
-        if (agreement)
-            o.agreement = agreement;
+        if (j && checksAgreement) {
+            const bool agree = j->predictsLeak() == o.result.leaked;
+            o.agreement =
+                !j->decided() ? "undecided" : agree ? "agree" : "disagree";
+            if (j->decided() && !agree)
+                disagreements.fetch_add(1, std::memory_order_relaxed);
+        }
         fanOut.emit(n, std::move(o));
     };
 
-    /// Count one judged cell; @return the judgement.  Under the
-    /// Static backend the verdict comes from the Fig. 9 program
-    /// analyzer; every other backend asks the graph model.
-    const auto judged = [&](const Scenario &s) {
-        core::ModelJudgement j =
-            backend == verdict::VerdictBackend::Static
-                ? verdict::judgeScenarioStatic(s.variant, s.config,
-                                               s.options)
-                : verdict::judgeScenario(s.variant, s.config,
-                                         s.options);
-        (j.decided() ? modelDecided : modelUndecided)
-            .fetch_add(1, std::memory_order_relaxed);
-        return j;
-    };
+    // The one execution step, per replication class: judge every
+    // member (the analyzer under Static, the model under every other
+    // backend but the plain simulator), then give each member a
+    // cache hit, a classmate's entry or its own simulation.  Verdicts
+    // predict and annotate; they never stand in for a run, except
+    // under Model, which simulates nothing.
+    const auto step = [&](std::size_t c) {
+        const std::span<const std::size_t> cls =
+            triage ? std::span<const std::size_t>(members).subspan(
+                         first[c], first[c + 1] - first[c])
+                   : std::span<const std::size_t>(&c, 1);
+        // Scratch, reused across the classes a thread runs (nothing
+        // a step calls starts another run on the same thread).
+        thread_local std::vector<core::ModelJudgement> judgements;
+        thread_local std::vector<std::size_t> missing;
+        judgements.clear();
+        missing.clear();
 
-    // Simulate @p s through the shared cache under its bare key,
-    // counting a hit.
-    const auto simulateCell = [&](const Scenario &s) {
-        KeyBatchItem run =
-            simulate(cache, s.key, s.variant, s.config, s.options);
-        if (run.cached)
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-        return run;
-    };
+        bool decidedLeak = false;
+        bool decidedSafe = false;
+        if (backend != VerdictBackend::Simulator) {
+            for (const std::size_t n : cls) {
+                const Scenario &s = fanOut.scenario(n);
+                const core::ModelJudgement &j = judgements.emplace_back(
+                    backend == VerdictBackend::Static
+                        ? verdict::judgeScenarioStatic(s.variant, s.config,
+                                                       s.options)
+                        : verdict::judgeScenario(s.variant, s.config,
+                                                 s.options));
+                (j.decided() ? modelDecided : modelUndecided)
+                    .fetch_add(1, std::memory_order_relaxed);
+                if (j.decided())
+                    (j.predictsLeak() ? decidedLeak : decidedSafe) = true;
+            }
+        }
+        const auto judgement = [](std::size_t i) {
+            return judgements.empty() ? nullptr : &judgements[i];
+        };
 
-    // Simulator / Model / Differential / Static: one unique
-    // execution per work item.
-    const auto cell = [&](std::size_t n) {
-        const Scenario &s = fanOut.scenario(n);
-
-        if (backend == verdict::VerdictBackend::Model) {
+        if (backend == VerdictBackend::Model) {
             // Analysis only: never touches the simulator or the
             // result cache (a judgement costs microseconds, and a
             // prediction must never pass for a measurement).  The
             // synthesized result carries the predicted leak bit and
             // nothing else.
-            const core::ModelJudgement j = judged(s);
-            AttackResult result;
-            result.name = s.rowLabel;
-            result.leaked = j.predictsLeak();
-            emit(n, result, CpuStats{}, 0.0, &j, nullptr);
+            for (std::size_t i = 0; i < cls.size(); ++i) {
+                ScenarioOutcome o;
+                o.result.name = fanOut.scenario(cls[i]).rowLabel;
+                o.result.leaked = judgements[i].predictsLeak();
+                emit(cls[i], o, &judgements[i]);
+            }
             return true;
         }
 
-        const KeyBatchItem run = simulateCell(s);
-        if (backend == verdict::VerdictBackend::Differential ||
-            backend == verdict::VerdictBackend::Static) {
-            const core::ModelJudgement j = judged(s);
-            const char *agreement = "undecided";
-            if (j.decided()) {
-                agreement = j.predictsLeak() == run.result.leaked
-                                ? "agree"
-                                : "disagree";
-                if (j.predictsLeak() != run.result.leaked)
-                    disagreements.fetch_add(1,
-                                            std::memory_order_relaxed);
-            }
-            emit(n, run.result, run.stats, run.wallMillis, &j,
-                 agreement);
-        } else {
-            emit(n, run.result, run.stats, run.wallMillis, nullptr,
-                 nullptr);
-        }
-        return true;
-    };
-
-    // Triage: one replication class per work item.  Every member is
-    // judged (the counters below report the model's coverage); the
-    // class is served by a cache hit or one simulated representative
-    // and the rest replicate that entry verbatim.
-    const auto triageClass = [&](std::size_t c) {
-        const std::vector<std::size_t> &members = classes[c];
-
-        std::vector<core::ModelJudgement> judgements;
-        judgements.reserve(members.size());
-        bool conflict = false;
-        bool sawDecided = false;
-        bool decidedLeak = false;
-        for (const std::size_t n : members) {
-            judgements.push_back(judged(fanOut.scenario(n)));
-            const core::ModelJudgement &j = judgements.back();
-            if (!j.decided())
+        // Each member is looked up once; the hits emit, and the first
+        // one serves a class of two or more.
+        std::optional<ResultCache::Entry> served;
+        for (std::size_t i = 0; i < cls.size(); ++i) {
+            auto hit = cache ? cache->lookup(fanOut.scenario(cls[i]).key)
+                             : std::nullopt;
+            if (!hit) {
+                missing.push_back(i);
                 continue;
-            if (sawDecided && decidedLeak != j.predictsLeak())
-                conflict = true;
-            sawDecided = true;
-            decidedLeak = j.predictsLeak();
-        }
-
-        // Cache pass: members already memoized emit directly and the
-        // first hit doubles as the class representative.
-        std::vector<std::size_t> missing;
-        std::optional<ResultCache::Entry> have;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            const std::size_t n = members[m];
-            bool cached = false;
-            if (cache) {
-                if (const auto hit =
-                        cache->lookup(fanOut.scenario(n).key)) {
-                    emit(n, hit->result, hit->stats, 0.0,
-                         &judgements[m], nullptr);
-                    cacheHits.fetch_add(1, std::memory_order_relaxed);
-                    if (!have)
-                        have = *hit;
-                    cached = true;
-                }
             }
-            if (!cached)
-                missing.push_back(m);
+            cacheHits.fetch_add(1, std::memory_order_relaxed);
+            if (cls.size() > 1 && !served)
+                served = hit;
+            ScenarioOutcome o;
+            o.result = std::move(hit->result);
+            o.stats = hit->stats;
+            emit(cls[i], o, judgement(i));
         }
-        if (missing.empty())
-            return true;
 
-        if (conflict) {
-            // Soundness tripwire: decided verdicts disagreeing inside
-            // one class would mean the canonicalization folded two
-            // genuinely different experiments.  Should be
-            // unreachable; simulate every member individually rather
-            // than replicate anything.
-            for (const std::size_t m : missing) {
-                const std::size_t n = members[m];
-                const KeyBatchItem run =
-                    simulateCell(fanOut.scenario(n));
-                emit(n, run.result, run.stats, run.wallMillis,
-                     &judgements[m], nullptr);
+        // The rest replicate the served entry, or a representative is
+        // simulated, stored under its own key only (replicas are never
+        // stored, so the cache stays a record of real executions).
+        // Soundness tripwire: decided verdicts disagreeing inside one
+        // class would mean the canonicalization folded two genuinely
+        // different experiments.  Should be unreachable; every
+        // missing member is then simulated instead.
+        const bool conflict = decidedLeak && decidedSafe;
+        for (const std::size_t i : missing) {
+            ScenarioOutcome o;
+            if (served && !conflict) {
+                o.result = served->result;
+                o.stats = served->stats;
+                replicatedCells.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                const Scenario &s = fanOut.scenario(cls[i]);
+                KeyBatchItem run =
+                    simulate(cache, s.key, s.variant, s.config, s.options);
+                o.result = std::move(run.result);
+                o.stats = run.stats;
+                o.wallMillis = run.wallMillis;
+                if (!conflict && missing.size() > 1)
+                    served = ResultCache::Entry{o.result, o.stats};
             }
-            return true;
-        }
-
-        std::size_t first = 0;
-        if (!have) {
-            // Simulate the class representative (first missing
-            // member, stored under its own bare key only — replicated
-            // entries are never stored, so the cache stays a record
-            // of real executions).
-            const std::size_t m = missing.front();
-            const KeyBatchItem run =
-                simulateCell(fanOut.scenario(members[m]));
-            emit(members[m], run.result, run.stats, run.wallMillis,
-                 &judgements[m], nullptr);
-            have = ResultCache::Entry{run.result, run.stats};
-            first = 1;
-        }
-        for (std::size_t i = first; i < missing.size(); ++i) {
-            const std::size_t m = missing[i];
-            emit(members[m], have->result, have->stats, 0.0,
-                 &judgements[m], nullptr);
-            replicatedCells.fetch_add(1, std::memory_order_relaxed);
+            emit(cls[i], o, judgement(i));
         }
         return true;
     };
 
     // header.workers still reports the request; runPool caps the
     // threads at the work items.
-    if (backend == verdict::VerdictBackend::Triage)
-        runPool(classes.size(), nworkers, triageClass);
-    else
-        runPool(fanOut.size(), nworkers, cell);
+    runPool(triage ? first.size() - 1 : fanOut.size(), nworkers, step);
 
     CampaignFooter footer;
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);

@@ -485,13 +485,14 @@ struct RunCounters
     /// the plain simulator backend.
     /// @{
 
-    /// Unique cells the analytic model decided (leak / blocked /
-    /// inapplicable).
+    /// Unique cells the analytic model (the analyzer under Static)
+    /// decided (leak / blocked / inapplicable).
     std::size_t modelDecided = 0;
-    /// Unique cells the model left undecided (simulated under the
-    /// triage backend; unchecked under differential).
+    /// Unique cells it left undecided: Model reports them as not
+    /// leaked, every other backend emits the simulated result
+    /// unchecked.
     std::size_t modelUndecided = 0;
-    /// Differential only: unique cells where a decided model verdict
+    /// Differential and Static: unique cells where a decided verdict
     /// contradicted the simulator's leak bit.
     std::size_t disagreements = 0;
     /// Triage only: unique cells served by replicating the simulated
@@ -630,8 +631,12 @@ class CampaignEngine
 
         /// How each unique cell gets its verdict (src/verdict/):
         /// simulate (default), judge analytically, do both and flag
-        /// disagreement, or triage — judge everything, simulate only
-        /// the frontier the model cannot replicate or decide.
+        /// disagreement, or triage — simulate (or take from the
+        /// cache) one cell per class of cells with equal
+        /// canonicalOptions keys and replicate its result to the
+        /// rest, judging every cell only to count and
+        /// annotate (and to simulate every member of a class whose
+        /// decided verdicts disagree).
         /// Simulator, Differential, Static and Triage produce
         /// byte-identical timing-free exports; Model synthesizes
         /// results from verdicts alone (leak bit = predicted

@@ -107,8 +107,8 @@ struct ModelJudgement
  * The analytic-verdict hook of a registered attack: judge a cell
  * from the attack graph alone (src/verdict/model.cc for built-ins).
  * Optional; attacks without the hook are Undecided everywhere, so
- * the differential backend never flags them and the triage backend
- * always simulates them.
+ * the differential backend never flags them and the triage backend's
+ * conflict tripwire never fires for them.
  */
 using ModelVerdictFn = std::function<ModelJudgement(
     const uarch::CpuConfig &, const attacks::AttackOptions &)>;

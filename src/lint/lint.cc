@@ -7,8 +7,8 @@
 #include "core/security_dependency.hh"
 #include "tool/jsonio.hh"
 #include "tool/report.hh"
-#include "tool/patcher.hh"
 #include "uarch/isa.hh"
+#include "verdict/static_verdict.hh"
 
 namespace specsec::lint
 {
@@ -58,9 +58,12 @@ lintAttack(const core::AttackDescriptor &descriptor)
     if (!descriptor.staticProgram)
         throw std::invalid_argument("attack '" + descriptor.name +
                                     "' has no static program");
-    const core::StaticProgramSpec spec = descriptor.staticProgram();
-    const tool::AnalysisSpec as = tool::toAnalysisSpec(spec);
-    const tool::AnalysisResult analysis = tool::analyzeSpec(as);
+    // The unmitigated program's analysis, made once per process and
+    // shared with the static verdict backend.
+    const verdict::detail::ProgramAnalysis &analyzed =
+        verdict::detail::analyzedProgram(descriptor, false, false);
+    const tool::AnalysisResult &analysis = analyzed.analysis;
+    const uarch::Program &program = analyzed.program;
 
     LintReport report;
     report.attack = descriptor.name;
@@ -76,8 +79,8 @@ lintAttack(const core::AttackDescriptor &descriptor)
             rule = findRule("stale-forward");
         else if (f.authPc && f.accessPc && *f.authPc == *f.accessPc)
             rule = findRule("intra-instruction-race");
-        else if (f.accessPc && *f.accessPc < as.program.size() &&
-                 uarch::isStore(as.program.at(*f.accessPc).op))
+        else if (f.accessPc && *f.accessPc < program.size() &&
+                 uarch::isStore(program.at(*f.accessPc).op))
             rule = findRule("spec-bypass-write");
         else
             rule = findRule("spec-bypass-read");
@@ -86,9 +89,9 @@ lintAttack(const core::AttackDescriptor &descriptor)
         lf.authPc = f.authPc ? static_cast<std::int64_t>(*f.authPc) : -1;
         lf.accessPc =
             f.accessPc ? static_cast<std::int64_t>(*f.accessPc) : -1;
-        if (f.accessPc && *f.accessPc < as.program.size())
+        if (f.accessPc && *f.accessPc < program.size())
             lf.instruction =
-                uarch::disassemble(as.program.at(*f.accessPc));
+                uarch::disassemble(program.at(*f.accessPc));
         lf.witness = f.description;
         lf.suggested = core::defenseStrategyName(f.suggested);
         report.findings.push_back(std::move(lf));

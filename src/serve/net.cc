@@ -105,13 +105,17 @@ Conn::operator=(Conn &&other) noexcept
 bool
 Conn::readLine(std::string &line)
 {
+    // Each search starts where the last one stopped, so a line of
+    // many chunks is scanned once, not once per chunk.
+    std::size_t scanned = 0;
     for (;;) {
-        const std::size_t nl = buffer_.find('\n');
+        const std::size_t nl = buffer_.find('\n', scanned);
         if (nl != std::string::npos) {
             line.assign(buffer_, 0, nl);
             buffer_.erase(0, nl + 1);
             return true;
         }
+        scanned = buffer_.size();
         if (fd_ < 0)
             return false;
         char chunk[4096];

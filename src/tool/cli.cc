@@ -50,8 +50,9 @@ const char *const kRunFlagUsage =
     "  --workers N        worker threads (default: all cores)\n"
     "  --backend B        verdict backend: simulator (default), model\n"
     "                     (graph verdicts only), differential (both,\n"
-    "                     disagreements flagged), triage (model first,\n"
-    "                     simulate the undecided) or static (Fig. 9\n"
+    "                     disagreements flagged), triage (one run per\n"
+    "                     class of cells equal up to options the\n"
+    "                     runner ignores) or static (Fig. 9\n"
     "                     program analysis beside simulation)\n"
     "  --shard I/N        execute only shard I of N of the grid\n"
     "  --cache-file F     persistent result cache: loaded before the\n"

@@ -31,41 +31,20 @@ firstBranchPc(const uarch::Program &program)
     return std::nullopt;
 }
 
-/**
- * Steps 5b and 6: @p attack's static program, rewritten for the
- * in-program mitigations @p lfence and @p mask, through the Fig. 9
- * analyzer.
- */
+/** Steps 5b-6 of staticJudgement, from the shared analysis. */
 ModelJudgement
-analyzeProgram(const core::AttackDescriptor &attack, bool lfence,
-               bool mask)
+judgeProgram(const core::AttackDescriptor &attack, bool lfence,
+             bool mask)
 {
-    // 5b. In-program mitigations become program rewrites.
-    StaticProgramSpec spec = attack.staticProgram();
-    std::string rewrite;
-    if (lfence) {
-        rewrite = "lfence-after-branch rewrite (" +
-                  std::to_string(defense::insertLfenceAfterBranches(
-                      spec.program)) +
-                  " fences)";
+    const detail::ProgramAnalysis &analyzed =
+        detail::analyzedProgram(attack, lfence, mask);
+    if (!analyzed.maskable) {
+        return detail::undecided(
+            "addressMasking set but the static program declares "
+            "no mask point (branch + maskReg/maskValue)");
     }
-    if (mask) {
-        const std::optional<std::size_t> branch =
-            firstBranchPc(spec.program);
-        if (!branch || !spec.maskReg || !spec.maskValue) {
-            return detail::undecided(
-                "addressMasking set but the static program declares "
-                "no mask point (branch + maskReg/maskValue)");
-        }
-        defense::insertMaskAfterBranch(spec.program, *branch,
-                                       *spec.maskReg, *spec.maskValue);
-        rewrite += rewrite.empty() ? "" : " + ";
-        rewrite += "array_index_nospec index clamp";
-    }
-
-    // 6. Analyze the (possibly rewritten) program.
-    const tool::AnalysisResult analysis =
-        tool::analyzeSpec(tool::toAnalysisSpec(spec));
+    const std::string &rewrite = analyzed.rewrite;
+    const tool::AnalysisResult &analysis = analyzed.analysis;
     ModelJudgement j;
     if (analysis.vulnerable) {
         j.verdict = ModelVerdict::Leak;
@@ -94,6 +73,43 @@ analyzeProgram(const core::AttackDescriptor &attack, bool lfence,
 }
 
 } // namespace
+
+const detail::ProgramAnalysis &
+detail::analyzedProgram(const core::AttackDescriptor &attack,
+                        bool lfence, bool mask)
+{
+    static Memo<std::tuple<AttackVariant, bool, bool>, ProgramAnalysis>
+        analyzed;
+    return analyzed.get({attack.id, lfence, mask}, [&] {
+        // 5b. In-program mitigations become program rewrites.
+        StaticProgramSpec spec = attack.staticProgram();
+        ProgramAnalysis out;
+        if (lfence) {
+            out.rewrite = "lfence-after-branch rewrite (" +
+                          std::to_string(defense::insertLfenceAfterBranches(
+                              spec.program)) +
+                          " fences)";
+        }
+        if (mask) {
+            const std::optional<std::size_t> branch =
+                firstBranchPc(spec.program);
+            if (!branch || !spec.maskReg || !spec.maskValue) {
+                out.maskable = false;
+                return out;
+            }
+            defense::insertMaskAfterBranch(spec.program, *branch,
+                                           *spec.maskReg,
+                                           *spec.maskValue);
+            out.rewrite += out.rewrite.empty() ? "" : " + ";
+            out.rewrite += "array_index_nospec index clamp";
+        }
+
+        // 6. Analyze the (possibly rewritten) program.
+        out.analysis = tool::analyzeSpec(tool::toAnalysisSpec(spec));
+        out.program = std::move(spec.program);
+        return out;
+    });
+}
 
 ModelJudgement
 staticJudgement(const core::AttackDescriptor &attack,
@@ -147,11 +163,11 @@ staticJudgement(const core::AttackDescriptor &attack,
     // toggles: once per process per (variant, lfence, mask).
     static detail::Memo<std::tuple<AttackVariant, bool, bool>,
                         ModelJudgement>
-        analyzed;
+        judged;
     const bool lfence = canonical.softwareLfence;
     const bool mask = canonical.addressMasking;
-    return analyzed.get({attack.id, lfence, mask}, [&] {
-        return analyzeProgram(attack, lfence, mask);
+    return judged.get({attack.id, lfence, mask}, [&] {
+        return judgeProgram(attack, lfence, mask);
     });
 }
 

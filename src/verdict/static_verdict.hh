@@ -14,6 +14,7 @@
 #define SPECSEC_VERDICT_STATIC_VERDICT_HH
 
 #include "core/catalog.hh"
+#include "tool/analyzer.hh"
 
 namespace specsec::verdict
 {
@@ -43,7 +44,8 @@ namespace specsec::verdict
  * addressMasking, so they run once per process per (variant id,
  * softwareLfence, addressMasking) and later cells copy the judgement
  * (detail::Memo): a variant id names one attack and one static
- * program for the life of the process.
+ * program for the life of the process.  The rewrite and analysis
+ * come from detail::analyzedProgram, which lint shares.
  */
 core::ModelJudgement
 staticJudgement(const core::AttackDescriptor &attack,
@@ -58,6 +60,36 @@ core::ModelJudgement
 judgeScenarioStatic(core::AttackVariant variant,
                     const uarch::CpuConfig &config,
                     const attacks::AttackOptions &options);
+
+namespace detail
+{
+
+/** Steps 5b-6 of staticJudgement for one (attack, lfence, mask). */
+struct ProgramAnalysis
+{
+    /// The rewrites made, as the evidence line names them; empty
+    /// when none.
+    std::string rewrite;
+    /// False when addressMasking was asked for but the program
+    /// declares no mask point; nothing is analyzed then.
+    bool maskable = true;
+    /// The attack's static program after the rewrites.
+    uarch::Program program;
+    tool::AnalysisResult analysis;
+};
+
+/**
+ * @p attack's static program, rewritten for the in-program
+ * mitigations @p lfence and @p mask, and its Fig. 9 analysis: made
+ * once per process per (variant id, lfence, mask) (Memo), like the
+ * judgements.  staticJudgement reads every entry, lint::lintAttack
+ * the (id, false, false) one.  @p attack must have the staticProgram
+ * hook.
+ */
+const ProgramAnalysis &analyzedProgram(const core::AttackDescriptor &attack,
+                                       bool lfence, bool mask);
+
+} // namespace detail
 
 } // namespace specsec::verdict
 

@@ -4,13 +4,15 @@
  *
  * The simulator is the cycle-accurate ground truth; the model backend
  * (model.hh) decides cells analytically on the attack graph alone.
- * Differential runs both and flags per-cell disagreement; Triage runs
- * the model over the whole grid first and simulates only the frontier
- * the model cannot decide (plus one representative per class of cells
- * that are provably identical to the runner).  Static judges cells
- * from the Fig. 9 program analyzer over the attack's static program
- * (static_verdict.hh) and flags disagreement with the simulator like
- * Differential does.
+ * Differential runs both and flags per-cell disagreement.  Triage
+ * groups the cells the runner provably cannot tell apart (equal
+ * canonicalOptions keys) and simulates one member per group, or
+ * serves it from the result cache, whatever the model says; the
+ * model's verdicts feed only its counters, annotations and the
+ * tripwire that simulates every member of a group whose decided
+ * verdicts disagree.  Static judges cells from the Fig. 9 program
+ * analyzer over the attack's static program (static_verdict.hh) and
+ * flags disagreement with the simulator like Differential does.
  */
 
 #ifndef SPECSEC_VERDICT_VERDICT_HH
@@ -29,7 +31,7 @@ enum class VerdictBackend : std::uint8_t
     Simulator = 0,    ///< cycle-accurate execution only (default)
     Model = 1,        ///< analytic graph model only, no simulation
     Differential = 2, ///< both; disagreements are flagged per cell
-    Triage = 3,       ///< model first, simulate only the frontier
+    Triage = 3,       ///< one simulation per options-canonical class
     Static = 4,       ///< Fig. 9 program analysis beside simulation
 };
 

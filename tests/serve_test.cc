@@ -567,6 +567,43 @@ TEST(Serve, WriteLineCompletesAcrossForcedPartialWrites)
     EXPECT_EQ(tail, "tail");
 }
 
+TEST(Serve, ReadLineSplitsLongAndCoalescedLines)
+{
+    // readLine resumes its newline search where the last one
+    // stopped: an 8 MB line (a large campaign's submit is one line
+    // of megabytes) arrives intact over thousands of reads, and
+    // short lines that arrive in one chunk still come out one by
+    // one, a trailing partial line joined to its rest.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    serve::net::Conn writer(fds[0]);
+    serve::net::Conn reader(fds[1]);
+
+    std::string big(std::size_t{8} << 20, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>('a' + i % 26);
+    bool wrote = false;
+    std::thread tx([&] { wrote = writer.writeLine(big); });
+    std::string got;
+    const bool read = reader.readLine(got);
+    tx.join();
+    ASSERT_TRUE(wrote);
+    ASSERT_TRUE(read);
+    EXPECT_EQ(got.size(), big.size());
+    EXPECT_TRUE(got == big);
+
+    const std::string burst = "one\ntwo\n\nthr";
+    ASSERT_EQ(::send(fds[0], burst.data(), burst.size(), 0),
+              static_cast<ssize_t>(burst.size()));
+    for (const char *want : {"one", "two", ""}) {
+        ASSERT_TRUE(reader.readLine(got));
+        EXPECT_EQ(got, want);
+    }
+    ASSERT_TRUE(writer.writeLine("ee"));
+    ASSERT_TRUE(reader.readLine(got));
+    EXPECT_EQ(got, "three");
+}
+
 TEST(Serve, ResumePlanDisambiguatesTornHeaders)
 {
     const ScenarioSpec spec = sampleSpec();

@@ -426,6 +426,61 @@ TEST(Triage, ByteIdenticalExportsWithStrictlyFewerSimulations)
     EXPECT_GT(replicated_total, 0u);
 }
 
+TEST(Triage, LooksEachUniqueExecutionUpOnce)
+{
+    // Simulated or replicated, every unique cell costs one cache
+    // lookup, and only the real executions are stored.
+    for (const regress::NamedSpec &named :
+         regress::registeredSpecs()) {
+        ResultCache cache;
+        CampaignEngine::Options opts;
+        opts.workers = 1;
+        opts.cache = &cache;
+        opts.backend = verdict::VerdictBackend::Triage;
+        const CampaignReport report =
+            CampaignEngine(opts).run(named.spec);
+        EXPECT_EQ(cache.misses(), report.uniqueCount) << named.name;
+        EXPECT_EQ(cache.hits(), 0u) << named.name;
+        EXPECT_EQ(cache.size(), report.executedCount) << named.name;
+    }
+}
+
+TEST(Triage, LaterCachedClassmateServesTheClass)
+{
+    // Meltdown's runner never reads softwareLfence, so its none and
+    // lfence cells form one class.  With only the lfence cell
+    // cached, that hit serves the earlier, uncached member too.
+    ScenarioSpec spec;
+    spec.variants = {AttackVariant::Meltdown};
+    spec.mitigations = {*SoftwareMitigation::byName("none"),
+                        *SoftwareMitigation::byName("lfence")};
+    ScenarioSpec warm = spec;
+    warm.mitigations = {spec.mitigations[1]};
+
+    ResultCache cache;
+    CampaignEngine::Options opts;
+    opts.workers = 1;
+    opts.cache = &cache;
+    CampaignEngine(opts).run(warm);
+    ASSERT_EQ(cache.size(), 1u);
+
+    opts.backend = verdict::VerdictBackend::Triage;
+    const CampaignReport triage = CampaignEngine(opts).run(spec);
+    EXPECT_EQ(triage.uniqueCount, 2u);
+    EXPECT_EQ(triage.executedCount, 0u);
+    EXPECT_EQ(triage.cacheHits, 1u);
+    EXPECT_EQ(triage.replicatedCells, 1u);
+    EXPECT_EQ(cache.size(), 1u);
+
+    const CampaignReport sim =
+        CampaignEngine(CampaignEngine::Options{1}).run(spec);
+    ASSERT_EQ(triage.outcomes.size(), sim.outcomes.size());
+    for (std::size_t i = 0; i < sim.outcomes.size(); ++i) {
+        EXPECT_EQ(triage.outcomes[i].result, sim.outcomes[i].result);
+        EXPECT_EQ(triage.outcomes[i].stats, sim.outcomes[i].stats);
+    }
+}
+
 TEST(Differential, GoldenSpecsOnlyDisagreeWherePinned)
 {
     // The one known divergence lives in table2-industry; every
