@@ -5,15 +5,20 @@
  * the worker pool, reporting scenarios/sec and the speedup, and
  * verifying the success matrices are identical.  Also times the
  * same sweep submitted to an in-process campaign daemon (cold and
- * cache-warm) against the offline engine, and writes the headline
- * numbers to BENCH_campaign.json for CI artifact upload.
+ * cache-warm) against the offline engine, counts the heap
+ * allocations and times the expansion of ROADMAP item 1's
+ * 55,296-cell knob sweep, and writes the headline numbers to
+ * BENCH_campaign.json for CI artifact upload.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <thread>
 
@@ -28,6 +33,52 @@
 
 using namespace specsec;
 using namespace specsec::campaign;
+
+namespace
+{
+
+/// Every heap allocation this process makes through operator new.
+std::atomic<std::uint64_t> allocations{0};
+
+/** ROADMAP item 1's knob sweep: the defense matrix x 8 ROB sizes x
+ *  6 latencies x {fr, pp} x 4 software mitigations. */
+ScenarioSpec
+roadmapSweep()
+{
+    ScenarioSpec spec = ScenarioSpec::defenseMatrix();
+    spec.robSizes = {16, 32, 48, 64, 96, 128, 160, 192};
+    spec.permCheckLatencies = {10, 20, 30, 40, 50, 60};
+    spec.channels = {core::CovertChannelKind::FlushReload,
+                     core::CovertChannelKind::PrimeProbe};
+    for (const char *m : {"none", "kpti", "lfence", "addr-mask"})
+        spec.mitigations.push_back(*SoftwareMitigation::byName(m));
+    return spec;
+}
+
+} // namespace
+
+// Counting replacements for the global allocation functions; the
+// array and nothrow forms forward to these.
+void *
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 int
 main(int argc, char **argv)
@@ -256,6 +307,41 @@ main(int argc, char **argv)
     if (!remote_ok)
         return 1;
 
+    // The engine's per-run set-up on a grid large enough to time:
+    // expansion, dedup and the fan-out a whole-grid run builds.
+    // Allocations are exact; the rate is reported, not gated.
+    bench::header("grid expansion: ROADMAP sweep, dedup + fan-out");
+    const ScenarioSpec sweep = roadmapSweep();
+    const std::vector<std::size_t> sweepPoints =
+        dedupGrid(sweep).shard(0, 1);
+    const double sweepCells = static_cast<double>(sweepPoints.size());
+    std::uint64_t expandAllocs = 0;
+    {
+        const std::uint64_t a0 = allocations.load();
+        const ExpandedGrid grid = dedupGrid(sweep);
+        const OutcomeFanOut fanOut(grid, sweepPoints, {});
+        expandAllocs = allocations.load() - a0;
+    }
+    std::size_t expansions = 0;
+    double expandMs = 0.0;
+    const auto e0 = std::chrono::steady_clock::now();
+    while (expandMs < 1000.0) {
+        const ExpandedGrid grid = dedupGrid(sweep);
+        const OutcomeFanOut fanOut(grid, sweepPoints, {});
+        ++expansions;
+        expandMs = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - e0)
+                       .count();
+    }
+    const double expandAllocsPerCell =
+        static_cast<double>(expandAllocs) / sweepCells;
+    const double expandCellsPerSec =
+        1000.0 * sweepCells * static_cast<double>(expansions) / expandMs;
+    std::printf("%.0f cells: %.3f allocations per cell, %.0f cells/sec "
+                "(%zu expansions in %.0f ms)\n",
+                sweepCells, expandAllocsPerCell, expandCellsPerSec,
+                expansions, expandMs);
+
     bench::BenchJson out;
     out.set("bench", std::string("campaign"));
     out.set("grid_scenarios",
@@ -278,6 +364,8 @@ main(int argc, char **argv)
     out.set("serve_cold_wall_ms", coldMs);
     out.set("serve_warm_wall_ms", warmMs);
     out.set("serve_warm_cache_hit_rate", warm_hit_rate);
+    out.set("expand_allocs_per_cell", expandAllocsPerCell);
+    out.set("expand_cells_per_s", expandCellsPerSec);
     if (!out.save(json_path))
         return 1;
 

@@ -3,14 +3,16 @@
  * CI perf gate: checks the machine-readable bench results
  * (BENCH_*.json) against the committed baseline
  * bench/perf_baseline.json, failing the build when a pinned metric
- * regresses below its floor.
+ * regresses past its bound.
  *
  * The baseline follows the golden suite's tolerance idiom: every
- * gate carries an explicit absEps, and a metric passes while
- * value >= min - absEps.  Gated metrics must be machine-independent
- * ratios (model_vs_sim_speedup is the analytic model vs. the
- * simulator, measured in the same process on the same machine),
- * never absolute scenarios/sec — those swing with the CI runner and
+ * gate carries an explicit absEps and one bound, a floor or a
+ * ceiling: a metric passes while value >= min - absEps, or while
+ * value <= max + absEps.  Floors pin machine-independent ratios
+ * (model_vs_sim_speedup is the analytic model vs. the simulator,
+ * measured in the same process on the same machine), ceilings pin
+ * exact work counters (heap allocations per expanded cell), never
+ * absolute scenarios/sec — those swing with the CI runner and
  * would make the gate flaky.
  *
  * Usage: perf_gate [--baseline PATH] [--dir DIR]
@@ -34,12 +36,14 @@ using tool::json::Cursor;
 namespace
 {
 
-/** One pinned metric: pass while value >= min - absEps. */
+/** One pinned metric: pass while value >= min - absEps (a floor)
+ *  or value <= max + absEps (a ceiling). */
 struct Gate
 {
     std::string file; ///< bench results file, relative to --dir
     std::string key;
-    double min = 0.0;
+    double limit = 0.0;   ///< the min or the max
+    bool ceiling = false; ///< limit is a max
     double absEps = 0.0;
 };
 
@@ -67,6 +71,7 @@ parseBaseline(const std::string &text, std::vector<Gate> &gates,
                 break;
             while (!cur.peekConsume(']')) {
                 Gate gate;
+                int limits = 0;
                 if (!cur.expect('{'))
                     break;
                 while (!cur.peekConsume('}')) {
@@ -77,15 +82,22 @@ parseBaseline(const std::string &text, std::vector<Gate> &gates,
                         gate.file = cur.parseString();
                     else if (field == "key")
                         gate.key = cur.parseString();
-                    else if (field == "min")
-                        gate.min = cur.parseDouble();
-                    else if (field == "absEps")
+                    else if (field == "min" || field == "max") {
+                        gate.limit = cur.parseDouble();
+                        gate.ceiling = field == "max";
+                        ++limits;
+                    } else if (field == "absEps")
                         gate.absEps = cur.parseDouble();
                     else {
                         error = "unknown gate field '" + field + "'";
                         return false;
                     }
                     cur.peekConsume(',');
+                }
+                if (limits != 1) {
+                    error = "gate '" + gate.key +
+                            "' needs exactly one of min and max";
+                    return false;
                 }
                 gates.push_back(gate);
                 cur.peekConsume(',');
@@ -218,8 +230,8 @@ main(int argc, char **argv)
 
     std::map<std::string, std::map<std::string, double>> loaded;
     bool ok = true;
-    std::printf("%-20s %-32s %10s %10s  %s\n", "file", "metric",
-                "value", "floor", "verdict");
+    std::printf("%-20s %-32s %10s %11s  %s\n", "file", "metric",
+                "value", "bound", "verdict");
     for (const Gate &gate : gates) {
         if (loaded.find(gate.file) == loaded.end()) {
             const std::string path = dir + "/" + gate.file;
@@ -239,18 +251,21 @@ main(int argc, char **argv)
         }
         const auto &values = loaded[gate.file];
         const auto it = values.find(gate.key);
+        const char *op = gate.ceiling ? "<=" : ">=";
+        const double bound = gate.ceiling ? gate.limit + gate.absEps
+                                          : gate.limit - gate.absEps;
         if (it == values.end()) {
-            std::printf("%-20s %-32s %10s %10.3f  MISSING\n",
-                        gate.file.c_str(), gate.key.c_str(), "-",
-                        gate.min);
+            std::printf("%-20s %-32s %10s %s %8.3f  MISSING\n",
+                        gate.file.c_str(), gate.key.c_str(), "-", op,
+                        bound);
             ok = false;
             continue;
         }
-        const double floor = gate.min - gate.absEps;
-        const bool pass = it->second >= floor;
-        std::printf("%-20s %-32s %10.3f %10.3f  %s\n",
-                    gate.file.c_str(), gate.key.c_str(),
-                    it->second, floor, pass ? "ok" : "REGRESSED");
+        const bool pass =
+            gate.ceiling ? it->second <= bound : it->second >= bound;
+        std::printf("%-20s %-32s %10.3f %s %8.3f  %s\n",
+                    gate.file.c_str(), gate.key.c_str(), it->second, op,
+                    bound, pass ? "ok" : "REGRESSED");
         ok &= pass;
     }
     std::printf("perf gate: %s\n", ok ? "PASS" : "FAIL");

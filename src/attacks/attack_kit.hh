@@ -192,12 +192,13 @@ enum class KnobKind
  * AttackOptions fields, in scenario-key order, @p field by
  * reference.  The name is the spelling evidence lines use.
  * campaign::scenarioKey() writes and parseScenarioKey() reads
- * through this list; the verdict backends' timing, hardware and
+ * through this list (constexpr, so the key's row count is a
+ * compile-time constant); the verdict backends' timing, hardware and
  * out-of-program gates and the model's mechanism rules walk it by
  * kind.  A new machine field is one row here.
  */
 template <typename Config, typename Options, typename Visit>
-void
+constexpr void
 forEachKnob(Config &c, Options &o, Visit &&visit)
 {
     // Tripwire: the key must cover every field that determines a

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
@@ -83,16 +84,6 @@ resolveKnob(const std::vector<T> &sweep, T baseline)
     if (!sweep.empty())
         return sweep;
     return {baseline};
-}
-
-void
-appendField(std::string &out, std::uint64_t value)
-{
-    // to_chars, not snprintf: parseScenarioKey re-serializes every
-    // key it reads, so this runs 47 times per parse.
-    char buf[20];
-    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
-    out += ';';
 }
 
 double
@@ -321,20 +312,53 @@ class KeyReader
     bool failed_ = false;
 };
 
+/// Fields of a scenario key: the variant, then one per knob row.
+constexpr std::size_t kKeyFields = [] {
+    CpuConfig c;
+    AttackOptions o;
+    std::size_t n = 1;
+    attacks::forEachKnob(
+        c, o, [&n](const char *, attacks::KnobKind, auto &) { ++n; });
+    return n;
+}();
+
+/// The longest key: every field 20 digits (2^64 - 1) and its ';'.
+constexpr std::size_t kKeyCapacity = kKeyFields * 21;
+
+/**
+ * Write the key of (@p variant, @p c, @p o) into @p out, which holds
+ * kKeyCapacity chars; @return one past its last char.  scenarioKey()
+ * and parseScenarioKey()'s canonical check share it, so a key costs
+ * one allocation and a check none.
+ */
+char *
+writeKey(char *out, core::AttackVariant variant, const CpuConfig &c,
+         const AttackOptions &o)
+{
+    // Most fields are bools and small counts: one digit, no call.
+    const auto put = [&out](std::uint64_t value) {
+        if (value < 10)
+            *out++ = static_cast<char>('0' + value);
+        else
+            out = std::to_chars(out, out + 20, value).ptr;
+        *out++ = ';';
+    };
+    put(static_cast<std::uint64_t>(variant));
+    attacks::forEachKnob(
+        c, o, [&put](const char *, attacks::KnobKind, const auto &field) {
+            put(static_cast<std::uint64_t>(field));
+        });
+    return out;
+}
+
 } // namespace
 
 std::string
 scenarioKey(core::AttackVariant variant, const CpuConfig &c,
             const AttackOptions &o)
 {
-    std::string key;
-    key.reserve(160);
-    appendField(key, static_cast<std::uint64_t>(variant));
-    attacks::forEachKnob(
-        c, o, [&key](const char *, attacks::KnobKind, const auto &field) {
-            appendField(key, static_cast<std::uint64_t>(field));
-        });
-    return key;
+    char buf[kKeyCapacity];
+    return std::string(buf, writeKey(buf, variant, c, o));
 }
 
 bool
@@ -361,9 +385,11 @@ parseScenarioKey(const std::string &key,
     // Only the canonical spelling names a scenario: a wrapped
     // 2^64 + 48, a leading zero or a 2 in a bool field would run
     // one cell and be cached under another key.
+    char canonical[kKeyCapacity];
     return core::ScenarioCatalog::instance().findAttack(variant) !=
                nullptr &&
-           scenarioKey(variant, c, o) == key;
+           std::string_view(canonical,
+                            writeKey(canonical, variant, c, o)) == key;
 }
 
 std::vector<Scenario>
@@ -444,7 +470,8 @@ dedupGrid(const ScenarioSpec &spec)
     ExpandedGrid g;
     g.expanded = expandGrid(spec);
     g.dupOf.resize(g.expanded.size());
-    std::unordered_map<std::string, std::size_t> seen;
+    // Views into the expanded keys, which outlive the map.
+    std::unordered_map<std::string_view, std::size_t> seen;
     seen.reserve(g.expanded.size());
     for (std::size_t i = 0; i < g.expanded.size(); ++i) {
         const auto [it, inserted] =

@@ -187,7 +187,11 @@ struct Scenario
  * and are executed once.  The variant, then every field of CpuConfig
  * (including nested CacheConfig / VulnConfig / HwDefenseConfig) and
  * AttackOptions in attacks::forEachKnob order: the one knob list,
- * which a sizeof tripwire makes grow with those structs.
+ * which a sizeof tripwire makes grow with those structs.  Each field
+ * is decimal and ';'-terminated.  The fields are written into one
+ * stack buffer wide enough for every field at 20 digits (its size
+ * follows the knob list's row count), so a key is one allocation at
+ * its final length.
  */
 std::string scenarioKey(core::AttackVariant variant,
                         const CpuConfig &config,
@@ -198,7 +202,9 @@ std::string scenarioKey(core::AttackVariant variant,
  * triple from its canonical key.  The key is the wire encoding of a
  * scenario's configuration in shard report files (src/tool/
  * report_io) — one string instead of 47 named fields.  It reads the
- * same knob list scenarioKey() writes.
+ * same knob list scenarioKey() writes, and re-serializes what it
+ * read with scenarioKey()'s writer into a stack buffer, allocating
+ * nothing, to check the key is canonical.
  *
  * @return false when @p key is not a well-formed scenario key, is
  *         not the canonical key of what it parses to (a field past
@@ -261,6 +267,12 @@ struct ExpandedGrid
                                    std::size_t count) const;
 };
 
+/**
+ * expandGrid(@p spec), with equal keys folded onto their first
+ * occurrence.  Dedup looks keys up as std::string_views into
+ * @c expanded[i].key, so it copies no key: a cell's heap work is
+ * its key, plus one map node when the key is new.
+ */
 ExpandedGrid dedupGrid(const ScenarioSpec &spec);
 
 /**

@@ -1,5 +1,7 @@
 #include "sink.hh"
 
+#include <algorithm>
+
 namespace specsec::campaign
 {
 
@@ -18,21 +20,35 @@ OutcomeFanOut::OutcomeFanOut(const ExpandedGrid &grid,
                              std::vector<OutcomeSink *> sinks)
     : grid_(grid), sinks_(std::move(sinks))
 {
-    std::vector<std::vector<std::size_t>> byPosition(
-        grid.uniqueIndices.size());
+    // Count each unique position's points, turn the counts of the
+    // backed positions into offsets, then place every point; the
+    // points arrive ascending, so each execution's stay ascending.
+    std::vector<std::size_t> next(grid.uniqueIndices.size(), 0);
     for (const std::size_t e : gridIndices)
-        byPosition[grid.dupOf[e]].push_back(e);
-    for (std::size_t p = 0; p < byPosition.size(); ++p)
-        if (!byPosition[p].empty())
-            executions_.push_back(
-                {grid.uniqueIndices[p], std::move(byPosition[p])});
+        ++next[grid.dupOf[e]];
+    const std::size_t executions = static_cast<std::size_t>(
+        next.size() - std::count(next.begin(), next.end(), 0));
+    scenarios_.reserve(executions);
+    first_.reserve(executions + 1);
+    first_.push_back(0);
+    for (std::size_t p = 0; p < next.size(); ++p) {
+        if (next[p] == 0)
+            continue;
+        scenarios_.push_back(grid.uniqueIndices[p]);
+        const std::size_t begin = first_.back();
+        first_.push_back(begin + next[p]);
+        next[p] = begin;
+    }
+    points_.resize(gridIndices.size());
+    for (const std::size_t e : gridIndices)
+        points_[next[grid.dupOf[e]]++] = e;
 }
 
 void
 OutcomeFanOut::emit(std::size_t n, ScenarioOutcome outcome) const
 {
-    for (const std::size_t e : executions_[n].points) {
-        const Scenario &point = grid_.expanded[e];
+    for (std::size_t i = first_[n]; i < first_[n + 1]; ++i) {
+        const Scenario &point = grid_.expanded[points_[i]];
         outcome.variant = point.variant;
         outcome.row = point.row;
         outcome.col = point.col;

@@ -77,23 +77,30 @@ class OutcomeSink
  * that turns one execution's result into one ScenarioOutcome per
  * grid point it backs.  The engine and the remote client both stream
  * their outcomes through it.  @p grid must outlive it.
+ *
+ * Executions are three flat arrays filled by one counting pass over
+ * the grid points, so building one costs a few allocations per run,
+ * none per execution: execution n runs expanded[scenarios_[n]] and
+ * backs points_[first_[n] .. first_[n + 1]).
  */
 class OutcomeFanOut
 {
   public:
     /** Back @p gridIndices (ascending positions into
-     *  @p grid.expanded), streaming into @p sinks. */
+     *  @p grid.expanded), streaming into @p sinks.  Any subset
+     *  works (a shard, a resume's missing points): an execution is
+     *  the uniqueIndices entry of a dupOf value some point has. */
     OutcomeFanOut(const ExpandedGrid &grid,
                   const std::vector<std::size_t> &gridIndices,
                   std::vector<OutcomeSink *> sinks);
 
     /** Unique executions, in ascending unique position. */
-    std::size_t size() const { return executions_.size(); }
+    std::size_t size() const { return scenarios_.size(); }
 
     /** The scenario execution @p n runs. */
     const Scenario &scenario(std::size_t n) const
     {
-        return grid_.expanded[executions_[n].scenario];
+        return grid_.expanded[scenarios_[n]];
     }
 
     /**
@@ -105,15 +112,14 @@ class OutcomeFanOut
     void emit(std::size_t n, ScenarioOutcome outcome) const;
 
   private:
-    struct Execution
-    {
-        std::size_t scenario; ///< into expanded: the one it runs
-        std::vector<std::size_t> points; ///< into expanded, ascending
-    };
-
     const ExpandedGrid &grid_;
     std::vector<OutcomeSink *> sinks_;
-    std::vector<Execution> executions_;
+    /// Per execution: the index into expanded of the one it runs.
+    std::vector<std::size_t> scenarios_;
+    /// size() + 1 offsets into points_.
+    std::vector<std::size_t> first_;
+    /// Indices into expanded, each execution's ascending.
+    std::vector<std::size_t> points_;
 };
 
 /**

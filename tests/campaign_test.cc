@@ -11,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "attacks/runner.hh"
 #include "campaign/campaign.hh"
@@ -226,6 +227,36 @@ TEST(Grid, KeyCoversConfigAndOptions)
     EXPECT_EQ(k0, "0;48;2;4;30;2;2;16;30;12;60;16;10;256;4;64;4;200;"
                   "1;1;1;1;1;1;1;0;0;0;0;0;0;0;0;0;0;0;0;0;0;8;0;0;0;"
                   "0;0;8;1;");
+}
+
+TEST(Grid, KeyFitsEveryFieldAtItsWidest)
+{
+    // Every knob at its field type's maximum, and the largest variant
+    // id: the key must hold the longest spelling of every field, not
+    // only the short ones a real grid uses.
+    CpuConfig config;
+    AttackOptions options;
+    attacks::forEachKnob(
+        config, options, [](const char *, attacks::KnobKind, auto &field) {
+            using T = std::remove_reference_t<decltype(field)>;
+            if constexpr (std::is_enum_v<T>)
+                field = static_cast<T>(
+                    std::numeric_limits<std::underlying_type_t<T>>::max());
+            else
+                field = std::numeric_limits<T>::max();
+        });
+    const auto variant = static_cast<AttackVariant>(
+        std::numeric_limits<std::underlying_type_t<AttackVariant>>::max());
+
+    std::string expected =
+        std::to_string(static_cast<std::uint64_t>(variant)) + ';';
+    attacks::forEachKnob(
+        config, options,
+        [&expected](const char *, attacks::KnobKind, const auto &field) {
+            expected += std::to_string(static_cast<std::uint64_t>(field));
+            expected += ';';
+        });
+    EXPECT_EQ(scenarioKey(variant, config, options), expected);
 }
 
 TEST(Grid, KeyIsExhaustiveOverEveryField)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for grid sharding and report merging: the partition is
- * deterministic, dedup-stable, disjoint and complete; the scenario
+ * deterministic, dedup-stable, disjoint and complete; the outcome
+ * fan-out over a shard or a resume's subset runs each class's first
+ * occurrence and emits every listed point once; the scenario
  * key round-trips through parseScenarioKey; a sharded-then-merged
  * report is byte-identical (JSON, CSV, success matrix, golden JSON)
  * to the unsharded report across worker counts 1/2/8; overlapping
@@ -13,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "campaign/campaign.hh"
+#include "campaign/sink.hh"
 #include "regress/golden.hh"
 #include "tool/report.hh"
 #include "tool/report_io.hh"
@@ -50,6 +54,52 @@ sampleSpec()
     return spec;
 }
 
+/** Records the grid point of every outcome it is handed. */
+class RecordingSink : public OutcomeSink
+{
+  public:
+    void consume(const ScenarioOutcome &o) override
+    {
+        points.push_back(o.gridIndex);
+    }
+
+    std::vector<std::size_t> points;
+};
+
+/**
+ * The fan-out over @p indices (ascending) has one execution per
+ * distinct dupOf value they reach, in ascending unique position;
+ * execution n runs that position's uniqueIndices entry, whether or
+ * not @p indices lists it; and emitting every execution hands the
+ * sink each listed point exactly once, each execution's ascending.
+ */
+void
+expectFanOut(const ExpandedGrid &grid,
+             const std::vector<std::size_t> &indices)
+{
+    RecordingSink sink;
+    const OutcomeFanOut fanOut(grid, indices, {&sink});
+    std::set<std::size_t> backed;
+    for (const std::size_t e : indices)
+        backed.insert(grid.dupOf[e]);
+    ASSERT_EQ(fanOut.size(), backed.size());
+    std::size_t n = 0;
+    for (const std::size_t p : backed) {
+        EXPECT_EQ(&fanOut.scenario(n),
+                  &grid.expanded[grid.uniqueIndices[p]]);
+        const std::size_t before = sink.points.size();
+        fanOut.emit(n++, ScenarioOutcome{});
+        ASSERT_GT(sink.points.size(), before);
+        EXPECT_TRUE(std::is_sorted(sink.points.begin() + before,
+                                   sink.points.end()));
+        for (std::size_t i = before; i < sink.points.size(); ++i)
+            EXPECT_EQ(grid.dupOf[sink.points[i]], p);
+    }
+    std::vector<std::size_t> emitted = sink.points;
+    std::sort(emitted.begin(), emitted.end());
+    EXPECT_EQ(emitted, indices);
+}
+
 TEST(Shard, PartitionIsDisjointCompleteAndDedupStable)
 {
     const ExpandedGrid grid = dedupGrid(sampleSpec());
@@ -58,6 +108,7 @@ TEST(Shard, PartitionIsDisjointCompleteAndDedupStable)
         for (std::size_t i = 0; i < n; ++i) {
             const std::vector<std::size_t> indices = grid.shard(i, n);
             EXPECT_TRUE(std::is_sorted(indices.begin(), indices.end()));
+            expectFanOut(grid, indices);
             for (const std::size_t e : indices) {
                 expandedSeen.at(e) += 1;
                 // Dedup-stable: every grid point lands in the
@@ -68,6 +119,28 @@ TEST(Shard, PartitionIsDisjointCompleteAndDedupStable)
         for (const int count : expandedSeen)
             EXPECT_EQ(count, 1) << "shard count " << n;
     }
+}
+
+TEST(Shard, FanOutRunsTheFirstOccurrenceOfAPartlyListedClass)
+{
+    // A resume lists only the missing points: here every point but
+    // the first occurrence of a duplicated class, so the class is
+    // backed by its later duplicate alone and must still run its
+    // uniqueIndices entry.
+    const ExpandedGrid grid = dedupGrid(sampleSpec());
+    std::size_t first = grid.expanded.size();
+    for (std::size_t e = 0; e < grid.expanded.size(); ++e) {
+        if (grid.uniqueIndices[grid.dupOf[e]] != e) {
+            first = grid.uniqueIndices[grid.dupOf[e]];
+            break;
+        }
+    }
+    ASSERT_LT(first, grid.expanded.size()) << "sample has no duplicate";
+    std::vector<std::size_t> missing;
+    for (std::size_t e = 0; e < grid.expanded.size(); ++e)
+        if (e != first)
+            missing.push_back(e);
+    expectFanOut(grid, missing);
 }
 
 TEST(Shard, SingleShardSelectsEverything)

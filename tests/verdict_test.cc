@@ -3,7 +3,8 @@
  * Tests for the verdict subsystem (src/verdict/): the analytic
  * model's judgements against the simulator, strategy-4 semantics on
  * degenerate and OR-join graphs, backend name parsing, cross-backend
- * cache isolation, the differential pin format, and the triage
+ * cache isolation, the differential pin format, the CleanupSpec x
+ * Prime+Probe divergence no golden reaches, and the triage
  * backend's byte-identity + strictly-fewer-simulations contract.
  */
 
@@ -483,8 +484,10 @@ TEST(Triage, LaterCachedClassmateServesTheClass)
 
 TEST(Differential, GoldenSpecsOnlyDisagreeWherePinned)
 {
-    // The one known divergence lives in table2-industry; every
-    // other spec must agree cell-for-cell.  (The full pin check
+    // The one divergence a golden spec reaches lives in
+    // table2-industry; every other spec must agree cell-for-cell
+    // (CleanupSpec on Prime+Probe, which no spec runs, is the next
+    // test's).  (The full pin check
     // against golden/differential-*.json is specsec_regress's job;
     // this guards the counters' plumbing.)
     for (const regress::NamedSpec &named :
@@ -518,6 +521,41 @@ TEST(Differential, GoldenSpecsOnlyDisagreeWherePinned)
             EXPECT_TRUE(a == "agree" || a == "disagree" ||
                         a == "undecided")
                 << a;
+    }
+}
+
+TEST(Differential, CleanupSpecDivergesOnPrimeProbeOnly)
+{
+    // Unpinned by any golden: the model's cleanupSpec rule cuts
+    // every attack's Prime+Probe eviction send, while the
+    // simulator's undo flushes only the lines squashed loads
+    // installed and restores no attacker line they evicted, so
+    // every row still leaks under cleanup(3).  On Flush+Reload the
+    // two agree.
+    for (const core::CovertChannelKind channel :
+         {core::CovertChannelKind::PrimeProbe,
+          core::CovertChannelKind::FlushReload}) {
+        ScenarioSpec spec = ScenarioSpec::defenseMatrix();
+        spec.channels = {channel};
+        CampaignEngine::Options opts;
+        opts.workers = 1;
+        opts.backend = verdict::VerdictBackend::Differential;
+        const CampaignReport report = CampaignEngine(opts).run(spec);
+        const bool pp = channel == core::CovertChannelKind::PrimeProbe;
+        EXPECT_EQ(report.disagreements, pp ? 18u : 0u);
+
+        std::set<std::size_t> rows;
+        for (const ScenarioOutcome &o : report.outcomes) {
+            if (o.agreement != "disagree")
+                continue;
+            EXPECT_EQ(o.colLabel, "cleanup(3)") << o.rowLabel;
+            EXPECT_EQ(o.modelVerdict, "blocked") << o.rowLabel;
+            EXPECT_NE(o.evidence.find("cleanupSpec"), std::string::npos)
+                << o.evidence;
+            EXPECT_TRUE(o.result.leaked) << o.rowLabel;
+            rows.insert(o.row);
+        }
+        EXPECT_EQ(rows.size(), pp ? report.rowLabels.size() : 0u);
     }
 }
 
