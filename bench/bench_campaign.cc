@@ -145,38 +145,29 @@ main(int argc, char **argv)
     if (!agree)
         return 1;
 
-    // Steady state: the unique keys executed once untimed, then
-    // once timed, with grid expansion and key extraction outside
-    // the timed region; the phase profile of the timed pass is the
-    // breakdown emitted into the JSON artifact.
+    // Steady state: the unique cells executed once untimed, then
+    // once timed, with grid expansion outside the timed region; the
+    // phase profile of the timed pass is the breakdown emitted into
+    // the JSON artifact.
     bench::header("steady state: unique keys, one worker");
+    const CampaignEngine oneWorker(CampaignEngine::Options{1});
     const ExpandedGrid grid = dedupGrid(spec);
-    std::vector<std::string> keys;
-    for (const std::size_t u : grid.uniqueIndices)
-        keys.push_back(grid.expanded[u].key);
-    const auto noop = [](std::size_t, const KeyBatchItem &) {
-        return true;
-    };
-    std::string err;
+    const CampaignHeader gridHeader = runHeader(spec, grid, {}, 1);
+    const double uniqueCells =
+        static_cast<double>(grid.uniqueIndices.size());
     std::chrono::steady_clock::time_point t0;
     for (int pass = 0; pass < 2; ++pass) {
         attacks::resetPhaseProfile();
         t0 = std::chrono::steady_clock::now();
-        if (!executeKeyBatch(keys, 1, nullptr, noop, &err)) {
-            std::fprintf(stderr, "key batch: %s\n", err.c_str());
-            return 1;
-        }
+        oneWorker.run(grid, gridHeader, {});
     }
     const double steadyMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
     const attacks::PhaseProfile phases = attacks::phaseProfile();
-    std::printf("%zu unique keys: %.1f scenarios/sec\n", keys.size(),
-                steadyMs > 0.0 ? 1000.0 *
-                                     static_cast<double>(keys.size()) /
-                                     steadyMs
-                               : 0.0);
+    std::printf("%.0f unique keys: %.1f scenarios/sec\n", uniqueCells,
+                steadyMs > 0.0 ? 1000.0 * uniqueCells / steadyMs : 0.0);
 
     // Per-phase attribution of the timed pass.
     const double totalNs =

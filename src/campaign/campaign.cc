@@ -95,16 +95,16 @@ millisSince(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * The worker pool every execution path shares: hands out the items
- * [0, @p count) by atomic index to at most one thread per item and
- * @p workers threads (0 = hardware concurrency; the caller's own
- * thread when that is one), and stops handing out items once @p body
- * returns false or throws.  The first exception is rethrown on the
- * caller's thread after every worker has joined.
+ * The engine's worker pool: hands out the items [0, @p count) by
+ * atomic index to at most one thread per item and @p workers threads
+ * (0 = hardware concurrency; the caller's own thread when that is
+ * one), and stops handing out items once @p body throws.  The first
+ * exception is rethrown on the caller's thread after every worker
+ * has joined.
  */
 void
 runPool(std::size_t count, unsigned workers,
-        const std::function<bool(std::size_t)> &body)
+        const std::function<void(std::size_t)> &body)
 {
     if (workers == 0)
         workers = std::max(1u, std::thread::hardware_concurrency());
@@ -119,8 +119,7 @@ runPool(std::size_t count, unsigned workers,
             if (i >= count)
                 return;
             try {
-                if (!body(i))
-                    stop.store(true, std::memory_order_relaxed);
+                body(i);
             } catch (...) {
                 const std::lock_guard<std::mutex> lock(failureMutex);
                 if (!failure)
@@ -145,23 +144,26 @@ runPool(std::size_t count, unsigned workers,
 }
 
 /**
- * Run and time the scenario, and memoize the fresh result in
- * @p cache (may be null) under @p key.  Callers look the key up
- * first.  The returned item's scenario is left null.
+ * Run and time @p s into @p o, and memoize the fresh result in
+ * @p cache (may be null) under its key.  Callers look the key up
+ * first.  A key can parse yet name a machine the runner cannot
+ * build: the runner's exception is rethrown naming the grid index.
  */
-KeyBatchItem
-simulate(ResultCache *cache, const std::string &key,
-         core::AttackVariant variant, const CpuConfig &config,
-         const AttackOptions &options)
+void
+simulate(ResultCache *cache, const Scenario &s, ScenarioOutcome &o)
 {
-    KeyBatchItem item;
     const auto t0 = std::chrono::steady_clock::now();
-    item.result =
-        attacks::runVariant(variant, config, options, item.stats);
-    item.wallMillis = millisSince(t0);
+    try {
+        o.result = attacks::runVariant(s.variant, s.config, s.options,
+                                       o.stats);
+    } catch (const std::exception &e) {
+        throw std::runtime_error("grid index " +
+                                 std::to_string(s.gridIndex) + ": " +
+                                 e.what());
+    }
+    o.wallMillis = millisSince(t0);
     if (cache)
-        cache->store(key, {item.result, item.stats});
-    return item;
+        cache->store(s.key, {o.result, o.stats});
 }
 
 std::vector<SoftwareMitigation>
@@ -281,27 +283,20 @@ class KeyReader
 
     std::uint64_t next()
     {
-        if (failed_ || pos_ >= key_.size()) {
-            failed_ = true;
-            return 0;
-        }
-        const std::size_t semi = key_.find(';', pos_);
-        if (semi == std::string::npos || semi == pos_) {
-            failed_ = true;
-            return 0;
-        }
+        // One pass: digits up to the first ';', at least one.
         std::uint64_t value = 0;
-        for (std::size_t i = pos_; i < semi; ++i) {
+        for (std::size_t i = pos_; !failed_ && i < key_.size(); ++i) {
             const char c = key_[i];
-            if (c < '0' || c > '9') {
-                failed_ = true;
-                return 0;
+            if (c == ';' && i > pos_) {
+                pos_ = i + 1;
+                return value;
             }
-            value = value * 10 +
-                    static_cast<std::uint64_t>(c - '0');
+            if (c < '0' || c > '9')
+                break;
+            value = value * 10 + static_cast<std::uint64_t>(c - '0');
         }
-        pos_ = semi + 1;
-        return value;
+        failed_ = true;
+        return 0;
     }
 
     bool done() const { return !failed_ && pos_ == key_.size(); }
@@ -462,6 +457,28 @@ ExpandedGrid::shard(std::size_t index, std::size_t count) const
         if (dupOf[i] % count == index)
             indices.push_back(i);
     return indices;
+}
+
+std::optional<ExpandedGrid>
+gridFromKeys(const std::vector<std::string> &keys, std::string *error)
+{
+    ExpandedGrid g;
+    g.expanded.resize(keys.size());
+    g.uniqueIndices.resize(keys.size());
+    std::iota(g.uniqueIndices.begin(), g.uniqueIndices.end(), 0);
+    g.dupOf = g.uniqueIndices;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        Scenario &s = g.expanded[i];
+        if (!parseScenarioKey(keys[i], s.variant, s.config, s.options)) {
+            if (error)
+                *error = "malformed scenario key at index " +
+                         std::to_string(i);
+            return std::nullopt;
+        }
+        s.gridIndex = i;
+        s.key = keys[i];
+    }
+    return g;
 }
 
 ExpandedGrid
@@ -707,59 +724,6 @@ CampaignReport::merge(const CampaignReport &other,
     return true;
 }
 
-bool
-executeKeyBatch(
-    const std::vector<std::string> &keys, unsigned workers,
-    ResultCache *cache,
-    const std::function<bool(std::size_t, const KeyBatchItem &)>
-        &emit,
-    std::string *error)
-{
-    // Validate the whole batch before executing any of it: a
-    // malformed key is a protocol/caller bug, not a per-cell
-    // failure, and half-executed batches are hard to reason about.
-    std::vector<KeyScenario> parsed(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (!parseScenarioKey(keys[i], parsed[i].variant,
-                              parsed[i].config,
-                              parsed[i].options)) {
-            if (error)
-                *error = "malformed scenario key at index " +
-                         std::to_string(i);
-            return false;
-        }
-    }
-
-    try {
-        runPool(keys.size(), workers, [&](std::size_t i) {
-            KeyBatchItem item;
-            if (auto hit = cache ? cache->lookup(keys[i]) : std::nullopt) {
-                item.result = std::move(hit->result);
-                item.stats = hit->stats;
-                item.cached = true;
-            } else {
-                try {
-                    item = simulate(cache, keys[i], parsed[i].variant,
-                                    parsed[i].config, parsed[i].options);
-                } catch (const std::exception &e) {
-                    // A key can parse yet name a machine the runner
-                    // cannot build: fail the batch, not the process.
-                    throw std::runtime_error("key at index " +
-                                             std::to_string(i) + ": " +
-                                             e.what());
-                }
-            }
-            item.scenario = &parsed[i];
-            return emit(i, item);
-        });
-    } catch (const std::exception &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
-    return true;
-}
-
 unsigned
 CampaignEngine::workers() const
 {
@@ -794,9 +758,14 @@ CampaignEngine::run(const ScenarioSpec &spec,
                     ShardRange shard) const
 {
     const ExpandedGrid grid = dedupGrid(spec);
-    const unsigned nworkers = workers();
-    const CampaignHeader header = runHeader(spec, grid, shard, nworkers);
-    // Execution n is this shard's n-th unique execution.
+    run(grid, runHeader(spec, grid, shard, workers()), sinks);
+}
+
+void
+CampaignEngine::run(const ExpandedGrid &grid, const CampaignHeader &header,
+                    const std::vector<OutcomeSink *> &sinks) const
+{
+    // Execution n is this run's n-th unique execution.
     const OutcomeFanOut fanOut(grid, header.gridIndices, sinks);
     for (OutcomeSink *sink : sinks)
         sink->begin(header);
@@ -925,7 +894,7 @@ CampaignEngine::run(const ScenarioSpec &spec,
                 o.result.leaked = judgements[i].predictsLeak();
                 emit(cls[i], o, &judgements[i]);
             }
-            return true;
+            return;
         }
 
         // Each member is looked up once; the hits emit, and the first
@@ -962,23 +931,17 @@ CampaignEngine::run(const ScenarioSpec &spec,
                 o.stats = served->stats;
                 replicatedCells.fetch_add(1, std::memory_order_relaxed);
             } else {
-                const Scenario &s = fanOut.scenario(cls[i]);
-                KeyBatchItem run =
-                    simulate(cache, s.key, s.variant, s.config, s.options);
-                o.result = std::move(run.result);
-                o.stats = run.stats;
-                o.wallMillis = run.wallMillis;
+                simulate(cache, fanOut.scenario(cls[i]), o);
                 if (!conflict && missing.size() > 1)
                     served = ResultCache::Entry{o.result, o.stats};
             }
             emit(cls[i], o, judgement(i));
         }
-        return true;
     };
 
     // header.workers still reports the request; runPool caps the
     // threads at the work items.
-    runPool(triage ? first.size() - 1 : fanOut.size(), nworkers, step);
+    runPool(triage ? first.size() - 1 : fanOut.size(), workers(), step);
 
     CampaignFooter footer;
     footer.cacheHits = cacheHits.load(std::memory_order_relaxed);

@@ -276,6 +276,20 @@ struct ExpandedGrid
 ExpandedGrid dedupGrid(const ScenarioSpec &spec);
 
 /**
+ * The grid of an explicit list of canonical scenarioKey()s — the
+ * wire encoding of "which experiments to run" (src/serve/
+ * protocol.hh): one point per key, in key order, with no dedup, so
+ * point i's gridIndex is i.  Points carry no row, column or labels.
+ *
+ * @return nullopt, with "malformed scenario key at index N" in
+ *         @p error, when key N fails parseScenarioKey(): a batch is
+ *         refused whole, before anything executes.
+ */
+std::optional<ExpandedGrid>
+gridFromKeys(const std::vector<std::string> &keys,
+             std::string *error = nullptr);
+
+/**
  * Cross-campaign memo of executed scenarios, keyed on scenarioKey().
  * dedupGrid() folds duplicates *within* one spec; the cache folds
  * them *across* campaigns: CI regression matrices and overlapping
@@ -360,67 +374,6 @@ class ResultCache
  */
 std::string modelFingerprint();
 
-/**
- * @name Key-batch execution: the engine entry the campaign service
- * is built on.
- *
- * A batch is a list of canonical scenarioKey() strings — the wire
- * encoding of "which experiments to run" (src/serve/protocol.hh) —
- * executed across a worker pool against an externally-owned
- * ResultCache.  Results stream into the caller's callback from
- * worker threads as they complete; the caller owns all aggregation,
- * exactly like OutcomeSinks do for CampaignEngine::run.
- * @{
- */
-
-/** What a scenario key names, as parseScenarioKey() reads it. */
-struct KeyScenario
-{
-    core::AttackVariant variant{};
-    CpuConfig config;
-    AttackOptions options;
-};
-
-/** One completed key of a batch. */
-struct KeyBatchItem
-{
-    /// The key's scenario, as the batch parsed it to validate it
-    /// (never null in @p emit).
-    const KeyScenario *scenario = nullptr;
-    AttackResult result;
-    CpuStats stats;
-    /// Served from @p cache instead of executed.
-    bool cached = false;
-    /// Wall time of the execution (0 when cached).  Machine- and
-    /// load-dependent; excluded from deterministic outputs.
-    double wallMillis = 0.0;
-};
-
-/**
- * Execute every key of @p keys on @p workers threads (0 = hardware
- * concurrency), consulting and filling @p cache (may be null) and
- * invoking @p emit(index, item) from worker threads as each key
- * completes, in completion order.  @p emit must be thread-safe;
- * returning false from it cancels the rest of the batch (workers
- * drain without starting new keys — how the server stops burning
- * cycles for a vanished client).
- *
- * Every key is validated with parseScenarioKey() up front: a
- * malformed key fails the whole batch (@return false with a message
- * in @p error naming the key index) before anything executes.  A
- * runner that throws a std::exception stops the batch the same way,
- * with "key at index N: <what()>" in @p error; keys already emitted
- * stay emitted.
- */
-bool executeKeyBatch(
-    const std::vector<std::string> &keys, unsigned workers,
-    ResultCache *cache,
-    const std::function<bool(std::size_t, const KeyBatchItem &)>
-        &emit,
-    std::string *error = nullptr);
-
-/// @}
-
 /** Outcome of one grid cell. */
 struct ScenarioOutcome
 {
@@ -436,9 +389,11 @@ struct ScenarioOutcome
     AttackOptions options;
     AttackResult result;
     CpuStats stats;
-    /// Wall time of the unique execution backing this cell.
-    /// Machine- and scheduling-dependent: excluded from the
-    /// deterministic exports (resultsCsv / success matrix).
+    /// Wall time of the unique execution backing this cell; exactly
+    /// 0 for an outcome the engine did not execute (a cache hit, a
+    /// triage replica, a model synthesis).  Machine- and
+    /// scheduling-dependent: excluded from the deterministic exports
+    /// (resultsCsv / success matrix).
     double wallMillis = 0.0;
 
     /// @name Verdict-backend annotations (src/verdict/).
@@ -617,16 +572,19 @@ forEachReportScalar(Visit &&visit)
     visit("wallMillis", &CampaignReport::wallMillis, ScalarFold::Sum);
 }
 
-class OutcomeSink; // src/campaign/sink.hh
+class OutcomeSink;     // src/campaign/sink.hh
+struct CampaignHeader; // src/campaign/sink.hh
 
 /**
  * The parallel campaign executor: a thin driver that expands and
- * deduplicates a spec, executes (its shard of) the unique scenarios
- * on the worker pool, and streams every ScenarioOutcome into the
- * caller's OutcomeSinks as its backing execution completes.  All
- * aggregation — report accumulation, incremental JSONL/CSV export,
- * live progress — lives in sinks (src/campaign/sink.hh,
- * src/tool/stream_export.hh), not in the engine.
+ * deduplicates a spec (or takes a ready grid, such as a `serve`
+ * submit's gridFromKeys()), executes (its shard of) the unique
+ * scenarios on the worker pool, and streams every ScenarioOutcome
+ * into the caller's OutcomeSinks as its backing execution
+ * completes.  All aggregation — report accumulation, incremental
+ * JSONL/CSV export, live progress — lives in sinks
+ * (src/campaign/sink.hh, src/tool/stream_export.hh), not in the
+ * engine.
  */
 class CampaignEngine
 {
@@ -666,19 +624,33 @@ class CampaignEngine
     unsigned workers() const;
 
     /**
-     * Execute shard @p shard of @p spec, streaming outcomes into
-     * @p sinks.  Each sink sees begin() once, then consume() once
-     * per grid point the shard covers — from any worker thread, in
-     * completion order — then end() once after the pool drains.
-     *
-     * A runner that throws (a cell whose machine cannot be built,
-     * such as a ROB past std::vector::max_size()) stops the pool;
-     * the exception is rethrown here after every worker has joined,
-     * and the sinks never see end().
+     * Execute shard @p shard of @p spec: the run below of
+     * dedupGrid(@p spec) under runHeader()'s header for that shard.
      */
     void run(const ScenarioSpec &spec,
              const std::vector<OutcomeSink *> &sinks,
              ShardRange shard = {}) const;
+
+    /**
+     * Execute the grid points @p header announces (its gridIndices,
+     * ascending positions into @p grid.expanded), each unique
+     * execution once, streaming outcomes into @p sinks.  Each sink
+     * sees begin(@p header) once, then consume() once per announced
+     * grid point — from any worker thread, in completion order —
+     * then end() once after the pool drains.  Offline runs and
+     * `serve` submits both execute here.
+     *
+     * Anything a step throws stops the pool and is rethrown here
+     * after every worker has joined; the sinks never see end().  A
+     * runner's failure (a cell whose machine cannot be built, such
+     * as a ROB past std::vector::max_size()) comes back as
+     * std::runtime_error("grid index N: " + its what()), N being
+     * the failed execution's gridIndex.  An exception a sink throws
+     * from consume() comes back as itself: a sink cancels a run
+     * that way.
+     */
+    void run(const ExpandedGrid &grid, const CampaignHeader &header,
+             const std::vector<OutcomeSink *> &sinks) const;
 
     /** Expand, deduplicate and execute shard @p shard of @p spec
      *  into a report (through a ReportSink). */

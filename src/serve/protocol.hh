@@ -114,9 +114,10 @@ struct StatsMsg
     std::size_t executed = 0;
     std::size_t cacheHits = 0;
     std::size_t cacheSize = 0;
-    // Verdict-model counters (v3): the daemon judges every cell it
-    // executes with the analytic model (verdict/model.hh) and tracks
-    // live agreement against the simulator.
+    // Verdict-model counters (v3): the daemon runs every submit under
+    // the differential backend, so it judges every cell it serves
+    // with the analytic model (verdict/model.hh) and tracks live
+    // agreement against the simulator.
     std::size_t modelDecided = 0;
     std::size_t modelUndecided = 0;
     std::size_t modelDisagreements = 0;

@@ -1,10 +1,10 @@
 #include "server.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <optional>
 
-#include "verdict/model.hh"
+#include "campaign/sink.hh"
 
 namespace specsec::serve
 {
@@ -12,13 +12,46 @@ namespace specsec::serve
 namespace
 {
 
-double
-millisSince(std::chrono::steady_clock::time_point start)
+/// Thrown by ResultLineSink when its client is gone; the engine
+/// stops the pool and rethrows it after the join.
+struct ClientGone
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+};
+
+/** A submit's sink: one result line per outcome, and its footer. */
+class ResultLineSink : public campaign::OutcomeSink
+{
+  public:
+    explicit ResultLineSink(net::Conn &conn) : conn_(conn) {}
+
+    void consume(const campaign::ScenarioOutcome &outcome) override
+    {
+        ResultMsg msg;
+        msg.index = outcome.gridIndex;
+        // The engine times exactly the cells it executes.
+        msg.cached = outcome.wallMillis == 0.0;
+        msg.wallMillis = outcome.wallMillis;
+        msg.result = outcome.result;
+        msg.stats = outcome.stats;
+        const std::string line = resultLine(msg);
+        // One writer at a time: result lines must not interleave
+        // mid-frame.  A failed write means the client is gone.
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!conn_.writeLine(line))
+            throw ClientGone{};
+    }
+
+    void end(const campaign::CampaignFooter &runFooter) override
+    {
+        footer = runFooter;
+    }
+
+    campaign::CampaignFooter footer;
+
+  private:
+    net::Conn &conn_;
+    std::mutex mutex_; ///< guards writes to conn_
+};
 
 } // namespace
 
@@ -69,7 +102,7 @@ Server::serveForever()
         auto conn = std::make_shared<net::Conn>(
             std::move(accepted));
         std::lock_guard<std::mutex> lock(mutex_);
-        ++connections_;
+        ++stats_.connections;
         conns_.push_back(conn);
         threads_.emplace_back(
             [this, conn] { handleConnection(conn); });
@@ -101,15 +134,8 @@ StatsMsg
 Server::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    StatsMsg msg;
-    msg.connections = connections_;
-    msg.requests = requests_;
-    msg.executed = executed_;
-    msg.cacheHits = cacheHits_;
+    StatsMsg msg = stats_;
     msg.cacheSize = cache_.size();
-    msg.modelDecided = modelDecided_;
-    msg.modelUndecided = modelUndecided_;
-    msg.modelDisagreements = modelDisagreements_;
     return msg;
 }
 
@@ -133,65 +159,45 @@ Server::handleSubmit(net::Conn &conn, const SubmitMsg &submit)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++requests_;
+        ++stats_.requests;
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::size_t> hits{0};
-    std::atomic<std::size_t> decided{0}, undecided{0}, disagreed{0};
-    std::mutex write_mutex;
-    std::string batch_error;
-    const bool ok = campaign::executeKeyBatch(
-        submit.keys, options_.workers, &cache_,
-        [&](std::size_t index,
-            const campaign::KeyBatchItem &item) {
-            ResultMsg msg;
-            msg.index = index;
-            msg.cached = item.cached;
-            msg.wallMillis = item.wallMillis;
-            msg.result = item.result;
-            msg.stats = item.stats;
-            if (item.cached)
-                hits.fetch_add(1, std::memory_order_relaxed);
-            // Judge every served cell with the analytic model and
-            // track live agreement against the simulator verdict
-            // the client is about to receive (see stats{}).
-            const campaign::KeyScenario &s = *item.scenario;
-            const core::ModelJudgement judged =
-                verdict::judgeScenario(s.variant, s.config, s.options);
-            if (!judged.decided()) {
-                undecided.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                decided.fetch_add(1, std::memory_order_relaxed);
-                if (judged.predictsLeak() != item.result.leaked)
-                    disagreed.fetch_add(1, std::memory_order_relaxed);
-            }
-            // One writer at a time: result lines must not
-            // interleave mid-frame.  A failed write means the
-            // client is gone; cancel the rest of the batch.
-            std::lock_guard<std::mutex> lock(write_mutex);
-            return conn.writeLine(resultLine(msg));
-        },
-        &batch_error);
-    if (!ok) {
-        conn.writeLine(errorLine("submit rejected: " +
-                                 batch_error));
+    const auto reject = [&conn](const std::string &why) {
+        conn.writeLine(errorLine("submit rejected: " + why));
         return true; // protocol error, connection still healthy
+    };
+    std::string error;
+    const std::optional<campaign::ExpandedGrid> grid =
+        campaign::gridFromKeys(submit.keys, &error);
+    if (!grid)
+        return reject(error);
+    campaign::CampaignHeader header;
+    header.name = submit.name;
+    header.expandedCount = header.uniqueCount = submit.keys.size();
+    header.gridIndices = grid->shard(0, 1);
+    ResultLineSink sink(conn);
+    try {
+        campaign::CampaignEngine({options_.workers, &cache_,
+                                  verdict::VerdictBackend::Differential})
+            .run(*grid, header, {&sink});
+    } catch (const ClientGone &) {
+        saveCache(); // the cells it ran stay cached
+        return false;
+    } catch (const std::exception &e) {
+        return reject(e.what());
     }
 
+    const campaign::CampaignFooter &footer = sink.footer;
     DoneMsg done;
-    done.cacheHits = hits.load(std::memory_order_relaxed);
-    done.executed = submit.keys.size() - done.cacheHits;
-    done.wallMillis = millisSince(t0);
+    done.executed = footer.executedCount;
+    done.cacheHits = footer.cacheHits;
+    done.wallMillis = footer.wallMillis;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        executed_ += done.executed;
-        cacheHits_ += done.cacheHits;
-        modelDecided_ +=
-            decided.load(std::memory_order_relaxed);
-        modelUndecided_ +=
-            undecided.load(std::memory_order_relaxed);
-        modelDisagreements_ +=
-            disagreed.load(std::memory_order_relaxed);
+        stats_.executed += footer.executedCount;
+        stats_.cacheHits += footer.cacheHits;
+        stats_.modelDecided += footer.modelDecided;
+        stats_.modelUndecided += footer.modelUndecided;
+        stats_.modelDisagreements += footer.disagreements;
     }
     saveCache();
     return conn.writeLine(doneLine(done));

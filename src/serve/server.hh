@@ -5,13 +5,17 @@
  * over the line-delimited JSON protocol (src/serve/protocol.hh).
  * Only the daemon's own executions write its cache.
  *
- * Each accepted connection gets its own thread; a submit expands
- * into an executeKeyBatch() on the server's worker pool with
- * results streamed back as they complete, so several clients'
- * batches interleave on the pool and every execution lands in the
- * one shared cache.  A client that disconnects mid-stream cancels
- * only its own batch (the failed write's emit callback returns
- * false); the daemon and every other connection stay healthy.
+ * Each accepted connection gets its own thread; a submit is a
+ * CampaignEngine run of its keys' grid (campaign::gridFromKeys)
+ * under the differential backend, so every served cell is also
+ * judged by the analytic model, and a result-line sink streams each
+ * outcome back as it completes.  Several clients' batches run at
+ * once and every execution lands in the one shared cache.  A client
+ * that disconnects mid-stream cancels only its own batch (the sink's
+ * failed write throws, which stops the engine's pool); the daemon
+ * and every other connection stay healthy.  The stats counters add
+ * each completed run's footer; a cancelled or refused submit counts
+ * only as a request.
  *
  * With a --cache-file the cache is loaded at start and re-saved
  * (load-merge-save under the lock file, see persist.cc) after
@@ -91,16 +95,11 @@ class Server
     std::string fingerprint_;
     std::atomic<bool> stopping_{false};
 
-    mutable std::mutex mutex_; ///< guards conns_/threads_/counters
+    mutable std::mutex mutex_; ///< guards conns_/threads_/stats_
     std::vector<std::weak_ptr<net::Conn>> conns_;
     std::vector<std::thread> threads_;
-    std::size_t connections_ = 0;
-    std::size_t requests_ = 0;
-    std::size_t executed_ = 0;
-    std::size_t cacheHits_ = 0;
-    std::size_t modelDecided_ = 0;
-    std::size_t modelUndecided_ = 0;
-    std::size_t modelDisagreements_ = 0;
+    /// Every counter but cacheSize, which stats() reads from cache_.
+    StatsMsg stats_;
 };
 
 } // namespace specsec::serve

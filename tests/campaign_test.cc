@@ -616,19 +616,42 @@ TEST(Engine, RunnerExceptionReachesTheCaller)
     // A ROB past std::vector::max_size() makes every cell's Cpu
     // throw std::length_error (a merely huge one would throw
     // bad_alloc, which the sanitizer allocators abort on instead).
-    // The pool stops and rethrows on this thread, inline or threaded.
+    // The pool stops and rethrows on this thread, inline or threaded,
+    // as a std::runtime_error that names the failed cell's grid index
+    // and keeps the runner's message.
     ScenarioSpec spec;
     spec.variants = {AttackVariant::SpectreV1, AttackVariant::Meltdown};
     spec.defenses = {{"baseline", nullptr}, fenceAxis()};
     ScenarioSpec unbuildable = spec;
     unbuildable.robSizes = {std::numeric_limits<std::size_t>::max()};
+    std::string runnerMessage;
+    try {
+        CpuStats stats;
+        CpuConfig config;
+        config.robSize = unbuildable.robSizes.front();
+        (void)attacks::runVariant(AttackVariant::SpectreV1, config,
+                                  AttackOptions{}, stats);
+    } catch (const std::length_error &e) {
+        runnerMessage = e.what();
+    }
+    ASSERT_FALSE(runnerMessage.empty());
     for (const auto backend : {verdict::VerdictBackend::Simulator,
                                verdict::VerdictBackend::Triage})
-        for (const unsigned workers : {1u, 4u})
-            EXPECT_THROW(CampaignEngine({workers, nullptr, backend})
-                             .run(unbuildable),
-                         std::length_error)
-                << "workers=" << workers;
+        for (const unsigned workers : {1u, 4u}) {
+            try {
+                CampaignEngine({workers, nullptr, backend}).run(unbuildable);
+                ADD_FAILURE() << "no exception, workers=" << workers;
+            } catch (const std::runtime_error &e) {
+                const std::string what = e.what();
+                const std::size_t colon = what.find(": ");
+                ASSERT_NE(colon, std::string::npos) << what;
+                EXPECT_EQ(what.substr(0, 11), "grid index ") << what;
+                EXPECT_LT(std::stoul(what.substr(11, colon - 11)),
+                          unbuildable.gridSize())
+                    << what;
+                EXPECT_EQ(what.substr(colon + 2), runnerMessage) << what;
+            }
+        }
 
     // The process is still sound: a normal run matches its serial
     // export.

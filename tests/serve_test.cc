@@ -7,15 +7,20 @@
  * second submit), protocol robustness (malformed, truncated and
  * removed request lines answered with error{} on a surviving
  * connection; a client vanishing mid-stream leaving the daemon
- * healthy), and the JSONL resume planner's accept/trim/refuse
- * cases.
+ * healthy and counting only the request), the daemon's model
+ * counters against the differential backend's, and the JSONL
+ * resume planner's accept/trim/refuse cases.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <iterator>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <thread>
 
 #include <sys/socket.h>
@@ -67,7 +72,11 @@ class TestServer
                 server_.serveForever();
             });
     }
-    ~TestServer()
+    ~TestServer() { drain(); }
+
+    /** Stop serving; returns once every connection thread, and so
+     *  every batch in flight, has ended. */
+    void drain()
     {
         server_.stop();
         if (thread_.joinable())
@@ -100,6 +109,47 @@ rawHandshaked(const serve::net::Endpoint &endpoint)
     EXPECT_TRUE(conn.readLine(line));
     EXPECT_EQ(serve::parseLine(line).type, serve::MsgType::Hello);
     return conn;
+}
+
+/** Collects a run's outcomes, from any worker thread. */
+class CollectSink : public OutcomeSink
+{
+  public:
+    void consume(const ScenarioOutcome &outcome) override
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        outcomes.push_back(outcome);
+    }
+
+    std::vector<ScenarioOutcome> outcomes;
+
+  private:
+    std::mutex mutex_;
+};
+
+/**
+ * Run @p keys in process the way the daemon serves a submit:
+ * gridFromKeys(), then an engine run of every point on @p workers
+ * into @p sink.  @return why the batch failed (gridFromKeys()'s
+ * error or the run's std::runtime_error), empty when it ran.
+ */
+std::string
+runKeys(const std::vector<std::string> &keys, unsigned workers,
+        OutcomeSink &sink)
+{
+    std::string error;
+    const std::optional<ExpandedGrid> grid = gridFromKeys(keys, &error);
+    if (!grid)
+        return error;
+    CampaignHeader header;
+    header.gridIndices = grid->shard(0, 1);
+    try {
+        CampaignEngine(CampaignEngine::Options{workers})
+            .run(*grid, header, {&sink});
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
 }
 
 /** @p key with its @p index-th ';'-terminated field set to @p value. */
@@ -193,6 +243,16 @@ TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
     EXPECT_EQ(stats.executed, offline.uniqueCount);
     EXPECT_EQ(stats.cacheHits, warm.uniqueCount);
 
+    // The daemon judges what it serves as the differential backend
+    // does, once per run: twice an offline differential footer.
+    CampaignEngine::Options differential = opts;
+    differential.backend = verdict::VerdictBackend::Differential;
+    const CampaignReport judged = CampaignEngine(differential).run(spec);
+    EXPECT_GT(judged.modelDecided, 0u);
+    EXPECT_EQ(stats.modelDecided, 2 * judged.modelDecided);
+    EXPECT_EQ(stats.modelUndecided, 2 * judged.modelUndecided);
+    EXPECT_EQ(stats.modelDisagreements, 2 * judged.disagreements);
+
     // A shard of the grid: the engine's header and outcomes too.
     const ShardRange shard{1, 2};
     ReportSink shardSink;
@@ -200,6 +260,31 @@ TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
     EXPECT_EQ(tool::campaignJsonl(shardSink.takeReport(), false),
               tool::campaignJsonl(CampaignEngine(opts).run(spec, shard),
                                   false));
+
+    // On the wire, a cell the daemon executes reads cached: false,
+    // and the same cell served again from its cache cached: true.
+    ScenarioSpec fresh = spec;
+    fresh.permCheckLatencies = {20};
+    const ExpandedGrid freshGrid = dedupGrid(fresh);
+    serve::SubmitMsg submit;
+    submit.name = "fresh";
+    for (const std::size_t u : freshGrid.uniqueIndices)
+        submit.keys.push_back(freshGrid.expanded[u].key);
+    serve::net::Conn raw = rawHandshaked(daemon.endpoint());
+    for (const bool cached : {false, true}) {
+        ASSERT_TRUE(raw.writeLine(serve::submitLine(submit)));
+        std::string line;
+        for (std::size_t k = 0; k < submit.keys.size(); ++k) {
+            ASSERT_TRUE(raw.readLine(line));
+            const serve::ParsedMsg msg = serve::parseLine(line);
+            ASSERT_EQ(msg.type, serve::MsgType::Result) << line;
+            EXPECT_EQ(msg.result.cached, cached) << line;
+        }
+        ASSERT_TRUE(raw.readLine(line));
+        const serve::ParsedMsg done = serve::parseLine(line);
+        ASSERT_EQ(done.type, serve::MsgType::Done) << line;
+        EXPECT_EQ(done.done.cacheHits, cached ? submit.keys.size() : 0u);
+    }
 }
 
 TEST(Serve, RepeatedResultIndexFailsTheRun)
@@ -520,6 +605,45 @@ TEST(Serve, ClientDisconnectMidStreamLeavesServerHealthy)
               report.uniqueCount);
 }
 
+TEST(Serve, CancelledSubmitCountsOnlyWhatRan)
+{
+    // A client submits 1,152 keys to a one-worker daemon and closes
+    // at once: the batch stops after a cell or two.  Only a run that
+    // completes adds to executed, cacheHits and the model counters;
+    // a cancelled one counts as a request, and what it ran stays in
+    // the cache.
+    ScenarioSpec spec = ScenarioSpec::defenseMatrix();
+    spec.robSizes = {32, 40, 48, 56};
+    spec.channels = {core::CovertChannelKind::FlushReload,
+                     core::CovertChannelKind::PrimeProbe};
+    const ExpandedGrid grid = dedupGrid(spec);
+    serve::SubmitMsg submit;
+    submit.name = spec.name;
+    for (const std::size_t u : grid.uniqueIndices)
+        submit.keys.push_back(grid.expanded[u].key);
+    ASSERT_EQ(submit.keys.size(), 1152u);
+
+    serve::Server::Options options;
+    options.workers = 1;
+    TestServer daemon(options);
+    {
+        serve::net::Conn conn = rawHandshaked(daemon.endpoint());
+        ASSERT_TRUE(conn.writeLine(serve::submitLine(submit)));
+    }
+    // Once the daemon has taken the submit, drain it: the batch has
+    // ended when every connection thread has joined.
+    for (int wait = 0; wait < 5000 && daemon.server().stats().requests == 0;
+         ++wait)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    daemon.drain();
+
+    const serve::StatsMsg stats = daemon.server().stats();
+    EXPECT_EQ(stats.requests, 1u);
+    EXPECT_LE(stats.executed, stats.cacheSize);
+    EXPECT_EQ(stats.modelDecided + stats.modelUndecided,
+              stats.executed + stats.cacheHits);
+}
+
 TEST(Serve, WriteLineCompletesAcrossForcedPartialWrites)
 {
     // writeLine's contract is all-or-error: a frame larger than
@@ -699,49 +823,31 @@ TEST(Serve, ResumePlanAcceptsTrimsAndRefuses)
         << error;
 }
 
-TEST(Serve, ExecuteKeyBatchNamesTheMalformedKey)
+TEST(Serve, KeyGridRunNamesTheRefusedKey)
 {
     const ScenarioSpec spec = sampleSpec();
     const ExpandedGrid grid = dedupGrid(spec);
+    const std::string good = grid.expanded[grid.uniqueIndices.front()].key;
 
-    std::vector<std::string> keys = {
-        grid.expanded[grid.uniqueIndices.front()].key,
-        "definitely-not-a-key"};
-    std::string error;
-    const bool ok = executeKeyBatch(
-        keys, 1, nullptr,
-        [](std::size_t, const KeyBatchItem &) { return true; },
-        &error);
-    EXPECT_FALSE(ok);
+    CollectSink sink;
+    std::string error = runKeys({good, "definitely-not-a-key"}, 1, sink);
     EXPECT_NE(error.find("index 1"), std::string::npos) << error;
+    EXPECT_TRUE(sink.outcomes.empty());
 
     // The valid key alone executes, emitting exactly once.
-    std::size_t emitted = 0;
-    keys.pop_back();
-    EXPECT_TRUE(executeKeyBatch(
-        keys, 1, nullptr,
-        [&](std::size_t index, const KeyBatchItem &item) {
-            EXPECT_EQ(index, 0u);
-            EXPECT_FALSE(item.cached);
-            ++emitted;
-            return true;
-        },
-        &error))
-        << error;
-    EXPECT_EQ(emitted, 1u);
+    EXPECT_EQ(runKeys({good}, 1, sink), "");
+    ASSERT_EQ(sink.outcomes.size(), 1u);
+    EXPECT_EQ(sink.outcomes.front().gridIndex, 0u);
+    EXPECT_GT(sink.outcomes.front().wallMillis, 0.0);
 
     // Well-formed keys that cannot run or are not canonical fail
     // the batch too, naming the key, whether the parser or the
     // runner refuses them.
-    for (const std::string &bad : refusedKeys(keys.front())) {
+    for (const std::string &bad : refusedKeys(good)) {
         for (const unsigned workers : {1u, 4u}) {
-            error.clear();
-            EXPECT_FALSE(executeKeyBatch(
-                {keys.front(), bad}, workers, nullptr,
-                [](std::size_t, const KeyBatchItem &) { return true; },
-                &error));
-            EXPECT_NE(error.find("index 1"), std::string::npos)
-                << error;
+            CollectSink refused;
+            error = runKeys({good, bad}, workers, refused);
+            EXPECT_NE(error.find("index 1"), std::string::npos) << error;
         }
     }
 }
@@ -760,17 +866,10 @@ TEST(Serve, ZeroCacheDimensionKeyIsRejectedNotExecuted)
     for (const CpuConfig &bad : {zeroSets, zeroWays}) {
         const std::string key =
             scenarioKey(AttackVariant::Meltdown, bad, AttackOptions{});
-        std::string error;
-        std::size_t emitted = 0;
-        EXPECT_FALSE(executeKeyBatch(
-            {good, key}, 1, nullptr,
-            [&](std::size_t, const KeyBatchItem &) {
-                ++emitted;
-                return true;
-            },
-            &error));
+        CollectSink sink;
+        const std::string error = runKeys({good, key}, 1, sink);
         EXPECT_NE(error.find("index 1"), std::string::npos) << error;
-        EXPECT_EQ(emitted, 0u);
+        EXPECT_TRUE(sink.outcomes.empty());
     }
 
     TestServer daemon;
