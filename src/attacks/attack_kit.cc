@@ -136,35 +136,29 @@ ChannelHarness::setup()
 int
 ChannelHarness::recover(std::initializer_list<int> exclude)
 {
-    const bool fr = kind_ == CovertChannelKind::FlushReload;
-    const std::vector<std::uint32_t> &lat =
-        (fr ? fr_.recover() : pp_.recover()).latencies;
-    // An excluded slot never wins; it is looked up only for a slot
-    // whose latency would (Flush+Reload keeps the lowest below its
-    // threshold, Prime+Probe the highest above its floor).
+    // An excluded slot never wins.  Flush+Reload keeps the lowest
+    // latency below its threshold, found from the round's hits.
+    if (kind_ == CovertChannelKind::FlushReload) {
+        fr_.recover();
+        return fr_.fastestSlot(fr_.threshold(),
+                               {exclude.begin(), exclude.size()});
+    }
+    // Prime+Probe keeps the highest above its floor; an excluded
+    // slot is looked up only for a slot whose latency would win.
+    const std::vector<std::uint32_t> &lat = pp_.recover().latencies;
     const auto excluded = [exclude](std::size_t i) {
         return std::find(exclude.begin(), exclude.end(),
                          static_cast<int>(i)) != exclude.end();
     };
+    const uarch::CacheConfig &c = cpu_.config().cache;
+    const std::uint32_t floor =
+        c.ways * c.hitLatency + c.missLatency - c.hitLatency;
+    std::uint32_t best_lat = floor - 1;
     int best = -1;
-    if (fr) {
-        std::uint32_t best_lat = fr_.threshold();
-        for (std::size_t i = 0; i < lat.size(); ++i) {
-            if (lat[i] < best_lat && !excluded(i)) {
-                best_lat = lat[i];
-                best = static_cast<int>(i);
-            }
-        }
-    } else {
-        const uarch::CacheConfig &c = cpu_.config().cache;
-        const std::uint32_t floor =
-            c.ways * c.hitLatency + c.missLatency - c.hitLatency;
-        std::uint32_t best_lat = floor - 1;
-        for (std::size_t i = 0; i < lat.size(); ++i) {
-            if (lat[i] > best_lat && !excluded(i)) {
-                best_lat = lat[i];
-                best = static_cast<int>(i);
-            }
+    for (std::size_t i = 0; i < lat.size(); ++i) {
+        if (lat[i] > best_lat && !excluded(i)) {
+            best_lat = lat[i];
+            best = static_cast<int>(i);
         }
     }
     return best;

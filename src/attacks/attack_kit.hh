@@ -66,8 +66,9 @@ struct Layout
  * scenarios, so cells on different worker threads cannot see each
  * other's state.  What is shared is immutable and per thread: the
  * Flush+Reload receiver's preparation (uarch/covert.hh), the probe
- * slots' lines and miss latencies read from the layout's stamp,
- * which every cell that leaves its page table alone reuses.
+ * slots' lines and miss latencies read at one page-table stamp,
+ * which every cell that leaves its page table alone reuses, as does
+ * every cell that makes the same edits to it.
  */
 class Scenario
 {

@@ -85,6 +85,7 @@ Server::start(std::string *error)
         else
             std::fprintf(stderr, "serve: cold cache (%s)\n",
                          load_error.c_str());
+        savedSize_ = cache_.size(); // the file holds what it loaded
     }
     net::Endpoint endpoint;
     endpoint.host = options_.host;
@@ -121,7 +122,7 @@ Server::serveForever()
     for (std::thread &t : threads)
         if (t.joinable())
             t.join();
-    saveCache();
+    saveCache(true);
 }
 
 void
@@ -140,13 +141,22 @@ Server::stats() const
 }
 
 void
-Server::saveCache()
+Server::saveCache(bool always)
 {
     if (options_.cachePath.empty())
         return;
+    const std::lock_guard<std::mutex> lock(saveMutex_);
+    // Entries only ever join the cache, so an unchanged size means
+    // nothing to add to the file.  Read before the save: an entry
+    // stored while it runs makes the next call save again.
+    const std::size_t size = cache_.size();
+    if (!always && size == savedSize_)
+        return;
     std::string error, lockWarning;
-    if (!cache_.saveToFile(options_.cachePath, fingerprint_,
-                           &error, &lockWarning))
+    if (cache_.saveToFile(options_.cachePath, fingerprint_, &error,
+                          &lockWarning))
+        savedSize_ = size;
+    else
         std::fprintf(stderr, "serve: cache save failed: %s\n",
                      error.c_str());
     if (!lockWarning.empty())

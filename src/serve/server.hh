@@ -19,8 +19,9 @@
  *
  * With a --cache-file the cache is loaded at start and re-saved
  * (load-merge-save under the lock file, see persist.cc) after
- * every batch, so even a killed daemon loses at most the batch in
- * flight.
+ * every batch that added entries to it, and at shutdown, so even a
+ * killed daemon loses at most the batch in flight.  A batch served
+ * entirely from the cache leaves the file alone.
  */
 
 #ifndef SPECSEC_SERVE_SERVER_HH
@@ -50,7 +51,8 @@ class Server
         std::uint16_t port = 0; ///< 0 = ephemeral; read back port()
         /// Worker threads per submit batch; 0 = all cores.
         unsigned workers = 0;
-        /// Optional persistent cache (load at start, save per batch).
+        /// Optional persistent cache (load at start, save after a
+        /// batch that added entries, and at shutdown).
         std::string cachePath;
     };
 
@@ -87,7 +89,11 @@ class Server
   private:
     void handleConnection(std::shared_ptr<net::Conn> conn);
     bool handleSubmit(net::Conn &conn, const SubmitMsg &submit);
-    void saveCache();
+    /**
+     * Save the cache to the cache file when it gained entries since
+     * its last save, or always when @p always (shutdown).
+     */
+    void saveCache(bool always = false);
 
     Options options_;
     net::Listener listener_;
@@ -100,6 +106,9 @@ class Server
     std::vector<std::thread> threads_;
     /// Every counter but cacheSize, which stats() reads from cache_.
     StatsMsg stats_;
+
+    std::mutex saveMutex_;      ///< serializes saveCache()
+    std::size_t savedSize_ = 0; ///< cache_.size() at the last save
 };
 
 } // namespace specsec::serve

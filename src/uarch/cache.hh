@@ -163,14 +163,14 @@ class Cache
      * access(line, @p domain, false) for every slot of @p group
      * that names a line, in slot order: the LRU stamps, use counter
      * and hit/miss counts end exactly as that loop leaves them (when
-     * two slots name one line, the later one stamps it).  Writes
-     * hitLatency to @p latencies[slot] (one entry per slot) for
-     * each slot that hits and leaves every other entry as it is, so
-     * the caller fills in the misses beforehand.  Visits only the
-     * valid ways of the group's sets.
+     * two slots name one line, the later one stamps it).  Sets
+     * @p hits to the slots that hit, in no particular order (each
+     * once); every other slot of the group missed.  Visits only the
+     * valid ways of the group's sets, so the list is as short as
+     * what is resident.
      */
     void probeGroup(const LineGroup &group, int domain,
-                    std::uint32_t *latencies);
+                    std::vector<std::uint32_t> &hits);
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
@@ -335,12 +335,12 @@ Cache::flushGroup(const LineGroup &group)
 
 inline void
 Cache::probeGroup(const LineGroup &group, int domain,
-                  std::uint32_t *latencies)
+                  std::vector<std::uint32_t> &hits)
 {
     const auto visible = [this, domain](const Line &line) {
         return line.valid && (!partitioned_ || line.domain == domain);
     };
-    std::uint64_t hits = 0;
+    hits.clear();
     for (const LineGroup::Set &set : group.sets_) {
         Line *ways = &lines_[set.index * config_.ways];
         for (std::size_t w = 0; w < config_.ways; ++w) {
@@ -360,15 +360,14 @@ Cache::probeGroup(const LineGroup &group, int domain,
             if (shadowed)
                 continue;
             for (const LineGroup::Member *m = first; m != last; ++m)
-                latencies[m->slot] = config_.hitLatency;
-            hits += static_cast<std::uint64_t>(last - first);
+                hits.push_back(m->slot);
             line.lastUse = useCounter_ + (last - 1)->rank;
         }
     }
     const std::uint64_t probes = group.members_.size();
     useCounter_ += probes;
-    stats_.hits += hits;
-    stats_.misses += probes - hits;
+    stats_.hits += hits.size();
+    stats_.misses += probes - hits.size();
 }
 
 } // namespace specsec::uarch

@@ -66,12 +66,14 @@ FlushReloadChannel::refresh()
                              probeBase_, slots_, stride_,
                              c.sets, c.lineSize, c.missLatency};
 
-    // The thread's last few preparations, most recent first.  A cell
-    // that edits its page table takes a stamp no other cell has, so
-    // its preparation ages out behind the canonical layout's.
+    // The thread's last few preparations, most recent first.  Cells
+    // that make the same edits to one layout share a stamp, so a
+    // preparation serves every cell of an edited kind as well.  A
+    // golden-gate pass reads 16 distinct keys (edits, privileges and
+    // cache geometries), and 32 keep them all.
     using Entry =
         std::pair<PreparationKey, std::shared_ptr<const Preparation>>;
-    thread_local std::array<Entry, 8> recent;
+    thread_local std::array<Entry, 32> recent;
     const auto hit =
         std::find_if(recent.begin(), recent.end(),
                      [&key](const Entry &e) { return e.first == key; });
@@ -125,19 +127,48 @@ FlushReloadChannel::recover()
     ChannelRecovery &r = recovery_;
     r.latencies.assign(prep_->missLatencies.begin(),
                        prep_->missLatencies.end());
-    cpu_.cache().probeGroup(prep_->probeLines, cpu_.context(),
-                            r.latencies.data());
-    // The first slot with the lowest latency, in two passes that
-    // each compile to a straight loop.
-    std::uint32_t best = UINT32_MAX;
-    for (const std::uint32_t lat : r.latencies)
-        best = std::min(best, lat);
-    r.value = static_cast<int>(
-        std::find(r.latencies.begin(), r.latencies.end(), best) -
-        r.latencies.begin());
-    if (best > threshold())
-        r.value = -1; // every slot missed: no signal
+    cpu_.cache().probeGroup(prep_->probeLines, cpu_.context(), hits_);
+    for (const std::uint32_t slot : hits_)
+        r.latencies[slot] = cpu_.config().cache.hitLatency;
+    r.value = fastestSlot(threshold() + 1); // -1: every slot missed
     return r;
+}
+
+int
+FlushReloadChannel::fastestSlot(std::uint32_t limit,
+                                std::span<const int> exclude) const
+{
+    const auto excluded = [exclude](std::size_t slot) {
+        return std::find(exclude.begin(), exclude.end(),
+                         static_cast<int>(slot)) != exclude.end();
+    };
+    // The best (latency, slot) so far; none while best_lat is the
+    // limit, which no slot beats by reading it.
+    std::uint32_t best_lat = limit;
+    std::size_t best = 0;
+    const auto beats = [&](std::uint32_t lat, std::size_t slot) {
+        return lat < best_lat || (lat == best_lat && slot < best);
+    };
+    const CacheConfig &c = cpu_.config().cache;
+    for (const std::uint32_t slot : hits_) {
+        if (beats(c.hitLatency, slot) && !excluded(slot)) {
+            best_lat = c.hitLatency;
+            best = slot;
+        }
+    }
+    // A miss or a fault wins only where its latency is below every
+    // hit's: look for the first slot that reads it, up to the best.
+    const std::vector<std::uint32_t> &lat = recovery_.latencies;
+    for (const std::uint32_t other : {c.missLatency, c.missLatency * 2}) {
+        for (std::size_t i = 0; i < lat.size() && beats(other, i); ++i) {
+            if (lat[i] == other && !excluded(i)) {
+                best_lat = other;
+                best = i;
+                break;
+            }
+        }
+    }
+    return best_lat < limit ? static_cast<int>(best) : -1;
 }
 
 PrimeProbeChannel::PrimeProbeChannel(Cpu &cpu, Addr evict_base,

@@ -25,13 +25,26 @@
  * preparation.  It is read from the page table and the cache
  * geometry and never changes, so receivers share it: each thread
  * keeps its last few preparations, keyed by everything they read
- * (the page table's process-unique version() stamp, the CPU's
- * privilege and enclave mode, the probe base, slot count and
- * stride, and the cache's sets, line size and miss latency).  Every
- * scenario's page table is a copy of one canonical layout, so every
- * cell that leaves its page table alone reuses one preparation
- * instead of re-translating its 256 slots.  A receiver looks again
- * only when the stamp, the privilege or the enclave mode changes.
+ * (the page table's version() stamp, the CPU's privilege and
+ * enclave mode, the probe base, slot count and stride, and the
+ * cache's sets, line size and miss latency).  Every scenario's page
+ * table is a copy of one canonical layout, so every cell that
+ * leaves its page table alone reuses one preparation instead of
+ * re-translating its 256 slots, and so does every cell that makes
+ * the same edits to it (a stamp names the edits, see
+ * PageTable::version()).  A receiver looks again only when the
+ * stamp, the privilege or the enclave mode changes.
+ *
+ * A round's answer comes from its hits, not from a scan of every
+ * slot's latency.  A slot reads one of three latencies: the hit
+ * latency, the miss latency, or twice the miss latency when it
+ * faults.  So the slot that wins -- the lowest slot of the least
+ * latency below a limit -- is the lowest hit slot, unless the miss
+ * or fault latency is the least one below the limit (a miss
+ * latency below the hit latency), and only then is the first slot
+ * reading it looked up.  Probing lists the hit slots
+ * (Cache::probeGroup), and they are at most the resident probe
+ * lines.
  *
  * A channel owns the ChannelRecovery its recover() returns and
  * refills it every round, so a round allocates nothing.
@@ -43,6 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cpu.hh"
@@ -75,9 +89,20 @@ class FlushReloadChannel
 
     /**
      * Step 5: reload every probe line and time it.  The result is
-     * the channel's own and is overwritten by the next call.
+     * the channel's own and is overwritten by the next call; its
+     * value is fastestSlot(threshold() + 1).
      */
     const ChannelRecovery &recover();
+
+    /**
+     * The slot the last recover() round names when only latencies
+     * below @p limit count and no slot in @p exclude may win: the
+     * lowest slot of the least latency read by any other slot, or
+     * -1 when no other slot reads below @p limit.  Taken from the
+     * round's hit slots (see the file comment).
+     */
+    int fastestSlot(std::uint32_t limit,
+                    std::span<const int> exclude = {}) const;
 
     Addr probeBase() const { return probeBase_; }
     Addr stride() const { return stride_; }
@@ -112,6 +137,7 @@ class FlushReloadChannel
     bool enclaveMode_ = false;
 
     ChannelRecovery recovery_; ///< what recover() returns
+    std::vector<std::uint32_t> hits_; ///< the last round's hit slots
 };
 
 /**

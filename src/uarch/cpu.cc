@@ -114,13 +114,13 @@ Cpu::underOlderSpeculation(std::size_t index) const
 {
     for (std::size_t i = 0; i < index && i < rob_.size(); ++i) {
         const RobEntry &e = rob_[i];
-        if (lateControl(e.inst.op) && !e.resolved)
+        if (lateControl(e.inst.op) && !e.flags.resolved)
             return true;
         if (needsAuth(e.inst.op) &&
-            (!e.authDone || e.fault != FaultKind::None)) {
+            (!e.flags.authDone || e.fault != FaultKind::None)) {
             return true;
         }
-        if (e.inst.op == Opcode::Store && !e.addrDone)
+        if (e.inst.op == Opcode::Store && !e.flags.addrDone)
             return true;
     }
     return false;
@@ -131,7 +131,7 @@ Cpu::entrySafe(const RobEntry &e, std::size_t index) const
 {
     if (e.fault != FaultKind::None)
         return false;
-    if (needsAuth(e.inst.op) && !e.authDone)
+    if (needsAuth(e.inst.op) && !e.flags.authDone)
         return false;
     return !underOlderSpeculation(index);
 }
@@ -296,29 +296,29 @@ Cpu::captureOperands(RobEntry &e)
             return &rob_[index];
         return nullptr;
     };
-    if (e.needA && !e.aReady && e.hasProdA) {
+    if (e.needA && !e.flags.aReady && e.hasProdA) {
         const RobEntry *prod = producer(e.prodA, e.prodAAbs);
         if (!prod) {
             // Producer committed; its value is architectural now.
             e.valA = regs_[e.inst.ra];
-            e.aReady = true;
-        } else if (prod->forwardable) {
+            e.flags.aReady = true;
+        } else if (prod->flags.forwardable) {
             e.valA = prod->result;
             e.taintAOn = prod->resultTaintOn;
             e.taintA = prod->resultTaint;
-            e.aReady = true;
+            e.flags.aReady = true;
         }
     }
-    if (e.needB && !e.bReady && e.hasProdB) {
+    if (e.needB && !e.flags.bReady && e.hasProdB) {
         const RobEntry *prod = producer(e.prodB, e.prodBAbs);
         if (!prod) {
             e.valB = regs_[e.inst.rb];
-            e.bReady = true;
-        } else if (prod->forwardable) {
+            e.flags.bReady = true;
+        } else if (prod->flags.forwardable) {
             e.valB = prod->result;
             e.taintBOn = prod->resultTaintOn;
             e.taintB = prod->resultTaint;
-            e.bReady = true;
+            e.flags.bReady = true;
         }
     }
 }
@@ -327,8 +327,8 @@ void
 Cpu::finishExecution(RobEntry &e)
 {
     e.result = evalAlu(e);
-    e.hasResult = true;
-    e.forwardable = true;
+    e.flags.hasResult = true;
+    e.flags.forwardable = true;
     if (e.taintAOn && taintLive(e.taintA)) {
         e.resultTaintOn = true;
         e.resultTaint = e.taintA;
@@ -336,7 +336,7 @@ Cpu::finishExecution(RobEntry &e)
         e.resultTaintOn = true;
         e.resultTaint = e.taintB;
     }
-    e.completed = true;
+    e.flags.completed = true;
 }
 
 void
@@ -345,28 +345,28 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
     const HwDefenseConfig &def = config_.defense;
     const VulnConfig &vuln = config_.vuln;
 
-    if (!e.addrDone && e.aReady) {
+    if (!e.flags.addrDone && e.flags.aReady) {
         e.vaddr = e.valA + static_cast<Word>(e.inst.imm);
         const Translation t = pt_.translate(
             e.vaddr, AccessType::Read, privilege_, enclaveMode_);
         e.paddr = t.paddr;
         e.paddrValid = t.paddrValid;
         e.fault = t.fault;
-        e.addrDone = true;
+        e.flags.addrDone = true;
         // Authorization track: the permission/fault check races the
         // data access below (the paper's step 2).
-        e.authStarted = true;
+        e.flags.authStarted = true;
         e.authDoneCycle = cycle_ + config_.permCheckLatency;
     }
-    if (e.addrDone && !e.authDone && cycle_ >= e.authDoneCycle)
-        e.authDone = true;
+    if (e.flags.addrDone && !e.flags.authDone && cycle_ >= e.authDoneCycle)
+        e.flags.authDone = true;
 
-    if (e.addrDone && !e.dataStarted) {
+    if (e.flags.addrDone && !e.flags.dataStarted) {
         const bool under_spec = underOlderSpeculation(index);
 
         // Strategy 1 (hardware fencing): no access before
         // authorization.
-        if (def.fenceSpeculativeLoads && (under_spec || !e.authDone))
+        if (def.fenceSpeculativeLoads && (under_spec || !e.flags.authDone))
             return;
         // Strategy 3 (STT): no transmit whose address is tainted.
         if (def.blockTaintedTransmit && e.taintAOn &&
@@ -397,7 +397,7 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
                 return;
         }
 
-        e.dataStarted = true;
+        e.flags.dataStarted = true;
         std::uint32_t latency = config_.cache.hitLatency;
         Word value = 0;
         bool transient = false;
@@ -489,53 +489,54 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
         e.dataDoneCycle = cycle_ + std::max<std::uint32_t>(latency, 1);
     }
 
-    if (e.dataStarted && !e.dataDone && cycle_ >= e.dataDoneCycle) {
-        e.dataDone = true;
-        e.hasResult = true;
+    if (e.flags.dataStarted && !e.flags.dataDone &&
+        cycle_ >= e.dataDoneCycle) {
+        e.flags.dataDone = true;
+        e.flags.hasResult = true;
         const bool safe = entrySafe(e, index);
         e.resultTaintOn = !safe;
         e.resultTaint = e.seq;
         // Strategy 2 (NDA): forward only once safe.
-        e.forwardable =
+        e.flags.forwardable =
             config_.defense.blockSpeculativeForwarding ? safe : true;
     }
-    if (e.hasResult && !e.forwardable &&
+    if (e.flags.hasResult && !e.flags.forwardable &&
         config_.defense.blockSpeculativeForwarding &&
         entrySafe(e, index)) {
-        e.forwardable = true;
+        e.flags.forwardable = true;
         e.resultTaintOn = false;
     }
-    if (e.dataDone && e.authDone)
-        e.completed = true;
+    if (e.flags.dataDone && e.flags.authDone)
+        e.flags.completed = true;
 }
 
 void
 Cpu::progressStore(RobEntry &e, std::size_t index)
 {
-    if (!e.addrDone && e.aReady) {
+    if (!e.flags.addrDone && e.flags.aReady) {
         e.vaddr = e.valA + static_cast<Word>(e.inst.imm);
         const Translation t = pt_.translate(
             e.vaddr, AccessType::Write, privilege_, enclaveMode_);
         e.paddr = t.paddr;
         e.paddrValid = t.paddrValid;
         e.fault = t.fault;
-        e.addrDone = true;
-        e.authStarted = true;
+        e.flags.addrDone = true;
+        e.flags.authStarted = true;
         e.authDoneCycle = cycle_ + config_.permCheckLatency;
         if (e.paddrValid) {
             sb_.setAddress(e.seq, e.vaddr, e.paddr);
             checkMemOrderViolation(e);
         }
     }
-    if (e.addrDone && !e.authDone && cycle_ >= e.authDoneCycle)
-        e.authDone = true;
-    if (e.bReady && !e.executed) {
+    if (e.flags.addrDone && !e.flags.authDone && cycle_ >= e.authDoneCycle)
+        e.flags.authDone = true;
+    if (e.flags.bReady && !e.flags.executed) {
         const Word data = e.inst.size == 1 ? (e.valB & 0xff) : e.valB;
         sb_.setData(e.seq, data);
-        e.executed = true;
+        e.flags.executed = true;
     }
-    if (e.addrDone && e.executed && e.authDone)
-        e.completed = true;
+    if (e.flags.addrDone && e.flags.executed && e.flags.authDone)
+        e.flags.completed = true;
     (void)index;
 }
 
@@ -547,7 +548,7 @@ Cpu::checkMemOrderViolation(const RobEntry &store)
         return;
     for (std::size_t j = *store_index + 1; j < rob_.size(); ++j) {
         const RobEntry &e = rob_[j];
-        if (!isLoad(e.inst.op) || !e.dataStarted || !e.paddrValid)
+        if (!isLoad(e.inst.op) || !e.flags.dataStarted || !e.paddrValid)
             continue;
         const Addr store_end = store.paddr + store.inst.size;
         const Addr load_end = e.paddr + e.inst.size;
@@ -581,15 +582,15 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
       case Opcode::Lfence:
       case Opcode::Mfence:
       case Opcode::XEnd:
-        e.completed = true;
+        e.flags.completed = true;
         break;
 
       case Opcode::XBegin:
       case Opcode::Jmp:
       case Opcode::Call:
-        e.resolved = true;
+        e.flags.resolved = true;
         e.actualNext = e.predNext;
-        e.completed = true;
+        e.flags.completed = true;
         break;
 
       case Opcode::MovImm:
@@ -607,29 +608,29 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
       case Opcode::ShrImm:
       case Opcode::MulImm:
       case Opcode::RdTsc:
-        if ((!e.needA || e.aReady) && (!e.needB || e.bReady)) {
-            if (!e.executed) {
-                e.executed = true;
+        if ((!e.needA || e.flags.aReady) && (!e.needB || e.flags.bReady)) {
+            if (!e.flags.executed) {
+                e.flags.executed = true;
                 e.doneCycle = cycle_ + 1;
             }
-            if (!e.hasResult && cycle_ >= e.doneCycle)
+            if (!e.flags.hasResult && cycle_ >= e.doneCycle)
                 finishExecution(e);
         }
         break;
 
       case Opcode::Branch:
-        if (e.aReady && e.bReady && !e.resolveScheduled) {
-            e.resolveScheduled = true;
+        if (e.flags.aReady && e.flags.bReady && !e.flags.resolveScheduled) {
+            e.flags.resolveScheduled = true;
             e.resolveCycle = cycle_ + config_.branchResolveLatency;
         }
-        if (e.resolveScheduled && !e.resolved &&
+        if (e.flags.resolveScheduled && !e.flags.resolved &&
             cycle_ >= e.resolveCycle) {
-            e.resolved = true;
+            e.flags.resolved = true;
             e.actualTaken = evalCond(e.inst.cond, e.valA, e.valB);
             e.actualNext = e.actualTaken
                                ? static_cast<Addr>(e.inst.imm)
                                : e.pc + 1;
-            e.completed = true;
+            e.flags.completed = true;
             if (e.predNext == kNoPred) {
                 // Serialized fetch: redirect, no squash needed.
                 fetchPc_ = e.actualNext;
@@ -643,15 +644,15 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
         break;
 
       case Opcode::JmpInd:
-        if (e.aReady && !e.resolveScheduled) {
-            e.resolveScheduled = true;
+        if (e.flags.aReady && !e.flags.resolveScheduled) {
+            e.flags.resolveScheduled = true;
             e.resolveCycle = cycle_ + config_.branchResolveLatency;
         }
-        if (e.resolveScheduled && !e.resolved &&
+        if (e.flags.resolveScheduled && !e.flags.resolved &&
             cycle_ >= e.resolveCycle) {
-            e.resolved = true;
+            e.flags.resolved = true;
             e.actualNext = e.valA;
-            e.completed = true;
+            e.flags.completed = true;
             if (e.predNext == kNoPred) {
                 fetchPc_ = e.actualNext;
                 fetchStallSeq_.reset();
@@ -664,16 +665,16 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
         break;
 
       case Opcode::Ret:
-        if (!e.resolveScheduled) {
-            e.resolveScheduled = true;
+        if (!e.flags.resolveScheduled) {
+            e.flags.resolveScheduled = true;
             e.resolveCycle = cycle_ + config_.retResolveLatency +
                              retExtraDelay_;
         }
-        if (e.resolveScheduled && !e.resolved &&
+        if (e.flags.resolveScheduled && !e.flags.resolved &&
             cycle_ >= e.resolveCycle) {
-            e.resolved = true;
+            e.flags.resolved = true;
             e.actualNext = retActualTarget(index);
-            e.completed = true;
+            e.flags.completed = true;
             if (e.predNext == kNoPred) {
                 fetchPc_ = e.actualNext;
                 fetchStallSeq_.reset();
@@ -694,28 +695,28 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
         break;
 
       case Opcode::Clflush:
-        if (e.aReady && !e.addrDone) {
+        if (e.flags.aReady && !e.flags.addrDone) {
             e.vaddr = e.valA + static_cast<Word>(e.inst.imm);
             const Translation t = pt_.translate(
                 e.vaddr, AccessType::Read, privilege_, enclaveMode_);
             e.paddr = t.paddr;
             e.paddrValid = t.paddrValid;
-            e.addrDone = true;
-            e.completed = true;
+            e.flags.addrDone = true;
+            e.flags.completed = true;
         }
         break;
 
       case Opcode::RdMsr:
-        if (!e.authStarted) {
-            e.authStarted = true;
+        if (!e.flags.authStarted) {
+            e.flags.authStarted = true;
             e.authDoneCycle = cycle_ + config_.permCheckLatency;
             if (privilege_ == Privilege::User)
                 e.fault = FaultKind::MsrPrivilege;
         }
-        if (!e.authDone && cycle_ >= e.authDoneCycle)
-            e.authDone = true;
-        if (!e.dataStarted) {
-            e.dataStarted = true;
+        if (!e.flags.authDone && cycle_ >= e.authDoneCycle)
+            e.flags.authDone = true;
+        if (!e.flags.dataStarted) {
+            e.flags.dataStarted = true;
             e.dataDoneCycle = cycle_ + 2;
             const std::size_t index_msr =
                 static_cast<std::size_t>(e.inst.imm) % kNumMsrs;
@@ -729,35 +730,36 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
                 e.result = 0;
             }
         }
-        if (e.dataStarted && !e.dataDone && cycle_ >= e.dataDoneCycle) {
-            e.dataDone = true;
-            e.hasResult = true;
+        if (e.flags.dataStarted && !e.flags.dataDone &&
+        cycle_ >= e.dataDoneCycle) {
+            e.flags.dataDone = true;
+            e.flags.hasResult = true;
             const bool safe = entrySafe(e, index);
             e.resultTaintOn = !safe;
             e.resultTaint = e.seq;
-            e.forwardable =
+            e.flags.forwardable =
                 config_.defense.blockSpeculativeForwarding ? safe
                                                            : true;
         }
-        if (e.hasResult && !e.forwardable &&
+        if (e.flags.hasResult && !e.flags.forwardable &&
             config_.defense.blockSpeculativeForwarding &&
             entrySafe(e, index)) {
-            e.forwardable = true;
+            e.flags.forwardable = true;
             e.resultTaintOn = false;
         }
-        if (e.dataDone && e.authDone)
-            e.completed = true;
+        if (e.flags.dataDone && e.flags.authDone)
+            e.flags.completed = true;
         break;
 
       case Opcode::FpRead:
-        if (!e.authStarted) {
-            e.authStarted = true;
+        if (!e.flags.authStarted) {
+            e.flags.authStarted = true;
             e.authDoneCycle = cycle_ + config_.permCheckLatency;
             if (fpu_.owner() != ctx_)
                 e.fault = FaultKind::FpuNotOwned;
         }
-        if (!e.authDone && cycle_ >= e.authDoneCycle)
-            e.authDone = true;
+        if (!e.flags.authDone && cycle_ >= e.authDoneCycle)
+            e.flags.authDone = true;
         // The architectural FPU file is written at commit: wait for
         // older in-flight writes of this register to retire.
         for (std::size_t i = 0; i < index; ++i) {
@@ -767,8 +769,8 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
                 return;
             }
         }
-        if (!e.dataStarted) {
-            e.dataStarted = true;
+        if (!e.flags.dataStarted) {
+            e.flags.dataStarted = true;
             e.dataDoneCycle = cycle_ + 2;
             // LazyFP race: the stale register value is forwarded
             // before the ownership check resolves.
@@ -780,37 +782,38 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
                 e.result = 0;
             }
         }
-        if (e.dataStarted && !e.dataDone && cycle_ >= e.dataDoneCycle) {
-            e.dataDone = true;
-            e.hasResult = true;
+        if (e.flags.dataStarted && !e.flags.dataDone &&
+        cycle_ >= e.dataDoneCycle) {
+            e.flags.dataDone = true;
+            e.flags.hasResult = true;
             const bool safe = entrySafe(e, index);
             e.resultTaintOn = !safe;
             e.resultTaint = e.seq;
-            e.forwardable =
+            e.flags.forwardable =
                 config_.defense.blockSpeculativeForwarding ? safe
                                                            : true;
         }
-        if (e.hasResult && !e.forwardable &&
+        if (e.flags.hasResult && !e.flags.forwardable &&
             config_.defense.blockSpeculativeForwarding &&
             entrySafe(e, index)) {
-            e.forwardable = true;
+            e.flags.forwardable = true;
             e.resultTaintOn = false;
         }
-        if (e.dataDone && e.authDone)
-            e.completed = true;
+        if (e.flags.dataDone && e.flags.authDone)
+            e.flags.completed = true;
         break;
 
       case Opcode::FpMov:
-        if (!e.authStarted) {
-            e.authStarted = true;
+        if (!e.flags.authStarted) {
+            e.flags.authStarted = true;
             e.authDoneCycle = cycle_ + config_.permCheckLatency;
             if (fpu_.owner() != ctx_)
                 e.fault = FaultKind::FpuNotOwned;
         }
-        if (!e.authDone && cycle_ >= e.authDoneCycle)
-            e.authDone = true;
-        if (e.aReady && e.authDone)
-            e.completed = true;
+        if (!e.flags.authDone && cycle_ >= e.authDoneCycle)
+            e.flags.authDone = true;
+        if (e.flags.aReady && e.flags.authDone)
+            e.flags.completed = true;
         break;
     }
 }
@@ -864,7 +867,7 @@ Cpu::dispatch(const Instruction &inst, Addr pc)
             e.prodAAbs = rename_[inst.ra]->abs;
         } else {
             e.valA = regs_[inst.ra];
-            e.aReady = true;
+            e.flags.aReady = true;
         }
     }
     if (e.needB) {
@@ -874,7 +877,7 @@ Cpu::dispatch(const Instruction &inst, Addr pc)
             e.prodBAbs = rename_[inst.rb]->abs;
         } else {
             e.valB = regs_[inst.rb];
-            e.bReady = true;
+            e.flags.bReady = true;
         }
     }
 
@@ -996,7 +999,7 @@ Cpu::executeStage()
         // completed), so re-running it is a no-op — except the NDA
         // late forwardable flip, which still needs polling while a
         // completed-but-unforwardable result waits to become safe.
-        if (e.completed && (!nda || e.forwardable))
+        if (e.flags.completed && (!nda || e.flags.forwardable))
             continue;
         progress(e, i, i > first_fence);
     }
@@ -1102,7 +1105,7 @@ Cpu::commitStage()
         if (rob_.empty())
             return;
         RobEntry &head = rob_.front();
-        if (!head.completed)
+        if (!head.flags.completed)
             return;
         if (head.fault != FaultKind::None) {
             deliverException(head);
@@ -1145,9 +1148,8 @@ Cpu::recordEntryFlags()
     bool unchanged = true;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         RobEntry &e = rob_[i];
-        const std::uint16_t flags = e.progressFlags();
-        unchanged = unchanged && flags == e.flagsSeen;
-        e.flagsSeen = flags;
+        unchanged &= e.flags == e.flagsSeen;
+        e.flagsSeen = e.flags;
     }
     return unchanged;
 }
@@ -1167,10 +1169,10 @@ Cpu::nextTimeGate() const
         arm(true, pendingException_->deliverCycle);
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry &e = rob_[i];
-        arm(e.authStarted && !e.authDone, e.authDoneCycle);
-        arm(e.dataStarted && !e.dataDone, e.dataDoneCycle);
-        arm(e.executed && !e.hasResult, e.doneCycle);
-        arm(e.resolveScheduled && !e.resolved, e.resolveCycle);
+        arm(e.flags.authStarted && !e.flags.authDone, e.authDoneCycle);
+        arm(e.flags.dataStarted && !e.flags.dataDone, e.dataDoneCycle);
+        arm(e.flags.executed && !e.flags.hasResult, e.doneCycle);
+        arm(e.flags.resolveScheduled && !e.flags.resolved, e.resolveCycle);
     }
     return gate;
 }
@@ -1209,7 +1211,7 @@ Cpu::run(Addr start_pc, std::uint64_t max_cycles)
     // Idle-cycle fast-forward.  A cycle is idle when it changed no
     // pipeline state, and that is detected exactly, with no hashing:
     //  - every change a cycle makes to a ROB entry sets one of its
-    //    progressFlags(), which are never cleared during its life;
+    //    flags, which are never cleared during its life;
     //  - every other change (dispatch, commit, squash, raising or
     //    delivering an exception, fetch redirect, stall or halt)
     //    moves a field of RobMarks.

@@ -38,8 +38,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "buffers.hh"
@@ -221,10 +224,16 @@ struct CpuStats
  * Capacity normally never grows — fetch stalls when the ROB is
  * full — but push_back re-linearizes into doubled storage rather
  * than corrupt state if a caller overfills.
+ *
+ * Slots are never destroyed one by one: pop_front, truncate and
+ * clear only move the bounds, and emplace_back builds a new entry
+ * over a vacated one.  So T must be trivially destructible.
  */
 template <typename T>
 class RingBuffer
 {
+    static_assert(std::is_trivially_destructible_v<T>);
+
   public:
     explicit RingBuffer(std::size_t capacity = 0)
         : slots_(capacity ? capacity : 1)
@@ -254,19 +263,21 @@ class RingBuffer
     }
 
     /**
-     * Append a default-initialized entry and hand back a reference,
-     * so callers can fill large entries in place instead of
-     * building them on the stack and copying.
+     * Append a value-initialized entry and hand back a reference,
+     * so callers can fill large entries in place.  The entry is
+     * constructed straight into its slot, over the one that slot
+     * last held (T is trivially destructible, so that one needs no
+     * destructor call): no temporary and no copy.
      */
     T &
     emplace_back()
     {
         if (size_ == slots_.size())
             grow();
-        T &slot = slots_[wrap(head_ + size_)];
-        slot = T{};
+        T *slot = ::new (static_cast<void *>(
+            &slots_[wrap(head_ + size_)])) T{};
         ++size_;
-        return slot;
+        return *slot;
     }
 
     void
@@ -440,6 +451,44 @@ class Cpu
         return cache_.access(t.paddr, ctx_, allocate).latency;
     }
 
+    /**
+     * An entry's progress flags, one block.  Every change progress()
+     * or captureOperands() makes to an entry sets one of them, and
+     * none is cleared during the entry's life -- which makes
+     * comparing them an exact "did this entry change" test, and
+     * keeping them together makes that test one compare of 13
+     * bytes.  The static_asserts below keep anything else out: a
+     * field that is not one of these bools changes the size, and
+     * padding would make the byte compare inexact.
+     */
+    struct ProgressFlags
+    {
+        bool aReady = false, bReady = false; ///< operands captured
+        bool executed = false; ///< result computation scheduled/done
+        bool hasResult = false;
+        bool forwardable = false;
+        bool addrDone = false;
+        bool dataStarted = false, dataDone = false;
+        bool authStarted = false, authDone = false;
+        bool resolveScheduled = false, resolved = false;
+        bool completed = false;
+
+        bool
+        operator==(const ProgressFlags &other) const
+        {
+            return std::memcmp(this, &other, sizeof other) == 0;
+        }
+    };
+    static_assert(std::is_trivially_copyable_v<ProgressFlags> &&
+                  std::has_unique_object_representations_v<
+                      ProgressFlags> &&
+                  sizeof(ProgressFlags) == 13 * sizeof(bool));
+
+    /**
+     * One in-flight instruction.  Trivially destructible, so the ROB
+     * builds each one in place over a vacated slot (see
+     * RingBuffer::emplace_back).
+     */
     struct RobEntry
     {
         Instruction inst;
@@ -447,72 +496,47 @@ class Cpu
         std::uint64_t seq = 0;
         Addr predNext = 0;
 
-        // Source operands.
+        ProgressFlags flags;
+        /// flags at the last idle check (Cpu::run).
+        ProgressFlags flagsSeen;
+
+        // The other one-byte fields, together so the entry has no
+        // padding: source operands, result, memory, control flow and
+        // transactions.
         bool needA = false, needB = false;
-        bool aReady = false, bReady = false;
+        bool hasProdA = false, hasProdB = false;
+        bool taintAOn = false, taintBOn = false;
+        bool resultTaintOn = false;
+        bool paddrValid = false;
+        FaultKind fault = FaultKind::None;
+        bool insertedLine = false;
+        bool needCommitInsert = false;
+        bool actualTaken = false;
+        bool mispredicted = false;
+        bool txnMember = false;
+
+        // Source operands.
         Word valA = 0, valB = 0;
         std::uint64_t prodA = 0, prodB = 0;
         std::uint64_t prodAAbs = 0, prodBAbs = 0;
-        bool hasProdA = false, hasProdB = false;
         std::uint64_t taintA = 0, taintB = 0;
-        bool taintAOn = false, taintBOn = false;
 
         // Result / forwarding.
-        bool executed = false; ///< result computation scheduled/done
         std::uint64_t doneCycle = 0;
         Word result = 0;
-        bool hasResult = false;
-        bool forwardable = false;
         std::uint64_t resultTaint = 0;
-        bool resultTaintOn = false;
 
         // Memory.
-        bool addrDone = false;
         Addr vaddr = 0, paddr = 0;
-        bool paddrValid = false;
-        FaultKind fault = FaultKind::None;
-        bool dataStarted = false, dataDone = false;
         std::uint64_t dataDoneCycle = 0;
-        bool insertedLine = false;
         Addr insertedLineAddr = 0;
-        bool needCommitInsert = false;
 
         // Authorization track.
-        bool authStarted = false, authDone = false;
         std::uint64_t authDoneCycle = 0;
 
         // Control flow.
-        bool resolved = false;
-        bool resolveScheduled = false;
         std::uint64_t resolveCycle = 0;
         Addr actualNext = 0;
-        bool actualTaken = false;
-        bool mispredicted = false;
-
-        // Transactions.
-        bool txnMember = false;
-
-        bool completed = false;
-
-        /// progressFlags() at the last idle check (Cpu::run).
-        std::uint16_t flagsSeen = 0;
-
-        /**
-         * The progress flags, packed.  Every change progress() or
-         * captureOperands() makes to an entry sets one of them, and
-         * none is cleared during the entry's life — which makes
-         * comparing them an exact "did this entry change" test.
-         */
-        std::uint16_t
-        progressFlags() const
-        {
-            return static_cast<std::uint16_t>(
-                aReady | bReady << 1 | executed << 2 |
-                hasResult << 3 | forwardable << 4 | addrDone << 5 |
-                dataStarted << 6 | dataDone << 7 | authStarted << 8 |
-                authDone << 9 | resolveScheduled << 10 |
-                resolved << 11 | completed << 12);
-        }
     };
 
     /**
@@ -538,7 +562,7 @@ class Cpu
     RobMarks robMarks() const;
 
     /**
-     * Record every entry's progressFlags() in its flagsSeen.
+     * Record every entry's flags in its flagsSeen.
      * @return true if none differed from the previous record.
      */
     bool recordEntryFlags();

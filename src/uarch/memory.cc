@@ -1,24 +1,26 @@
 #include "memory.hh"
 
-#include <atomic>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace specsec::uarch
 {
 
-namespace
-{
-
-/// The last stamp a PageTable mutator took, process-wide.
-std::atomic<std::uint64_t> lastStamp{0};
-
-} // namespace
-
 void
-PageTable::stamp()
+PageTable::stamp(const Edit &edit)
 {
-    version_ = lastStamp.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Every (stamp, edit) pair any table took, and the stamp it got.
+    static std::mutex mutex;
+    static std::map<std::pair<std::uint64_t, Edit>, std::uint64_t> memo;
+    static std::uint64_t last = 0;
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto [it, added] = memo.try_emplace({version_, edit}, last + 1);
+    if (added)
+        ++last;
+    version_ = it->second;
 }
 
 const char *
@@ -48,8 +50,8 @@ PageTable::ensureDense(Addr vpn)
 void
 PageTable::map(Addr vaddr, Pte pte)
 {
-    stamp();
     const Addr vpn = vaddr / kPageSize;
+    stamp({Edit::Kind::Map, vpn, vpn + 1, pte});
     if (vpn < kDenseVpns) {
         ensureDense(vpn);
         slots_[vpn].pte = pte;
@@ -63,9 +65,13 @@ void
 PageTable::mapRange(Addr base, Addr length, PageOwner owner,
                     bool user_accessible, bool writable)
 {
-    stamp();
     const Addr first = base / kPageSize;
     const Addr last = (base + length + kPageSize - 1) / kPageSize;
+    Pte written; // physPage is each page's own VPN
+    written.owner = owner;
+    written.userAccessible = user_accessible;
+    written.writable = writable;
+    stamp({Edit::Kind::MapRange, first, last, written});
     for (Addr vpn = first; vpn < last; ++vpn) {
         Pte pte;
         pte.physPage = vpn; // identity mapping
@@ -85,8 +91,8 @@ PageTable::mapRange(Addr base, Addr length, PageOwner owner,
 void
 PageTable::unmap(Addr vaddr)
 {
-    stamp();
     const Addr vpn = vaddr / kPageSize;
+    stamp({Edit::Kind::Unmap, vpn, vpn + 1, Pte{}});
     if (vpn < slots_.size())
         slots_[vpn].mapped = false;
     else if (vpn >= kDenseVpns)
@@ -103,26 +109,35 @@ PageTable::lookupOverflow(Addr vpn) const
 }
 
 Pte &
-PageTable::mappedPte(Addr vaddr, const char *who)
+PageTable::mappedPte(Addr vaddr, const char *who, Edit::Kind kind,
+                     const Pte &written)
 {
     const Pte *pte = lookup(vaddr);
     if (!pte)
         throw std::invalid_argument(std::string(who) +
                                     ": page not mapped");
-    stamp();
+    const Addr vpn = vaddr / kPageSize;
+    stamp({kind, vpn, vpn + 1, written});
     return const_cast<Pte &>(*pte);
 }
 
 void
 PageTable::setPresent(Addr vaddr, bool present)
 {
-    mappedPte(vaddr, "setPresent").present = present;
+    Pte written;
+    written.present = present;
+    mappedPte(vaddr, "setPresent", Edit::Kind::SetPresent, written)
+        .present = present;
 }
 
 void
 PageTable::setReservedBit(Addr vaddr, bool reserved)
 {
-    mappedPte(vaddr, "setReservedBit").reservedBit = reserved;
+    Pte written;
+    written.reservedBit = reserved;
+    mappedPte(vaddr, "setReservedBit", Edit::Kind::SetReservedBit,
+              written)
+        .reservedBit = reserved;
 }
 
 void

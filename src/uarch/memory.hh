@@ -16,15 +16,16 @@
  * the paper describes.
  *
  * PTEs change only through the PageTable's mutators, and each one
- * gives the table a new process-unique PageTable::version() stamp,
- * so Flush+Reload receivers can share their slots' translations
- * between tables with the same stamp.
+ * gives the table a PageTable::version() stamp that names the
+ * table's edits, so Flush+Reload receivers can share their slots'
+ * translations between tables with the same stamp.
  */
 
 #ifndef SPECSEC_UARCH_MEMORY_HH
 #define SPECSEC_UARCH_MEMORY_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -80,6 +81,8 @@ struct Pte
     bool userAccessible = true;
     bool reservedBit = false;
     PageOwner owner = PageOwner::User;
+
+    auto operator<=>(const Pte &) const = default;
 };
 
 /** Memory access type for permission checking. */
@@ -152,15 +155,20 @@ class PageTable
     void setReservedBit(Addr vaddr, bool reserved);
 
     /**
-     * Mapping stamp, unique in the process.  Every mutator -- map,
-     * mapRange, unmap, setPresent, setReservedBit -- takes the next
-     * value of one process-wide counter, and nothing else changes
-     * it; a copy keeps its source's stamp, and an empty table reads
-     * 0.  So two tables with equal stamps hold equal PTEs, whichever
-     * tables they are: a caller that kept lookups or translations
-     * made at one stamp may reuse them for any table that reads it.
-     * A table cannot be assigned, which would replace its PTEs
-     * without a new stamp.
+     * Mapping stamp.  An empty table reads 0, a copy keeps its
+     * source's stamp, and every mutator -- map, mapRange, unmap,
+     * setPresent, setReservedBit -- moves it to the stamp of (the
+     * table's stamp, the edit): a process-wide memo hands each new
+     * pair the next value of one counter, so a stamp is always
+     * greater than the one it was derived from, and every table
+     * that takes the same edits from the same stamp reads the same
+     * stamp.  The edit is the mutator, the pages it writes and every
+     * PTE field it writes, and nothing else changes a table.  So two
+     * tables with equal stamps hold equal PTEs, whichever tables
+     * they are: a caller that kept lookups or translations made at
+     * one stamp may reuse them for any table that reads it.  A table
+     * cannot be assigned, which would replace its PTEs without a new
+     * stamp.
      */
     std::uint64_t version() const { return version_; }
 
@@ -191,11 +199,35 @@ class PageTable
     /** lookup() for a VPN past the dense array. */
     const Pte *lookupOverflow(Addr vpn) const;
 
-    /** The PTE a mutator edits; throws naming @p who if unmapped. */
-    Pte &mappedPte(Addr vaddr, const char *who);
+    /** What one mutator call wrote (see version()). */
+    struct Edit
+    {
+        enum class Kind : std::uint8_t
+        {
+            Map,
+            MapRange,
+            Unmap,
+            SetPresent,
+            SetReservedBit,
+        };
 
-    /** Take the next process-wide stamp (every mutator does). */
-    void stamp();
+        Kind kind = Kind::Map;
+        Addr vpn = 0, endVpn = 0; ///< the pages written: [vpn, endVpn)
+        Pte pte; ///< the fields written; the others at their defaults
+
+        auto operator<=>(const Edit &) const = default;
+    };
+
+    /** Move version() to the stamp of (version(), @p edit). */
+    void stamp(const Edit &edit);
+
+    /**
+     * The PTE a mutator edits, after stamping its edit (@p kind,
+     * writing the fields of @p written); throws naming @p who, and
+     * leaves the stamp alone, if the page is unmapped.
+     */
+    Pte &mappedPte(Addr vaddr, const char *who, Edit::Kind kind,
+                   const Pte &written);
 
     std::vector<Slot> slots_;           ///< dense, indexed by VPN
     std::unordered_map<Addr, Pte> overflow_; ///< VPN >= kDenseVpns

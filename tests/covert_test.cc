@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <random>
+#include <span>
 #include <string>
 
+#include "attacks/attack_kit.hh"
 #include "uarch/covert.hh"
 
 namespace
@@ -222,6 +226,29 @@ struct ReferenceFlushReload
     }
 };
 
+/**
+ * The slot a scan of every slot's latency names, as ChannelHarness
+ * did before it took its answer from the round's hits: the first
+ * slot of the lowest latency below @p limit that @p exclude does
+ * not name, or -1.
+ */
+int
+scanFastest(const std::vector<std::uint32_t> &latencies,
+            std::uint32_t limit, std::span<const int> exclude)
+{
+    int best = -1;
+    std::uint32_t best_lat = limit;
+    for (std::size_t i = 0; i < latencies.size(); ++i) {
+        if (latencies[i] < best_lat &&
+            std::find(exclude.begin(), exclude.end(),
+                      static_cast<int>(i)) == exclude.end()) {
+            best_lat = latencies[i];
+            best = static_cast<int>(i);
+        }
+    }
+    return best;
+}
+
 /** One machine of a twin pair: same config, same page table edits. */
 struct Machine
 {
@@ -344,6 +371,19 @@ TEST(FlushReloadDifferential, MatchesPerSlotReferenceOnTwinCpus)
                 const ChannelRecovery want = reference.recover();
                 EXPECT_EQ(got.latencies, want.latencies) << at;
                 EXPECT_EQ(got.value, want.value) << at;
+                // Below the threshold, with up to three slots that
+                // may not win (hit slots among them when any hit).
+                std::vector<int> exclude;
+                for (std::uint64_t n = pick(4); n > 0; --n) {
+                    const bool hit = want.value >= 0 && pick(2) == 0;
+                    exclude.push_back(
+                        hit ? want.value + static_cast<int>(pick(2))
+                            : static_cast<int>(pick(slots)));
+                }
+                EXPECT_EQ(channel.fastestSlot(channel.threshold(), exclude),
+                          scanFastest(want.latencies, channel.threshold(),
+                                      exclude))
+                    << at;
                 break;
               }
               case 4: { // the sender and the victim touch lines
@@ -424,6 +464,77 @@ TEST(FlushReloadDifferential, MatchesPerSlotReferenceOnTwinCpus)
         }
         expectSameStats(a.cpu.cache().stats(), b.cpu.cache().stats(),
                         where);
+    }
+}
+
+TEST(FlushReloadHarness, RecoverMatchesAScanOfTheReferenceLatencies)
+{
+    // ChannelHarness::recover takes its Flush+Reload answer from the
+    // round's hit slots; it must name the slot a scan of a twin
+    // per-slot reference's latencies names.  Slots 3, 40 and 200
+    // carry the sender's lines and, in half the runs, slot 0 faults.
+    // Each latency setting orders the three classes differently:
+    // hits win (default, miss 20), nothing wins (miss = hit + 1:
+    // the threshold is the hit latency), misses win (miss < hit),
+    // and misses and faults tie (miss 0).
+    using specsec::attacks::ChannelHarness;
+    using specsec::attacks::Layout;
+    using specsec::attacks::Scenario;
+    CpuConfig fastMiss, hitPlusOne, missBelowHit, freeMiss;
+    fastMiss.cache.missLatency = 20;
+    hitPlusOne.cache.missLatency = hitPlusOne.cache.hitLatency + 1;
+    missBelowHit.cache.hitLatency = 40;
+    missBelowHit.cache.missLatency = 5;
+    freeMiss.cache.missLatency = 0;
+    const struct
+    {
+        const char *name;
+        CpuConfig cfg;
+    } cases[] = {{"default", CpuConfig{}},
+                 {"miss 20", fastMiss},
+                 {"miss = hit + 1", hitPlusOne},
+                 {"miss < hit", missBelowHit},
+                 {"miss 0", freeMiss}};
+    // None, the lowest hit slot, every hit slot, a miss slot, and
+    // the faulting slot with a miss slot.
+    const std::initializer_list<int> excludes[] = {
+        {}, {3}, {3, 40, 200}, {1}, {0, 1}};
+    constexpr Addr base = Layout::kProbeArray;
+    for (const auto &c : cases) {
+        for (const bool faulting : {false, true}) {
+            Scenario s(c.cfg), twin(c.cfg);
+            if (faulting) {
+                s.pageTable().setPresent(base, false);
+                twin.pageTable().setPresent(base, false);
+            }
+            ChannelHarness harness(s.cpu(),
+                                   specsec::core::CovertChannelKind::
+                                       FlushReload);
+            ReferenceFlushReload reference{twin.cpu(), base, 256,
+                                           kPageSize};
+            const CacheConfig &cache = c.cfg.cache;
+            const std::uint32_t threshold =
+                (cache.hitLatency + cache.missLatency) / 2;
+            for (std::size_t k = 0; k < std::size(excludes); ++k) {
+                const std::string at = std::string(c.name) +
+                                       (faulting ? ", faulting" : "") +
+                                       ", exclude set " +
+                                       std::to_string(k);
+                harness.setup();
+                reference.setup();
+                for (const int slot : {3, 40, 200}) {
+                    s.cpu().timedAccess(base + slot * kPageSize);
+                    twin.cpu().timedAccess(base + slot * kPageSize);
+                }
+                const int got = harness.recover(excludes[k]);
+                const ChannelRecovery want = reference.recover();
+                EXPECT_EQ(got, scanFastest(want.latencies, threshold,
+                                           excludes[k]))
+                    << at;
+                expectSameStats(s.cpu().cache().stats(),
+                                twin.cpu().cache().stats(), at);
+            }
+        }
     }
 }
 

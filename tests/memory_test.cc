@@ -294,6 +294,73 @@ TEST(PageTable, VersionIsAStampUniqueInTheProcess)
     EXPECT_NE(copy.version(), kernel.version());
 }
 
+TEST(PageTable, TheSameEditOnCopiesOfOneTableGivesOneStamp)
+{
+    // A stamp names a table's edits: Flush+Reload receivers share a
+    // preparation between every cell that edits the layout the same
+    // way (Meltdown under KPTI, Foreshadow, LVI).
+    PageTable layout;
+    layout.mapRange(0x10000, 4 * kPageSize, PageOwner::User, true, true);
+    PageTable a = layout, b = layout;
+    a.setPresent(0x11000, false);
+    b.setPresent(0x11000, false);
+    EXPECT_EQ(a.version(), b.version());
+    EXPECT_GT(a.version(), layout.version());
+    PageTable rebuilt;
+    rebuilt.mapRange(0x10000, 4 * kPageSize, PageOwner::User, true, true);
+    EXPECT_EQ(rebuilt.version(), layout.version());
+
+    // Another mutator, page, value or PTE field is another edit.
+    const auto edited = [&layout](auto edit) {
+        PageTable t = layout;
+        edit(t);
+        return t.version();
+    };
+    const auto mapped = [&edited](Pte pte) {
+        return edited([pte](PageTable &t) { t.map(0x11000, pte); });
+    };
+    const auto ranged = [&edited](Addr length, PageOwner owner,
+                                  bool user, bool writable) {
+        return edited([=](PageTable &t) {
+            t.mapRange(0x11000, length, owner, user, writable);
+        });
+    };
+    Pte frame, absent, readOnly, kernelOnly, reserved, enclave;
+    frame.physPage = 7;
+    absent.present = false;
+    readOnly.writable = false;
+    kernelOnly.userAccessible = false;
+    reserved.reservedBit = true;
+    enclave.owner = PageOwner::Enclave;
+    const std::vector<std::uint64_t> stamps = {
+        layout.version(),
+        a.version(),
+        edited([](PageTable &t) { t.setPresent(0x12000, false); }),
+        edited([](PageTable &t) { t.setPresent(0x11000, true); }),
+        edited([](PageTable &t) { t.setReservedBit(0x11000, false); }),
+        edited([](PageTable &t) { t.unmap(0x11000); }),
+        mapped(Pte{}),
+        mapped(frame),
+        mapped(absent),
+        mapped(readOnly),
+        mapped(kernelOnly),
+        mapped(reserved),
+        mapped(enclave),
+        ranged(kPageSize, PageOwner::User, true, true),
+        ranged(2 * kPageSize, PageOwner::User, true, true),
+        ranged(kPageSize, PageOwner::Kernel, true, true),
+        ranged(kPageSize, PageOwner::User, false, true),
+        ranged(kPageSize, PageOwner::User, true, false),
+    };
+    for (std::size_t i = 0; i < stamps.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            EXPECT_NE(stamps[i], stamps[j]) << "edits " << i << ", " << j;
+    // The same edit from another stamp is another stamp too.
+    PageTable c = a;
+    c.setPresent(0x12000, false);
+    EXPECT_NE(c.version(), stamps[2]);
+}
+
 TEST(PageTable, FaultKindNames)
 {
     EXPECT_STREQ(faultKindName(FaultKind::None), "none");

@@ -4,17 +4,19 @@
  * ephemeral port serving a real Client.  Covers the handshake
  * (including schema/fingerprint rejection), remote-vs-offline
  * byte identity through the sink contract, the shared cache (warm
- * second submit), protocol robustness (malformed, truncated and
- * removed request lines answered with error{} on a surviving
- * connection; a client vanishing mid-stream leaving the daemon
- * healthy and counting only the request), the daemon's model
- * counters against the differential backend's, and the JSONL
- * resume planner's accept/trim/refuse cases.
+ * second submit, which leaves the cache file unsaved), protocol
+ * robustness (malformed, truncated and removed request lines
+ * answered with error{} on a surviving connection; a client
+ * vanishing mid-stream leaving the daemon healthy and counting only
+ * the request), the daemon's model counters against the
+ * differential backend's, and the JSONL resume planner's
+ * accept/trim/refuse cases.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <mutex>
@@ -24,6 +26,7 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 
 #include "campaign/campaign.hh"
 #include "campaign/sink.hh"
@@ -285,6 +288,43 @@ TEST(Serve, RemoteRunMatchesOfflineAndSecondRunIsAllCacheHits)
         ASSERT_EQ(done.type, serve::MsgType::Done) << line;
         EXPECT_EQ(done.done.cacheHits, cached ? submit.keys.size() : 0u);
     }
+}
+
+TEST(Serve, AllCachedSubmitLeavesTheCacheFileAlone)
+{
+    // A --cache-file save writes a temp file and renames it into
+    // place, so every save gives the file a new inode.  The daemon
+    // saves after a submit that added entries, and only then: an
+    // all-hit submit after a cold one leaves the file as it was.
+    // Shutdown saves in any case.
+    const std::string path = testing::TempDir() + "serve-cache-inode.json";
+    std::remove(path.c_str());
+    const auto inode = [&path] {
+        struct stat st{};
+        return ::stat(path.c_str(), &st) == 0 ? st.st_ino : ino_t{0};
+    };
+    serve::Server::Options options;
+    options.cachePath = path;
+    TestServer daemon(options);
+    serve::Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.endpoint(), &error)) << error;
+
+    ReportSink cold;
+    ASSERT_TRUE(client.run(sampleSpec(), {&cold}, {}, &error)) << error;
+    EXPECT_GT(cold.takeReport().executedCount, 0u);
+    const ino_t saved = inode();
+    ASSERT_NE(saved, ino_t{0});
+
+    ReportSink warm;
+    ASSERT_TRUE(client.run(sampleSpec(), {&warm}, {}, &error)) << error;
+    EXPECT_EQ(warm.takeReport().executedCount, 0u);
+    EXPECT_EQ(inode(), saved);
+
+    daemon.drain();
+    EXPECT_NE(inode(), saved);
+    std::remove(path.c_str());
+    std::remove((path + ".lock").c_str());
 }
 
 TEST(Serve, RepeatedResultIndexFailsTheRun)
