@@ -7,8 +7,9 @@
  * same sweep submitted to an in-process campaign daemon (cold and
  * cache-warm) against the offline engine, counts the heap
  * allocations and times the expansion of ROADMAP item 1's
- * 55,296-cell knob sweep, and writes the headline numbers to
- * BENCH_campaign.json for CI artifact upload.
+ * 55,296-cell knob sweep, counts the pipeline's own work per cell of
+ * a serial defense matrix on both channels, and writes the headline
+ * numbers to BENCH_campaign.json for CI artifact upload.
  */
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "serve/server.hh"
 #include "tool/report.hh"
 #include "tool/stream_export.hh"
+#include "uarch/cpu.hh"
 
 using namespace specsec;
 using namespace specsec::campaign;
@@ -333,6 +335,31 @@ main(int argc, char **argv)
                 sweepCells, expandAllocsPerCell, expandCellsPerSec,
                 expansions, expandMs);
 
+    // The simulator's own work, exact: progress() polls and cycles
+    // stepped stage by stage per executed cell of a serial defense
+    // matrix on both channels.  Every cell runs on this thread, so
+    // the thread's pipeline-work total moves by exactly its cells'.
+    bench::header("pipeline work: serial fr+pp defense matrix");
+    ScenarioSpec frpp = ScenarioSpec::defenseMatrix();
+    frpp.channels = {core::CovertChannelKind::FlushReload,
+                     core::CovertChannelKind::PrimeProbe};
+    const uarch::PipelineWork w0 = uarch::threadPipelineWork();
+    const CampaignReport frppReport = oneWorker.run(frpp);
+    const uarch::PipelineWork w1 = uarch::threadPipelineWork();
+    const double frppCells =
+        static_cast<double>(frppReport.executedCount);
+    const double pollsPerCell =
+        static_cast<double>(w1.polls - w0.polls) / frppCells;
+    const double steppedPerCell =
+        static_cast<double>(w1.steppedCycles - w0.steppedCycles) /
+        frppCells;
+    const double skippedPerCell =
+        static_cast<double>(w1.skippedCycles - w0.skippedCycles) /
+        frppCells;
+    std::printf("%.0f cells: %.1f polls, %.1f stepped and %.1f skipped "
+                "cycles per cell\n",
+                frppCells, pollsPerCell, steppedPerCell, skippedPerCell);
+
     bench::BenchJson out;
     out.set("bench", std::string("campaign"));
     out.set("grid_scenarios",
@@ -357,6 +384,8 @@ main(int argc, char **argv)
     out.set("serve_warm_cache_hit_rate", warm_hit_rate);
     out.set("expand_allocs_per_cell", expandAllocsPerCell);
     out.set("expand_cells_per_s", expandCellsPerSec);
+    out.set("polls_per_cell", pollsPerCell);
+    out.set("stepped_cycles_per_cell", steppedPerCell);
     if (!out.save(json_path))
         return 1;
 

@@ -51,11 +51,13 @@ StoreBuffer::setData(std::uint64_t seq, Word data)
 void
 StoreBuffer::squashAfter(std::uint64_t last_kept)
 {
-    // Residue intentionally survives: squashed store data lingers in
-    // the buffer, which is what Fallout samples.
-    std::erase_if(entries_, [last_kept](const StoreBufferEntry &e) {
-        return e.seq > last_kept;
-    });
+    // Entries are in seq order (allocate appends each store as it
+    // dispatches), so the squashed ones are a suffix, and most
+    // squashes find none.  Residue intentionally survives: squashed
+    // store data lingers in the buffer, which is what Fallout
+    // samples.
+    while (!entries_.empty() && entries_.back().seq > last_kept)
+        entries_.pop_back();
 }
 
 std::optional<StoreBufferEntry>
@@ -140,25 +142,21 @@ StoreBuffer::physAliasOlder(std::uint64_t load_seq, Addr paddr) const
 }
 
 void
-LineFillBuffer::recordFill(Addr paddr, Word data)
+LineFillBuffer::recordFill(Word data)
 {
-    if (fills_.size() == capacity_)
-        fills_.pop_front();
-    fills_.push_back({paddr, data});
+    // A 0-entry buffer holds nothing, so it keeps no residue.
+    if (capacity_ == 0)
+        return;
+    last_ = data;
+    count_ = std::min(count_ + 1, capacity_);
 }
 
 std::optional<Word>
 LineFillBuffer::residue() const
 {
-    if (fills_.empty())
+    if (count_ == 0)
         return std::nullopt;
-    return fills_.back().data;
-}
-
-void
-LineFillBuffer::clear()
-{
-    fills_.clear();
+    return last_;
 }
 
 FpuState::FpuState()

@@ -55,7 +55,8 @@ class StoreBuffer
     /** Record the data of store @p seq. */
     void setData(std::uint64_t seq, Word data);
 
-    /** Remove entries of squashed stores (seq > @p last_kept). */
+    /** Remove entries of squashed stores (seq > @p last_kept);
+     *  entries are allocated in seq order. */
     void squashAfter(std::uint64_t last_kept);
 
     /** Pop the oldest entry at commit; @return it for draining. */
@@ -122,32 +123,31 @@ class StoreBuffer
 
 /**
  * Line fill buffer: a small ring of recent fills whose data lingers
- * after completion (RIDL / ZombieLoad / CacheOut residue).
+ * after completion (RIDL / ZombieLoad / CacheOut residue).  What a
+ * faulting load can read of it is the most recent fill, so that and
+ * the ring's occupancy are all it keeps.
  */
 class LineFillBuffer
 {
   public:
     explicit LineFillBuffer(std::size_t entries) : capacity_(entries) {}
 
-    /** Record a fill of @p data for the line containing @p paddr. */
-    void recordFill(Addr paddr, Word data);
+    /** Record a line fill that brought in @p data. */
+    void recordFill(Word data);
 
     /** Most recent fill data still lingering in the buffer. */
     std::optional<Word> residue() const;
 
     /** Clear all residues (VERW defense). */
-    void clear();
+    void clear() { count_ = 0; }
 
-    std::size_t size() const { return fills_.size(); }
+    /** Fills held: those recorded since clear(), up to capacity. */
+    std::size_t size() const { return count_; }
 
   private:
-    struct Fill
-    {
-        Addr paddr;
-        Word data;
-    };
     std::size_t capacity_;
-    std::deque<Fill> fills_;
+    std::size_t count_ = 0;
+    Word last_ = 0;
 };
 
 /** Load port: retains the last value that crossed it (RIDL). */

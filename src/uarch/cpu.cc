@@ -12,6 +12,11 @@ namespace
 /** Sentinel prediction for serialized (non-speculated) control. */
 constexpr Addr kNoPred = std::numeric_limits<Addr>::max();
 
+/** A wake cycle that never comes. */
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+thread_local PipelineWork tlsPipelineWork;
+
 /** Does the opcode carry a delayed authorization check? */
 bool
 needsAuth(Opcode op)
@@ -37,6 +42,19 @@ Cpu::Cpu(const CpuConfig &config, Memory &memory, PageTable &pt)
       rob_(config.robSize)
 {
     cache_.setPartitioned(config_.defense.partitionedCache);
+}
+
+Cpu::~Cpu()
+{
+    tlsPipelineWork.polls += work_.polls;
+    tlsPipelineWork.steppedCycles += work_.steppedCycles;
+    tlsPipelineWork.skippedCycles += work_.skippedCycles;
+}
+
+const PipelineWork &
+threadPipelineWork()
+{
+    return tlsPipelineWork;
 }
 
 void
@@ -77,38 +95,6 @@ Cpu::warmLine(Addr vaddr)
     }
 }
 
-Cpu::RobEntry *
-Cpu::findBySeq(std::uint64_t seq)
-{
-    const auto index = indexOfSeq(seq);
-    return index ? &rob_[*index] : nullptr;
-}
-
-const Cpu::RobEntry *
-Cpu::findBySeq(std::uint64_t seq) const
-{
-    return const_cast<Cpu *>(this)->findBySeq(seq);
-}
-
-std::optional<std::size_t>
-Cpu::indexOfSeq(std::uint64_t seq) const
-{
-    // ROB order is seq order: dispatch appends strictly increasing
-    // seqs, commit pops the front, squash drops a suffix.  Binary
-    // search instead of the old linear scan.
-    std::size_t lo = 0, hi = rob_.size();
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (rob_[mid].seq < seq)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < rob_.size() && rob_[lo].seq == seq)
-        return lo;
-    return std::nullopt;
-}
-
 bool
 Cpu::underOlderSpeculation(std::size_t index) const
 {
@@ -137,12 +123,11 @@ Cpu::entrySafe(const RobEntry &e, std::size_t index) const
 }
 
 bool
-Cpu::taintLive(std::uint64_t source_seq) const
+Cpu::taintLive(std::uint64_t source) const
 {
-    const auto index = indexOfSeq(source_seq);
-    if (!index)
-        return false; // committed (safe) or squashed (moot)
-    return !entrySafe(rob_[*index], *index);
+    // Out of range: committed (safe) or squashed (moot).
+    const auto index = static_cast<std::size_t>(source - robPops_);
+    return index < rob_.size() && !entrySafe(rob_[index], index);
 }
 
 void
@@ -152,7 +137,7 @@ Cpu::rebuildRename()
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry &e = rob_[i];
         if (writesIntReg(e.inst))
-            rename_[e.inst.rd] = RenameRef{e.seq, robPops_ + i};
+            rename_[e.inst.rd] = robPops_ + i;
     }
 }
 
@@ -282,22 +267,14 @@ Cpu::evalCond(Cond cond, Word a, Word b)
 void
 Cpu::captureOperands(RobEntry &e)
 {
-    // Producers are resolved by their absolute ROB position (see
-    // RenameRef): one bounds-checked access replaces the old
-    // per-cycle binary search.  A committed producer's position is
-    // below robPops_, so the unsigned subtraction lands out of
-    // range; a squashed producer implies this consumer was squashed
-    // with it, so a stale hit cannot occur.
-    const auto producer = [this](std::uint64_t seq,
-                                 std::uint64_t abs) -> const RobEntry * {
-        const std::size_t index =
-            static_cast<std::size_t>(abs - robPops_);
-        if (index < rob_.size() && rob_[index].seq == seq)
-            return &rob_[index];
-        return nullptr;
+    // Producers are found by their absolute position (see RobEntry):
+    // out of range means committed.
+    const auto producer = [this](std::uint64_t abs) -> const RobEntry * {
+        const auto index = static_cast<std::size_t>(abs - robPops_);
+        return index < rob_.size() ? &rob_[index] : nullptr;
     };
     if (e.needA && !e.flags.aReady && e.hasProdA) {
-        const RobEntry *prod = producer(e.prodA, e.prodAAbs);
+        const RobEntry *prod = producer(e.prodAAbs);
         if (!prod) {
             // Producer committed; its value is architectural now.
             e.valA = regs_[e.inst.ra];
@@ -310,7 +287,7 @@ Cpu::captureOperands(RobEntry &e)
         }
     }
     if (e.needB && !e.flags.bReady && e.hasProdB) {
-        const RobEntry *prod = producer(e.prodB, e.prodBAbs);
+        const RobEntry *prod = producer(e.prodBAbs);
         if (!prod) {
             e.valB = regs_[e.inst.rb];
             e.flags.bReady = true;
@@ -431,7 +408,7 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
                 }
                 value = mem_.read(e.paddr, e.inst.size);
                 if (!ca.hit)
-                    lfb_.recordFill(e.paddr, value);
+                    lfb_.recordFill(value);
                 loadPort_.record(value);
             }
         } else if (e.fault == FaultKind::Privilege && e.paddrValid) {
@@ -447,7 +424,7 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
                 }
                 value = mem_.read(e.paddr, e.inst.size);
                 if (!ca.hit)
-                    lfb_.recordFill(e.paddr, value);
+                    lfb_.recordFill(value);
                 loadPort_.record(value);
                 transient = true;
             } else {
@@ -495,7 +472,7 @@ Cpu::progressLoad(RobEntry &e, std::size_t index)
         e.flags.hasResult = true;
         const bool safe = entrySafe(e, index);
         e.resultTaintOn = !safe;
-        e.resultTaint = e.seq;
+        e.resultTaint = robPops_ + index;
         // Strategy 2 (NDA): forward only once safe.
         e.flags.forwardable =
             config_.defense.blockSpeculativeForwarding ? safe : true;
@@ -525,7 +502,7 @@ Cpu::progressStore(RobEntry &e, std::size_t index)
         e.authDoneCycle = cycle_ + config_.permCheckLatency;
         if (e.paddrValid) {
             sb_.setAddress(e.seq, e.vaddr, e.paddr);
-            checkMemOrderViolation(e);
+            checkMemOrderViolation(e, index);
         }
     }
     if (e.flags.addrDone && !e.flags.authDone && cycle_ >= e.authDoneCycle)
@@ -537,16 +514,12 @@ Cpu::progressStore(RobEntry &e, std::size_t index)
     }
     if (e.flags.addrDone && e.flags.executed && e.flags.authDone)
         e.flags.completed = true;
-    (void)index;
 }
 
 void
-Cpu::checkMemOrderViolation(const RobEntry &store)
+Cpu::checkMemOrderViolation(const RobEntry &store, std::size_t index)
 {
-    const auto store_index = indexOfSeq(store.seq);
-    if (!store_index)
-        return;
-    for (std::size_t j = *store_index + 1; j < rob_.size(); ++j) {
+    for (std::size_t j = index + 1; j < rob_.size(); ++j) {
         const RobEntry &e = rob_[j];
         if (!isLoad(e.inst.op) || !e.flags.dataStarted || !e.paddrValid)
             continue;
@@ -736,7 +709,7 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
             e.flags.hasResult = true;
             const bool safe = entrySafe(e, index);
             e.resultTaintOn = !safe;
-            e.resultTaint = e.seq;
+            e.resultTaint = robPops_ + index;
             e.flags.forwardable =
                 config_.defense.blockSpeculativeForwarding ? safe
                                                            : true;
@@ -788,7 +761,7 @@ Cpu::progress(RobEntry &e, std::size_t index, bool fence_blocked)
             e.flags.hasResult = true;
             const bool safe = entrySafe(e, index);
             e.resultTaintOn = !safe;
-            e.resultTaint = e.seq;
+            e.resultTaint = robPops_ + index;
             e.flags.forwardable =
                 config_.defense.blockSpeculativeForwarding ? safe
                                                            : true;
@@ -863,8 +836,7 @@ Cpu::dispatch(const Instruction &inst, Addr pc)
     if (e.needA) {
         if (rename_[inst.ra]) {
             e.hasProdA = true;
-            e.prodA = rename_[inst.ra]->seq;
-            e.prodAAbs = rename_[inst.ra]->abs;
+            e.prodAAbs = *rename_[inst.ra];
         } else {
             e.valA = regs_[inst.ra];
             e.flags.aReady = true;
@@ -873,8 +845,7 @@ Cpu::dispatch(const Instruction &inst, Addr pc)
     if (e.needB) {
         if (rename_[inst.rb]) {
             e.hasProdB = true;
-            e.prodB = rename_[inst.rb]->seq;
-            e.prodBAbs = rename_[inst.rb]->abs;
+            e.prodBAbs = *rename_[inst.rb];
         } else {
             e.valB = regs_[inst.rb];
             e.flags.bReady = true;
@@ -930,7 +901,7 @@ Cpu::dispatch(const Instruction &inst, Addr pc)
     }
 
     if (writesIntReg(inst))
-        rename_[inst.rd] = RenameRef{e.seq, robPops_ + rob_.size() - 1};
+        rename_[inst.rd] = robPops_ + rob_.size() - 1;
     if (isStore(inst.op))
         sb_.allocate(e.seq, inst.size);
 
@@ -974,8 +945,23 @@ Cpu::fetchStage()
     }
 }
 
-void
-Cpu::executeStage()
+std::uint64_t
+Cpu::wakeCycle(const RobEntry &e) const
+{
+    std::uint64_t wake = kNever;
+    const auto arm = [&](bool armed, std::uint64_t at) {
+        if (armed && at > cycle_)
+            wake = std::min(wake, at);
+    };
+    arm(e.flags.authStarted && !e.flags.authDone, e.authDoneCycle);
+    arm(e.flags.dataStarted && !e.flags.dataDone, e.dataDoneCycle);
+    arm(e.flags.executed && !e.flags.hasResult, e.doneCycle);
+    arm(e.flags.resolveScheduled && !e.flags.resolved, e.resolveCycle);
+    return wake;
+}
+
+std::uint64_t
+Cpu::executeStage(bool committed)
 {
     // One scan finds the oldest in-flight fence; every younger
     // entry is fence-blocked.  The position cannot move during the
@@ -991,18 +977,59 @@ Cpu::executeStage()
             }
         }
     }
+    // The wake rule.  The walk stays oldest-first, but polls an
+    // entry only when something it waits on may have moved since its
+    // last poll:
+    //  - its own clock: an armed latency has ended (wake <= cycle_).
+    //    A dispatched entry starts at wake 0, so its first pass polls
+    //    it.
+    //  - an older entry, read by operand capture, the safety and
+    //    taint checks and the store-buffer waits (which see only
+    //    older stores).  Every change a poll makes sets one of the
+    //    entry's flags, so a poll that set none changed nothing a
+    //    younger entry reads; one that did wakes the rest of the
+    //    pass, and so does a squash.
+    //  - what commit changes: registers, the store buffer's oldest
+    //    entry, the FPU file, the call stack and the oldest fence.  A
+    //    commit this cycle wakes the whole pass.
+    // The one wait that reads the cache is conditional speculation's
+    // load waiting on a miss.  While it waits, every younger load
+    // sits under the same speculation and may proceed only on a hit,
+    // so none fills a line, and an older load that fills one sets
+    // its own flags: no cache-change wake is needed.
+    //
+    // A completed entry's state machine is exhausted: every progress
+    // path is guarded (!resolved / hasResult / completed), so
+    // re-running it is a no-op -- except the NDA late forwardable
+    // flip, which still needs polling while a completed but
+    // unforwardable result waits to become safe.
     const bool nda = config_.defense.blockSpeculativeForwarding;
+    bool woken = committed;
+    std::uint64_t wake = kNever;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         RobEntry &e = rob_[i];
-        // A completed entry's state machine is exhausted: every
-        // progress path is guarded (!resolved / hasResult /
-        // completed), so re-running it is a no-op — except the NDA
-        // late forwardable flip, which still needs polling while a
-        // completed-but-unforwardable result waits to become safe.
         if (e.flags.completed && (!nda || e.flags.forwardable))
             continue;
-        progress(e, i, i > first_fence);
+        const ProgressFlags before = e.flags;
+        const std::size_t size = rob_.size();
+        if (woken || e.wake <= cycle_) {
+            progress(e, i, i > first_fence);
+            ++work_.polls;
+            e.wake = wakeCycle(e);
+            if (!(e.flags == before) || rob_.size() != size) {
+                woken = true;
+                wake = 0; // a busy cycle; the minimum keeps it
+            }
+        } else {
+#ifndef NDEBUG
+            // The rule skipped it, so a poll must change nothing.
+            progress(e, i, i > first_fence);
+            assert(e.flags == before && rob_.size() == size);
+#endif
+        }
+        wake = std::min(wake, e.wake);
     }
+    return wake;
 }
 
 void
@@ -1057,10 +1084,9 @@ Cpu::applyCommit(RobEntry &e)
         break;
     }
 
-    if (rename_[inst.rd] && rename_[inst.rd]->seq == e.seq &&
-        writesIntReg(inst)) {
+    // The head's absolute position is robPops_.
+    if (writesIntReg(inst) && rename_[inst.rd] == robPops_)
         rename_[inst.rd].reset();
-    }
 }
 
 void
@@ -1127,66 +1153,6 @@ Cpu::commitStage()
     }
 }
 
-Cpu::RobMarks
-Cpu::robMarks() const
-{
-    RobMarks m;
-    m.seq = seqCounter_;
-    m.pops = robPops_;
-    m.squashed = stats_.squashed;
-    m.exceptions = stats_.exceptions;
-    m.pendingException = pendingException_.has_value();
-    m.fetchStallSeq = fetchStallSeq_;
-    m.fetchHalted = fetchHalted_;
-    m.fetchPc = fetchPc_;
-    return m;
-}
-
-bool
-Cpu::recordEntryFlags()
-{
-    bool unchanged = true;
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-        RobEntry &e = rob_[i];
-        unchanged &= e.flags == e.flagsSeen;
-        e.flagsSeen = e.flags;
-    }
-    return unchanged;
-}
-
-std::uint64_t
-Cpu::nextTimeGate() const
-{
-    // A gate at or before cycle_ that has not fired belongs to an
-    // entry blocked on state, not time: it cannot end the idle
-    // stretch, so only future gates count.
-    std::uint64_t gate = std::numeric_limits<std::uint64_t>::max();
-    const auto arm = [&](bool armed, std::uint64_t at) {
-        if (armed && at > cycle_)
-            gate = std::min(gate, at);
-    };
-    if (pendingException_)
-        arm(true, pendingException_->deliverCycle);
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-        const RobEntry &e = rob_[i];
-        arm(e.flags.authStarted && !e.flags.authDone, e.authDoneCycle);
-        arm(e.flags.dataStarted && !e.flags.dataDone, e.dataDoneCycle);
-        arm(e.flags.executed && !e.flags.hasResult, e.doneCycle);
-        arm(e.flags.resolveScheduled && !e.flags.resolved, e.resolveCycle);
-    }
-    return gate;
-}
-
-void
-Cpu::stepCycle()
-{
-    ++cycle_;
-    ++stats_.cycles;
-    commitStage();
-    executeStage();
-    fetchStage();
-}
-
 RunResult
 Cpu::run(Addr start_pc, std::uint64_t max_cycles)
 {
@@ -1209,47 +1175,38 @@ Cpu::run(Addr start_pc, std::uint64_t max_cycles)
     const std::uint64_t start_cycle = cycle_;
     const std::uint64_t start_committed = stats_.committed;
     // Idle-cycle fast-forward.  A cycle is idle when it changed no
-    // pipeline state, and that is detected exactly, with no hashing:
-    //  - every change a cycle makes to a ROB entry sets one of its
-    //    flags, which are never cleared during its life;
-    //  - every other change (dispatch, commit, squash, raising or
-    //    delivering an exception, fetch redirect, stall or halt)
-    //    moves a field of RobMarks.
-    // So a cycle that leaves the RobMarks and every entry's flags as
-    // they were is idle.  Only five conditions read the clock — the
-    // entries' authDoneCycle, dataDoneCycle, doneCycle and
-    // resolveCycle, and the pending exception's deliverCycle — so
-    // every cycle after an idle one is idle too until the earliest
-    // armed gate: jump to just before it (or to the budget), counting
-    // the skipped cycles as run.  RdTsc reads cycle_ only while it
-    // executes, which is an active cycle.  A cycle that fetched or
-    // committed is busy at the cost of two compares; only the others
-    // record the RobMarks and walk the ROB.
-    //
-    // The RobMarks and entry flags at the end of the previous cycle,
-    // if that cycle was recorded:
-    RobMarks seen;
-    bool recorded = false;
+    // pipeline state: no poll changed an entry or the ROB (see
+    // executeStage), nothing was dispatched or committed, and no
+    // exception was raised or delivered.  Every other squash, fetch
+    // redirect, stall or halt comes with one of those.  Only the
+    // entries' armed latencies and the pending exception's
+    // deliverCycle read the clock, so every cycle after an idle one
+    // is idle too until the earliest of them: the pass's smallest
+    // wake cycle, or the delivery.  Jump to just before it (or to
+    // the budget), counting the skipped cycles as run.  RdTsc reads
+    // cycle_ only while it executes, which is a busy cycle.
     while (!runHalted_ && !runFaulted_ &&
            cycle_ - start_cycle < max_cycles) {
         const std::uint64_t seq = seqCounter_, pops = robPops_;
-        stepCycle();
-        if (seqCounter_ != seq || robPops_ != pops) {
-            recorded = false;
+        const bool pending = pendingException_.has_value();
+        ++cycle_;
+        ++stats_.cycles;
+        ++work_.steppedCycles;
+        commitStage();
+        std::uint64_t wake = executeStage(robPops_ != pops);
+        fetchStage();
+        if (wake == 0 || seqCounter_ != seq || robPops_ != pops ||
+            pendingException_.has_value() != pending) {
             continue;
         }
-        const RobMarks marks = robMarks();
-        const bool flags_unchanged = recordEntryFlags();
-        if (recorded && flags_unchanged && marks == seen) {
-            const std::uint64_t left =
-                max_cycles - (cycle_ - start_cycle);
-            const std::uint64_t skip =
-                std::min(left, nextTimeGate() - 1 - cycle_);
-            cycle_ += skip;
-            stats_.cycles += skip;
-        }
-        seen = marks;
-        recorded = true;
+        if (pendingException_)
+            wake = std::min(wake, pendingException_->deliverCycle);
+        assert(wake > cycle_);
+        const std::uint64_t skip = std::min(
+            max_cycles - (cycle_ - start_cycle), wake - 1 - cycle_);
+        cycle_ += skip;
+        stats_.cycles += skip;
+        work_.skippedCycles += skip;
     }
 
     RunResult r;

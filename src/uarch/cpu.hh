@@ -21,12 +21,19 @@
  * forwarding path; defense flags (HwDefenseConfig) implement the
  * paper's strategies 1-4 as literal scheduler dependencies.
  *
- * Every guest cycle is counted, but not every one is stepped: once
- * a cycle changes no pipeline state, run() jumps to the next cycle
- * at which a latency expires (a miss, a permission check, exception
- * delivery).  The skipped cycles are exactly the ones that would
- * have changed nothing, so cycle counts, cache state and statistics
- * are those of stepping each cycle.
+ * Every guest cycle is counted, but not every entry is polled in
+ * every cycle, nor every cycle stepped.  executeStage polls an entry
+ * only when an event has reached it: one of its own latencies ended,
+ * an older entry changed or the ROB was squashed earlier in the
+ * pass, or an entry committed.  A cycle in which no poll changed an
+ * entry, nothing was dispatched or committed and no exception was
+ * raised or delivered is idle, and run() jumps from it to the
+ * earliest cycle an entry wakes (a miss, a permission check) or the
+ * pending exception is delivered.  The polls skipped and the cycles
+ * jumped over are exactly the ones that would have changed nothing,
+ * so cycle counts, cache state and statistics are those of polling
+ * every entry in every cycle; builds with assertions poll the
+ * skipped entries too and check that.
  *
  * Simplifications (documented in DESIGN.md): unlimited functional
  * units (latencies still apply), metadata-only cache, harness-level
@@ -37,6 +44,7 @@
 #define SPECSEC_UARCH_CPU_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -210,20 +218,42 @@ struct CpuStats
 };
 
 /**
+ * Exact counts of the simulator's own pipeline work, as opposed to
+ * the guest's (CpuStats): what the wake rule (Cpu::executeStage) and
+ * the idle fast-forward (Cpu::run) save.  Kept out of CpuStats, whose
+ * fields every export and the result cache's record carry.
+ */
+struct PipelineWork
+{
+    std::uint64_t polls = 0;         ///< progress() calls on an entry
+    std::uint64_t steppedCycles = 0; ///< cycles run stage by stage
+    std::uint64_t skippedCycles = 0; ///< idle cycles jumped over
+};
+
+/**
+ * The pipeline work of every Cpu destroyed on this thread so far,
+ * summed.  Thread-local, so a serial campaign on the calling thread
+ * reads its own cells' work as the difference across the run.
+ */
+const PipelineWork &threadPipelineWork();
+
+/**
  * Fixed-capacity contiguous ring: the ROB's storage.
  *
  * The reorder buffer is touched every cycle by every pipeline
- * stage (executeStage walks all of it; the safety predicates scan
- * prefixes of it), and profiling the sweep hot path showed
- * std::deque's segmented storage costing real time there.  A ring
- * over one flat vector keeps all in-flight entries contiguous
- * while preserving the deque operations the pipeline needs:
- * push_back (dispatch), pop_front (commit), truncate (squash drops
- * a suffix), and stable logical indexing (0 = oldest).
+ * stage (executeStage walks it; the safety predicates scan prefixes
+ * of it), and profiling the sweep hot path showed std::deque's
+ * segmented storage costing real time there.  A ring over one flat
+ * vector keeps all in-flight entries contiguous while preserving the
+ * deque operations the pipeline needs: emplace_back (dispatch),
+ * pop_front (commit), truncate (squash drops a suffix), and stable
+ * logical indexing (0 = oldest).
  *
- * Capacity normally never grows — fetch stalls when the ROB is
- * full — but push_back re-linearizes into doubled storage rather
- * than corrupt state if a caller overfills.
+ * The capacity is reserved up front (a capacity past max_size()
+ * throws std::length_error there) but a slot is built only the
+ * first time the tail reaches it, so a Cpu whose program never fills
+ * its ROB never pays for the rest.  The caller never overfills:
+ * fetch stalls when the ROB is full.
  *
  * Slots are never destroyed one by one: pop_front, truncate and
  * clear only move the bounds, and emplace_back builds a new entry
@@ -235,9 +265,10 @@ class RingBuffer
     static_assert(std::is_trivially_destructible_v<T>);
 
   public:
-    explicit RingBuffer(std::size_t capacity = 0)
-        : slots_(capacity ? capacity : 1)
+    explicit RingBuffer(std::size_t capacity)
+        : capacity_(capacity ? capacity : 1)
     {
+        slots_.reserve(capacity_);
     }
 
     std::size_t size() const { return size_; }
@@ -253,15 +284,6 @@ class RingBuffer
     T &front() { return slots_[head_]; }
     T &back() { return (*this)[size_ - 1]; }
 
-    void
-    push_back(T value)
-    {
-        if (size_ == slots_.size())
-            grow();
-        slots_[wrap(head_ + size_)] = std::move(value);
-        ++size_;
-    }
-
     /**
      * Append a value-initialized entry and hand back a reference,
      * so callers can fill large entries in place.  The entry is
@@ -272,12 +294,14 @@ class RingBuffer
     T &
     emplace_back()
     {
-        if (size_ == slots_.size())
-            grow();
-        T *slot = ::new (static_cast<void *>(
-            &slots_[wrap(head_ + size_)])) T{};
+        assert(size_ < capacity_);
+        // The tail moves one slot at a time, so a slot it reaches
+        // for the first time is the next one to build.
+        const std::size_t slot = wrap(head_ + size_);
         ++size_;
-        return *slot;
+        if (slot == slots_.size())
+            return slots_.emplace_back();
+        return *::new (static_cast<void *>(&slots_[slot])) T{};
     }
 
     void
@@ -303,19 +327,10 @@ class RingBuffer
     std::size_t
     wrap(std::size_t i) const
     {
-        return i < slots_.size() ? i : i - slots_.size();
+        return i < capacity_ ? i : i - capacity_;
     }
 
-    void
-    grow()
-    {
-        std::vector<T> bigger(slots_.size() * 2);
-        for (std::size_t i = 0; i < size_; ++i)
-            bigger[i] = std::move((*this)[i]);
-        slots_ = std::move(bigger);
-        head_ = 0;
-    }
-
+    std::size_t capacity_;
     std::vector<T> slots_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
@@ -339,6 +354,10 @@ class Cpu
 {
   public:
     Cpu(const CpuConfig &config, Memory &memory, PageTable &pt);
+    /** Adds this Cpu's pipeline work to threadPipelineWork(). */
+    ~Cpu();
+    Cpu(const Cpu &) = delete;
+    Cpu &operator=(const Cpu &) = delete;
 
     const CpuConfig &config() const { return config_; }
 
@@ -438,6 +457,7 @@ class Cpu
 
     const CpuStats &stats() const { return stats_; }
     void resetStats() { stats_ = CpuStats{}; }
+    const PipelineWork &pipelineWork() const { return work_; }
 
   private:
     /** timedAccess (@p allocate) / timedProbe. */
@@ -455,8 +475,8 @@ class Cpu
      * An entry's progress flags, one block.  Every change progress()
      * or captureOperands() makes to an entry sets one of them, and
      * none is cleared during the entry's life -- which makes
-     * comparing them an exact "did this entry change" test, and
-     * keeping them together makes that test one compare of 13
+     * comparing them an exact "did this poll change the entry" test,
+     * and keeping them together makes that test one compare of 13
      * bytes.  The static_asserts below keep anything else out: a
      * field that is not one of these bools changes the size, and
      * padding would make the byte compare inexact.
@@ -487,18 +507,25 @@ class Cpu
     /**
      * One in-flight instruction.  Trivially destructible, so the ROB
      * builds each one in place over a vacated slot (see
-     * RingBuffer::emplace_back).
+     * RingBuffer::emplace_back).  What executeStage's walk reads
+     * comes first.
+     *
+     * Other entries are named by their *absolute* ROB position
+     * (robPops_ + logical index), which never changes over an
+     * entry's life: commits shift every logical index down together
+     * and squashes only drop younger entries.  So finding one is a
+     * bounds-checked index, and needs no seq: a committed entry's
+     * position falls below robPops_ (the unsigned difference lands
+     * out of range), and a squashed one took every entry naming it
+     * with it, since only younger entries name an entry.
      */
     struct RobEntry
     {
-        Instruction inst;
-        Addr pc = 0;
         std::uint64_t seq = 0;
-        Addr predNext = 0;
-
+        /// The earliest armed latency that ends after the last poll
+        /// (see wakeCycle); 0 until the first poll.
+        std::uint64_t wake = 0;
         ProgressFlags flags;
-        /// flags at the last idle check (Cpu::run).
-        ProgressFlags flagsSeen;
 
         // The other one-byte fields, together so the entry has no
         // padding: source operands, result, memory, control flow and
@@ -515,9 +542,13 @@ class Cpu
         bool mispredicted = false;
         bool txnMember = false;
 
-        // Source operands.
+        Instruction inst;
+        Addr pc = 0;
+        Addr predNext = 0;
+
+        // Source operands: values, producers' and taint sources'
+        // positions.
         Word valA = 0, valB = 0;
-        std::uint64_t prodA = 0, prodB = 0;
         std::uint64_t prodAAbs = 0, prodBAbs = 0;
         std::uint64_t taintA = 0, taintB = 0;
 
@@ -540,42 +571,22 @@ class Cpu
     };
 
     /**
-     * Every pipeline field outside the ROB entries that a cycle can
-     * change: dispatch moves seq, commit pops, a squash squashed, an
-     * exception delivery exceptions, and the rest cover raising an
-     * exception and fetch redirects, stalls and halts.
+     * The earliest armed latency of @p e that ends after cycle_, or
+     * UINT64_MAX when none does.  A latency at or before cycle_ that
+     * has not fired belongs to an entry blocked on state, not time
+     * (a store's never-finished ALU gate, doneCycle 0, is one), so
+     * it cannot wake the entry.
      */
-    struct RobMarks
-    {
-        std::uint64_t seq = 0;
-        std::uint64_t pops = 0;
-        std::uint64_t squashed = 0;
-        std::uint64_t exceptions = 0;
-        bool pendingException = false;
-        std::optional<std::uint64_t> fetchStallSeq;
-        bool fetchHalted = false;
-        Addr fetchPc = 0;
-
-        bool operator==(const RobMarks &) const = default;
-    };
-
-    RobMarks robMarks() const;
+    std::uint64_t wakeCycle(const RobEntry &e) const;
 
     /**
-     * Record every entry's flags in its flagsSeen.
-     * @return true if none differed from the previous record.
+     * One pass over the ROB (see the wake rule in cpu.cc).
+     * @p committed: an entry committed this cycle.
+     * @return 0 if a poll changed an entry or the ROB, else the
+     *         earliest wake cycle of any entry (UINT64_MAX if none).
      */
-    bool recordEntryFlags();
-
-    /**
-     * The earliest cycle after cycle_ at which an armed latency
-     * expires, or UINT64_MAX when none is armed.
-     */
-    std::uint64_t nextTimeGate() const;
-
-    void stepCycle();
+    std::uint64_t executeStage(bool committed);
     void fetchStage();
-    void executeStage();
     void commitStage();
 
     void dispatch(const Instruction &inst, Addr pc);
@@ -592,19 +603,16 @@ class Cpu
     /** Own auth done, no fault, not under older speculation. */
     bool entrySafe(const RobEntry &e, std::size_t index) const;
 
-    /** Is the taint (source seq) still live? */
-    bool taintLive(std::uint64_t source_seq) const;
-
-    RobEntry *findBySeq(std::uint64_t seq);
-    const RobEntry *findBySeq(std::uint64_t seq) const;
-    std::optional<std::size_t> indexOfSeq(std::uint64_t seq) const;
+    /** Is the taint (its source's absolute position) still live? */
+    bool taintLive(std::uint64_t source) const;
 
     /** Squash all entries at positions >= @p first_removed. */
     void squashFrom(std::size_t first_removed, Addr redirect_pc);
 
     void applyCommit(RobEntry &e);
     void deliverException(const RobEntry &head);
-    void checkMemOrderViolation(const RobEntry &store);
+    void checkMemOrderViolation(const RobEntry &store,
+                                std::size_t index);
     Word selectResidue(Addr vaddr) const;
     Addr retActualTarget(std::size_t ret_index) const;
     void rebuildRename();
@@ -634,26 +642,13 @@ class Cpu
     std::optional<Addr> faultHandler_;
     std::uint64_t retExtraDelay_ = 0;
 
-    /**
-     * Rename-table entry: the producing instruction's seq plus its
-     * *absolute* ROB position (total pops + logical index).  The
-     * absolute position never changes over an entry's lifetime —
-     * commits shift every logical index down together and squashes
-     * only drop younger entries — so operand capture resolves the
-     * producer with one bounds-checked array access instead of a
-     * per-cycle binary search.
-     */
-    struct RenameRef
-    {
-        std::uint64_t seq = 0;
-        std::uint64_t abs = 0;
-    };
-
     // Pipeline state.
     RingBuffer<RobEntry> rob_;
     std::uint64_t seqCounter_ = 0;
     std::uint64_t robPops_ = 0; ///< lifetime pop_front count
-    std::array<std::optional<RenameRef>, kNumIntRegs> rename_{};
+    /// Each register's youngest in-flight writer, by absolute
+    /// position (see RobEntry).
+    std::array<std::optional<std::uint64_t>, kNumIntRegs> rename_{};
     std::vector<Addr> archCallStack_;
     Addr fetchPc_ = 0;
     bool fetchHalted_ = false;
@@ -692,6 +687,7 @@ class Cpu
     Addr lastFaultPc_ = 0;
 
     CpuStats stats_;
+    PipelineWork work_;
 };
 
 } // namespace specsec::uarch

@@ -111,6 +111,8 @@ Btb::flush()
 void
 Rsb::push(Addr return_addr)
 {
+    if (depth_ == 0)
+        return; // holds nothing: every pop underflows
     if (stack_.size() == depth_)
         stack_.erase(stack_.begin()); // overflow drops the oldest
     stack_.push_back({return_addr, false});

@@ -133,26 +133,39 @@ TEST(LineFillBufferTest, ResidueIsMostRecentFill)
 {
     LineFillBuffer lfb(2);
     EXPECT_FALSE(lfb.residue().has_value());
-    lfb.recordFill(0x100, 0xaa);
-    lfb.recordFill(0x200, 0xbb);
+    lfb.recordFill(0xaa);
+    lfb.recordFill(0xbb);
     EXPECT_EQ(lfb.residue(), 0xbbu);
 }
 
 TEST(LineFillBufferTest, CapacityBounded)
 {
     LineFillBuffer lfb(2);
-    lfb.recordFill(0x100, 1);
-    lfb.recordFill(0x200, 2);
-    lfb.recordFill(0x300, 3);
+    lfb.recordFill(1);
+    lfb.recordFill(2);
+    lfb.recordFill(3);
     EXPECT_EQ(lfb.size(), 2u);
+    EXPECT_EQ(lfb.residue(), 3u);
 }
 
 TEST(LineFillBufferTest, ClearDropsResidue)
 {
     LineFillBuffer lfb(4);
-    lfb.recordFill(0x100, 1);
+    lfb.recordFill(1);
     lfb.clear();
     EXPECT_FALSE(lfb.residue().has_value());
+    EXPECT_EQ(lfb.size(), 0u);
+}
+
+TEST(LineFillBufferTest, ZeroEntriesKeepNoResidue)
+{
+    // lfbEntries 0 is a machine a scenario key can name: its buffer
+    // holds no fill, so a faulting load finds no residue in it.
+    LineFillBuffer lfb(0);
+    lfb.recordFill(0xaa);
+    lfb.recordFill(0xbb);
+    EXPECT_FALSE(lfb.residue().has_value());
+    EXPECT_EQ(lfb.size(), 0u);
 }
 
 TEST(LoadPortTest, Residue)

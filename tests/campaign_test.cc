@@ -663,6 +663,30 @@ TEST(Engine, RunnerExceptionReachesTheCaller)
     EXPECT_EQ(json(4), json(1));
 }
 
+TEST(Engine, ZeroEntryLineFillBufferRunsEveryAttack)
+{
+    // lfbEntries 0 parses from a scenario key, so a serve submit or
+    // a shard file can send such a cell.  Every catalogued attack
+    // fills lines, so each one records a fill into a buffer that
+    // holds none; that must keep no residue rather than pop an
+    // empty ring.
+    CpuConfig zero;
+    zero.lfbEntries = 0;
+    for (const AttackVariant v : core::allVariants()) {
+        AttackVariant variant{};
+        CpuConfig config;
+        AttackOptions options;
+        ASSERT_TRUE(parseScenarioKey(scenarioKey(v, zero, {}), variant,
+                                     config, options));
+        ASSERT_EQ(config.lfbEntries, 0u);
+        CpuStats stats;
+        const attacks::AttackResult result =
+            attacks::runVariant(variant, config, options, stats);
+        EXPECT_GT(stats.cycles, 0u) << result.name;
+        EXPECT_GT(stats.committed, 0u) << result.name;
+    }
+}
+
 TEST(Engine, CollectsStatsAndThroughput)
 {
     ScenarioSpec spec;

@@ -231,6 +231,29 @@ TEST_F(CpuFixture, CallAndReturn)
     EXPECT_EQ(cpu.reg(2), 2u);
 }
 
+TEST_F(CpuFixture, ZeroDepthRsbFallsBackToTheBtb)
+{
+    Program p;
+    auto fn = p.newLabel();
+    p.emitCall(fn);       // 0
+    p.emit(movImm(2, 2)); // 1: after return
+    p.emit(halt());       // 2
+    p.bind(fn);
+    p.emit(movImm(1, 1)); // 3: in function
+    p.emit(ret());        // 4
+    CpuConfig cfg;
+    cfg.rsbDepth = 0;
+    Cpu cpu = makeCpu(cfg);
+    cpu.loadProgram(p);
+    const RunResult r = cpu.run(0);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(cpu.reg(1), 1u);
+    EXPECT_EQ(cpu.reg(2), 2u);
+    // The return found no RSB entry and an untrained BTB, so it
+    // predicted fall-through and was repaired.
+    EXPECT_EQ(cpu.stats().branchMispredicts, 1u);
+}
+
 TEST_F(CpuFixture, NestedCalls)
 {
     Program p;
@@ -566,7 +589,7 @@ TEST_F(CpuFixture, ContextSwitchAppliesDefenses)
     cfg.defense.clearBuffersOnContextSwitch = true;
     Cpu cpu = makeCpu(cfg);
     cpu.btb().update(5, 9);
-    cpu.lineFillBuffer().recordFill(0x100, 7);
+    cpu.lineFillBuffer().recordFill(7);
     cpu.contextSwitch(1);
     EXPECT_FALSE(cpu.btb().predict(5).has_value());
     EXPECT_FALSE(cpu.lineFillBuffer().residue().has_value());
@@ -797,6 +820,33 @@ TEST_F(CpuFixture, CycleCountTsxAbortWindow)
                               .squashed = 4,
                               .exceptions = 1,
                               .transientForwards = 1});
+}
+
+TEST_F(CpuFixture, PipelineWorkCountsEveryCycleAndFoldsIntoTheThread)
+{
+    const PipelineWork before = threadPipelineWork();
+    PipelineWork work;
+    {
+        mem.write64(0x5000, 7);
+        Cpu cpu = makeCpu();
+        cpu.loadProgram(chainBehindMiss());
+        cpu.flushLineVirt(0x5000);
+        const RunResult r = cpu.run(0);
+        ASSERT_EQ(r.cycles, 207u);
+        work = cpu.pipelineWork();
+        // Every guest cycle is either stepped or jumped over, and
+        // the miss's wait is jumped over.
+        EXPECT_EQ(work.steppedCycles + work.skippedCycles, r.cycles);
+        EXPECT_GT(work.skippedCycles, 150u);
+        EXPECT_GT(work.polls, 0u);
+        EXPECT_EQ(threadPipelineWork().polls, before.polls);
+    }
+    const PipelineWork after = threadPipelineWork();
+    EXPECT_EQ(after.polls - before.polls, work.polls);
+    EXPECT_EQ(after.steppedCycles - before.steppedCycles,
+              work.steppedCycles);
+    EXPECT_EQ(after.skippedCycles - before.skippedCycles,
+              work.skippedCycles);
 }
 
 } // namespace

@@ -174,6 +174,19 @@ TEST(RsbTest, StuffingFillsWithBenignTarget)
     EXPECT_EQ(stuffed.target, 7u);
 }
 
+TEST(RsbTest, ZeroDepthHoldsNothing)
+{
+    // rsbDepth 0: every pop underflows to the BTB fallback, stuffed
+    // or not.
+    Rsb rsb(0);
+    rsb.push(10);
+    EXPECT_EQ(rsb.size(), 0u);
+    EXPECT_FALSE(rsb.pop().valid);
+    rsb.stuff(7);
+    EXPECT_EQ(rsb.size(), 0u);
+    EXPECT_FALSE(rsb.pop().valid);
+}
+
 TEST(RsbTest, FlushEmpties)
 {
     Rsb rsb(4);
